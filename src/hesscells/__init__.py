@@ -15,6 +15,7 @@ from .combinat import (
     all_permutations,
     enumerate_hessenberg,
     fixed_points,
+    is_fixed_point,
     v_of_w,
 )
 from .polyring import (
@@ -86,6 +87,7 @@ __all__ = [
     "all_permutations",
     "enumerate_hessenberg",
     "fixed_points",
+    "is_fixed_point",
     "v_of_w",
     "Monomial",
     "Polynomial",

@@ -250,16 +250,17 @@ def build_ideal(
     else:
         conj = cell_generators(w)
         ambient = z_universe(w)
-    v = v_of_w(w)
+    # 0-based indices: hv[l] = h(l+1), vi[k] = v(k+1), rows[k][l] = (k+1, l+1)
+    hv, vi, rows = h.values, v_of_w(w).images, conj.rows
     gens = []
     height = 0
-    for k in range(n, 1, -1):
-        for l in range(1, n):
-            if k > h(l):
-                g = conj.entry(k, l)
-                gens.append((k, l, g))
+    for k in range(n - 1, 0, -1):
+        for l in range(n - 1):
+            if k >= hv[l]:
+                g = rows[k][l]
+                gens.append((k + 1, l + 1, g))
                 if kind == "cell":
-                    if v(k) > v(l) + 1:
+                    if vi[k] > vi[l] + 1:
                         height += 1
                 elif not g.is_zero:
                     height += 1

@@ -19,7 +19,12 @@ from .cells import (
     patch_generators,
     paving,
 )
-from .combinat import HessenbergFunction, Permutation, fixed_points
+from .combinat import (
+    HessenbergFunction,
+    Permutation,
+    fixed_points,
+    is_fixed_point,
+)
 from .frobenius import (
     compatibility_check,
     is_prime,
@@ -178,7 +183,7 @@ def cmd_gb_check(args) -> int:
         "n": args.n,
         "w": w.to_json(),
         "h": h.to_json(),
-        "fixedPoint": w in fixed_points(h),
+        "fixedPoint": is_fixed_point(w, h),
         "Lambda": rep.height,
         "initialTerms": [
             {

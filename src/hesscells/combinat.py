@@ -109,6 +109,7 @@ class Permutation:
         return ",".join(str(v) for v in self.images)
 
 
+@lru_cache(maxsize=None)
 def v_of_w(w: Permutation) -> Permutation:
     """The complementary permutation w_0 * w, i.e. j -> n + 1 - w(j)."""
     return Permutation(w.n + 1 - v for v in w.images)
@@ -220,26 +221,29 @@ def enumerate_hessenberg(n: int, indecomposable_only: bool = False):
     return out
 
 
-@lru_cache(maxsize=None)
-def fixed_points(h: HessenbergFunction) -> tuple:
-    """Permutations w with w^{-1}(w(j) - 1) <= h(j) for all j.
+def is_fixed_point(w: Permutation, h: HessenbergFunction) -> bool:
+    """True iff w^{-1}(w(j) - 1) <= h(j) for all j, in O(n).
 
     The constraint is skipped when w(j) = 1, realizing the convention
-    w(0) = 0.  Returned in lexicographic order.
+    w(0) = 0.  A permutation of another size is never a fixed point.
     """
     n = h.n
-    hv = h.values
-    out = []
-    for images in itertools.permutations(range(1, n + 1)):
-        inv = [0] * (n + 1)
-        for pos, val in enumerate(images, start=1):
-            inv[val] = pos
-        if all(
-            images[j] == 1 or inv[images[j] - 1] <= hv[j]
-            for j in range(n)
-        ):
-            out.append(Permutation(images))
-    return tuple(out)
+    if w.n != n:
+        return False
+    images, hv = w.images, h.values
+    inv = [0] * (n + 1)
+    for pos, val in enumerate(images, start=1):
+        inv[val] = pos
+    return all(
+        images[j] == 1 or inv[images[j] - 1] <= hv[j] for j in range(n)
+    )
+
+
+@lru_cache(maxsize=None)
+def fixed_points(h: HessenbergFunction) -> tuple:
+    """Permutations w of [n] with is_fixed_point(w, h), in lexicographic
+    order."""
+    return tuple(w for w in all_permutations(h.n) if is_fixed_point(w, h))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cells import build_ideal
-from .combinat import HessenbergFunction, Permutation, fixed_points
+from .combinat import (
+    HessenbergFunction,
+    Permutation,
+    fixed_points,  # bound for perfbench's combinat.fixed_points span
+    is_fixed_point,
+)
 from .groebner import MonomialOrder, initial_term, order_n, order_n_w, reduce
 from .polyring import Monomial, Polynomial, x_universe, z_universe
 
@@ -62,7 +67,7 @@ def make_splitting_context(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if kind == "cell":
-        if w not in fixed_points(h):
+        if not is_fixed_point(w, h):
             raise ValueError(f"w={w} is not a fixed point for h={h}")
         variables = z_universe(w)
         order = order_n_w(w)
@@ -88,7 +93,8 @@ def make_splitting_context(
     sign = 1 if c == 1 else -1
     F = Polynomial({Z / m: 1}, p) * G
     cf, mf = initial_term(F, order)
-    assert mf == Z and cf == c, "initial term of F is not +-Z"
+    if mf != Z or cf != c:
+        raise AssertionError(f"initial term of F is {cf}*{mf!r}, not +-Z")
     return SplittingContext(
         p=p,
         w=w,

@@ -10,8 +10,9 @@ free variables of the triangular presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .combinat import HessenbergFunction, Permutation, fixed_points, v_of_w
+from .combinat import HessenbergFunction, Permutation, is_fixed_point, v_of_w
 from .groebner import TriangularReport
 from .polyring import Polynomial, z_universe
 
@@ -39,6 +40,7 @@ class GradedWeights:
         return f"GradedWeights({body})"
 
 
+@lru_cache(maxsize=None)
 def weights_for(w: Permutation) -> GradedWeights:
     """Weights of the cell coordinates of w.
 
@@ -54,7 +56,10 @@ def weights_for(w: Permutation) -> GradedWeights:
         i, j = var.row, var.col
         action = w(j) - i
         pullback = (n + 1 - v(j)) - i
-        assert action == pullback, (var, action, pullback)
+        if action != pullback:
+            raise AssertionError(
+                f"weight formulas disagree at {var.name}: {action} != {pullback}"
+            )
         weights[var] = action
     return GradedWeights(weights)
 
@@ -155,7 +160,7 @@ def hilbert_formula(w: Permutation, h: HessenbergFunction) -> HilbertSeries:
     """
     if not h.is_indecomposable:
         raise ValueError(f"Hessenberg function {h} is decomposable")
-    if w not in fixed_points(h):
+    if not is_fixed_point(w, h):
         raise ValueError(f"w={w} is not a fixed point for h={h}")
     v = v_of_w(w)
     n = w.n

@@ -6,12 +6,27 @@ initial terms arranged triangularly, while `buchberger_check` reduces
 every S-polynomial from scratch.  A small general-purpose completion
 oracle over the rationals (`reduced_gb_oracle`) is used to decide unit
 ideals on arbitrary inputs.
+
+Division (`reduce`) runs on packed exponents, after Monagan and Pearce
+("Sparse polynomial division using a heap", 2011).  `_Packing` encodes a
+monomial as one integer: every variable owns a fixed-width field, the
+order's first variable the most significant one, so integer comparison is
+the lex order and a monomial product is an integer sum.  The top bit of
+each field is a guard bit that stays clear in every encoded monomial.
+With G the mask of all guard bits, l divides m exactly when
+((m | G) - l) & G == G, and a sum whose field outgrew its width shows up
+as a set guard bit.  The width is chosen from the inputs; if a field
+overflows partway through, the division restarts from scratch at double
+width, so the result is exact for any input.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinat import Permutation, v_of_w
 from .polyring import (
@@ -33,7 +48,7 @@ class MonomialOrder:
     compared by their exponent vectors read in priority order.
     """
 
-    __slots__ = ("priority", "_index")
+    __slots__ = ("priority", "_index", "_packings")
 
     def __init__(self, priority):
         priority = tuple(priority)
@@ -41,6 +56,7 @@ class MonomialOrder:
             raise ValueError("priority list contains duplicates")
         self.priority = priority
         self._index = {v: k for k, v in enumerate(priority)}
+        self._packings = {}
 
     def key(self, mono: Monomial) -> tuple:
         vec = [0] * len(self.priority)
@@ -53,18 +69,73 @@ class MonomialOrder:
             vec[pos] = e
         return tuple(vec)
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
-    def sorted_terms(self, p: Polynomial):
-        """Terms of p as (monomial, coeff) pairs, largest first."""
-        return sorted(
-            p.terms.items(), key=lambda item: self.key(item[0]), reverse=True
-        )
+    def _packing(self, bits: int) -> "_Packing":
+        """The packed encoding of this order with `bits`-bit fields."""
+        got = self._packings.get(bits)
+        if got is None:
+            got = self._packings[bits] = _Packing(self.priority, bits)
+        return got
 
     def __repr__(self):
         names = " > ".join(v.name for v in self.priority)
         return f"MonomialOrder({names})"
+
+
+class _Packing:
+    """Monomials of a lex order encoded as integers.
+
+    Every variable owns a field of `bits` bits, the first variable of the
+    priority list the most significant one.  An exponent fills the low
+    `bits - 1` bits of its field; the top bit is a guard bit, and `guard`
+    is the mask of all of them.  Encoded integers compare like the order.
+    """
+
+    __slots__ = ("guard", "_shift", "_fields", "_mask")
+
+    def __init__(self, priority, bits: int):
+        top = len(priority) - 1
+        self._shift = {v: (top - k) * bits for k, v in enumerate(priority)}
+        self.guard = sum(1 << (s + bits - 1) for s in self._shift.values())
+        # canonical variable order, so decoding yields sorted Monomial pairs
+        self._fields = sorted(self._shift.items())
+        self._mask = (1 << (bits - 1)) - 1
+
+    def encode(self, p: Polynomial) -> dict:
+        """Terms of p keyed by encoded monomial.
+
+        Raises ValueError for a variable outside the order.  The caller
+        sizes the fields so that every exponent of p fits.
+        """
+        shift = self._shift
+        out = {}
+        for mono, c in p.terms.items():
+            code = 0
+            for v, e in mono.exps:
+                s = shift.get(v)
+                if s is None:
+                    raise ValueError(
+                        f"variable {v.name} is not in the order's universe"
+                    )
+                code += e << s
+            out[code] = c
+        return out
+
+    def decode(self, terms: dict, char: int) -> Polynomial:
+        """The polynomial of encoded terms, in their insertion order."""
+        fields, mask = self._fields, self._mask
+        out = {}
+        for code, c in terms.items():
+            exps = []
+            for v, s in fields:
+                e = (code >> s) & mask
+                if e:
+                    exps.append((v, e))
+            out[Monomial._raw(tuple(exps))] = c
+        return Polynomial._raw(out, char)
+
+
+class _FieldOverflow(Exception):
+    """An exponent outgrew its packed field during a division."""
 
 
 def order_n(n: int) -> MonomialOrder:
@@ -73,6 +144,7 @@ def order_n(n: int) -> MonomialOrder:
     return MonomialOrder(x_universe(n))
 
 
+@lru_cache(maxsize=None)
 def order_n_w(w: Permutation) -> MonomialOrder:
     """Lex order on the cell coordinates of w: z_{i,j} beats z_{i',j'}
     when i < i', or i = i' and v(j) < v(j') for v = w_0 w."""
@@ -90,15 +162,63 @@ def initial_term(p: Polynomial, order: MonomialOrder):
     return p.terms[best], best
 
 
-def _divisor_coeff(c: int, lead_c: int, char: int) -> int:
-    """Coefficient q with q * lead_c == c in the coefficient domain."""
-    if char:
-        return (c * pow(lead_c, -1, char)) % char
-    if lead_c not in (1, -1):
-        raise ValueError(
-            f"leading coefficient {lead_c} is not a unit over the integers"
-        )
-    return c * lead_c
+def _field_bits(polys) -> int:
+    """Packed field width for dividing these polynomials, guard included.
+
+    Leaves room for four times the largest input exponent, and at least
+    seven exponent bits, so that a restart at double width is rare.
+    """
+    top = max(
+        (e for p in polys for mono in p.terms for _, e in mono.exps), default=0
+    )
+    return max(8, top.bit_length() + 3)
+
+
+def _divide(rem: dict, divisors: list, guard: int, char: int):
+    """The division loop on encoded terms; consumes `rem`.
+
+    `divisors` holds (lead, multiplier, tail terms) triples, where the
+    multiplier turns a coefficient into its quotient coefficient.  The
+    running remainder is the dict `rem` with a max-heap of its monomials;
+    heap entries whose term has cancelled are skipped when popped.
+    Returns (quotient term dicts, remainder term dict), both filled in
+    decreasing monomial order.  Raises _FieldOverflow when a product
+    monomial outgrows its field.
+    """
+    heap = [-m for m in rem]
+    heapq.heapify(heap)
+    quotients = [{} for _ in divisors]
+    out = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        c = rem.pop(m, 0)
+        if not c:
+            continue
+        for (lm, mult, tail), quot in zip(divisors, quotients):
+            if ((m | guard) - lm) & guard != guard:
+                continue
+            qm = m - lm
+            qc = c * mult % char if char else c * mult
+            quot[qm] = qc
+            for t, tc in tail:
+                s = qm + t
+                if s & guard:
+                    raise _FieldOverflow
+                old = rem.get(s)
+                if old is None:
+                    heapq.heappush(heap, -s)
+                    old = 0
+                v = old - qc * tc
+                if char:
+                    v %= char
+                if v:
+                    rem[s] = v
+                else:
+                    rem.pop(s, None)
+            break
+        else:
+            out[m] = c
+    return quotients, out
 
 
 def reduce(p: Polynomial, divisors, order: MonomialOrder):
@@ -110,35 +230,39 @@ def reduce(p: Polynomial, divisors, order: MonomialOrder):
     remainder is always reduced first, so the result is deterministic.
     """
     divisors = list(divisors)
-    leads = []
-    for g in divisors:
-        if g.is_zero:
-            raise ValueError("cannot divide by the zero polynomial")
-        if g.char != p.char:
-            raise ValueError("coefficient domain mismatch")
-        lc, lm = initial_term(g, order)
-        if not p.char and lc not in (1, -1):
-            raise ValueError(
-                f"leading coefficient {lc} is not a unit over the integers"
+    char = p.char
+    bits = _field_bits([p, *divisors])
+    while True:
+        packing = order._packing(bits)
+        packed = []
+        for g in divisors:
+            if g.is_zero:
+                raise ValueError("cannot divide by the zero polynomial")
+            if g.char != char:
+                raise ValueError("coefficient domain mismatch")
+            tail = packing.encode(g)
+            lm = max(tail)
+            lc = tail.pop(lm)
+            if char:
+                mult = pow(lc, -1, char)
+            elif lc in (1, -1):
+                mult = lc
+            else:
+                raise ValueError(
+                    f"leading coefficient {lc} is not a unit over the integers"
+                )
+            packed.append((lm, mult, tuple(tail.items())))
+        try:
+            quotients, remainder = _divide(
+                packing.encode(p), packed, packing.guard, char
             )
-        leads.append((lc, lm))
-    quotients = [Polynomial.zero(p.char) for _ in divisors]
-    remainder = Polynomial.zero(p.char)
-    work = p
-    while work:
-        c, m = initial_term(work, order)
-        for i, g in enumerate(divisors):
-            lc, lm = leads[i]
-            if lm.divides(m):
-                q = Polynomial({m / lm: _divisor_coeff(c, lc, p.char)}, p.char)
-                quotients[i] = quotients[i] + q
-                work = work - q * g
-                break
-        else:
-            lt = Polynomial({m: c}, p.char)
-            remainder = remainder + lt
-            work = work - lt
-    return quotients, remainder
+        except _FieldOverflow:
+            bits *= 2
+            continue
+        return (
+            [packing.decode(q, char) for q in quotients],
+            packing.decode(remainder, char),
+        )
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -392,17 +516,12 @@ def reduced_gb_oracle(generators, order: MonomialOrder, max_steps: int = 100_000
     for f in reduced:
         denom_lcm = 1
         for c in f.values():
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
         ints = {m: int(c * denom_lcm) for m, c in f.items()}
         content = 0
         for c in ints.values():
-            content = _gcd(content, c)
+            content = math.gcd(content, c)
         out.append(Polynomial({m: c // content for m, c in ints.items()}))
     out.sort(key=lambda p: order.key(initial_term(p, order)[1]), reverse=True)
     return out
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -14,6 +14,7 @@ patch) or z_{i,j} (coordinates on a Schubert cell); they serialize as
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import NamedTuple
 
 from .combinat import Permutation
@@ -67,6 +68,7 @@ def x_universe(n: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
 def z_universe(w: Permutation) -> tuple:
     """Cell coordinates z_{i,j} with i < w(j) and j < w^{-1}(i), row-major.
 
@@ -149,6 +151,14 @@ class Monomial:
         m = Monomial.__new__(Monomial)
         m.exps = tuple(out)
         m._hash = hash(m.exps)
+        return m
+
+    @classmethod
+    def _raw(cls, exps: tuple) -> "Monomial":
+        """Internal: wrap pairs already sorted, with positive exponents."""
+        m = cls.__new__(cls)
+        m.exps = exps
+        m._hash = hash(exps)
         return m
 
     def divides(self, other: "Monomial") -> bool:

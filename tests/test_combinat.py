@@ -9,6 +9,7 @@ from hesscells import (
     all_permutations,
     enumerate_hessenberg,
     fixed_points,
+    is_fixed_point,
     v_of_w,
 )
 
@@ -191,6 +192,18 @@ class TestFixedPoints:
                 for h2 in funcs:
                     if all(a <= b for a, b in zip(h1.values, h2.values)):
                         assert counts[h1] <= counts[h2]
+
+    def test_is_fixed_point_agrees_with_fixed_points(self):
+        for n in range(1, 7):
+            perms = list(all_permutations(n))
+            for h in enumerate_hessenberg(n, indecomposable_only=True):
+                fixed = set(fixed_points(h))
+                for w in perms:
+                    assert is_fixed_point(w, h) == (w in fixed)
+
+    def test_is_fixed_point_rejects_other_sizes(self):
+        h = HessenbergFunction([3, 3, 4, 4])
+        assert not is_fixed_point(Permutation([2, 1]), h)
 
     def test_definition_brute_force(self):
         # replay the defining inequality independently at n = 4

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from division_reference import reference_reduce
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesscells import (
     BudgetExceededError,
@@ -24,6 +27,7 @@ from hesscells import (
     xvar,
     zvar,
 )
+from hesscells.groebner import _field_bits
 from hesscells.groebner import reduce as poly_reduce
 
 W3421 = Permutation([3, 4, 2, 1])
@@ -265,3 +269,83 @@ class TestInitialTermFormula:
                     assert mono == Monomial(
                         {zvar(n + 1 - v(k), vinv(v(l) + 1)): 1}
                     )
+
+
+# The packed kernel against the plain dict-based division it replaced.
+
+X11, X12, X21 = xvar(1, 1), xvar(1, 2), xvar(2, 1)
+# a priority that differs from the canonical variable order
+PROP_ORDER = MonomialOrder((X21, X11, X12))
+
+prop_monomials = st.dictionaries(
+    st.sampled_from((X11, X12, X21)), st.integers(1, 3), max_size=3
+).map(Monomial)
+
+
+def prop_polys(char, max_size, min_size=0):
+    return st.dictionaries(
+        prop_monomials,
+        st.integers(-9, 9).filter(bool),
+        min_size=min_size,
+        max_size=max_size,
+    ).map(lambda terms: Polynomial(terms, char))
+
+
+@st.composite
+def division_problems(draw, char):
+    """(dividend, divisors) with unit lead coefficients; the dividend is
+    a random combination of the divisors plus a random polynomial, so
+    that most draws divide."""
+    p = draw(prop_polys(char, 6))
+    divisors = []
+    for g in draw(st.lists(prop_polys(char, 4, 1), min_size=1, max_size=3)):
+        if g.is_zero:
+            continue
+        if not char:
+            c, m = initial_term(g, PROP_ORDER)
+            g = g + Polynomial({m: draw(st.sampled_from((1, -1))) - c})
+        divisors.append(g)
+        p = p + draw(prop_polys(char, 3, 1)) * g
+    return p, divisors
+
+
+def division_terms(result):
+    """Quotients and remainder as (char, ordered term list) pairs."""
+    quotients, remainder = result
+    return [(q.char, list(q.terms.items())) for q in quotients + [remainder]]
+
+
+def assert_matches_reference(p, divisors, order):
+    got = poly_reduce(p, divisors, order)
+    assert division_terms(got) == division_terms(
+        reference_reduce(p, divisors, order)
+    )
+    return got
+
+
+class TestPackedReduce:
+    @pytest.mark.parametrize("char", [0, 2, 3, 7])
+    @given(data=st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_reference(self, char, data):
+        p, divisors = data.draw(division_problems(char))
+        assert_matches_reference(p, divisors, PROP_ORDER)
+
+    def test_exponent_past_two_to_the_fifteen(self):
+        x, y = Polynomial.variable(X11), Polynomial.variable(X12)
+        big = 2**15
+        p = x**big * y + 3 * y**big
+        g = x**big - y**2
+        quotients, r = assert_matches_reference(p, [g], order_n(3))
+        assert quotients == [y]
+        assert r == y**3 + 3 * y**big
+
+    def test_field_overflow_partway_restarts(self):
+        # x^a = (x - y^b) * q + y^(ab) in lex with x > y; y^(ab) outgrows
+        # the field width the inputs ask for
+        a = b = 100
+        x, y = Polynomial.variable(X11), Polynomial.variable(X12)
+        p, g = x**a, x - y**b
+        assert a * b >= 1 << (_field_bits([p, g]) - 1)
+        _, r = assert_matches_reference(p, [g], order_n(3))
+        assert r == y ** (a * b)
