@@ -1,5 +1,9 @@
 import ast
+import doctest
 from pathlib import Path
+
+import hesscells.combinat
+import hesscells.polyring
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hesscells"
 
@@ -16,3 +20,10 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_doctests_pass():
+    for module in (hesscells.polyring, hesscells.combinat):
+        result = doctest.testmod(module)
+        assert result.attempted > 0, module.__name__
+        assert result.failed == 0, module.__name__
