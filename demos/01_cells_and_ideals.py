@@ -9,13 +9,13 @@
 from hesscells import (
     HessenbergFunction,
     Permutation,
+    PsiMap,
     build_Omega,
     build_ideal,
     build_wM,
     cell_generators,
     cell_generators_via_psi,
     patch_generators,
-    psi_map,
 )
 
 
@@ -45,7 +45,7 @@ show_matrix("Omega_w^-1 N Omega_w", cell_generators(w))
 
 # The two coordinate systems are linked by a specialization: certain
 # patch variables are set to zero and the rest are relabelled.
-psi = psi_map(w)
+psi = PsiMap(w)
 print("variables sent to zero:", sorted(v.name for v in psi.zeroed_vars))
 for var in sorted(psi.assignment):
     img = psi.assignment[var]

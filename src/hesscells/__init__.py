@@ -24,7 +24,6 @@ from .polyring import (
     PolyMatrix,
     Var,
     inverse_unitriangular_conjugate,
-    mat_mul,
     poly_from_json,
     poly_parse_text,
     substitute,
@@ -44,8 +43,6 @@ from .cells import (
     cell_generators_via_psi,
     patch_generators,
     paving,
-    psi_apply,
-    psi_map,
     random_point_check,
     solve_cell_point,
 )
@@ -62,7 +59,6 @@ from .groebner import (
     triangular_analysis,
 )
 from .grading_hilbert import (
-    GradedWeights,
     HilbertSeries,
     hilbert_formula,
     hilbert_oracle,
@@ -94,7 +90,6 @@ __all__ = [
     "PolyMatrix",
     "Var",
     "inverse_unitriangular_conjugate",
-    "mat_mul",
     "poly_from_json",
     "poly_parse_text",
     "substitute",
@@ -112,8 +107,6 @@ __all__ = [
     "cell_generators_via_psi",
     "patch_generators",
     "paving",
-    "psi_apply",
-    "psi_map",
     "random_point_check",
     "solve_cell_point",
     "BudgetExceededError",
@@ -126,7 +119,6 @@ __all__ = [
     "reduced_gb_oracle",
     "s_polynomial",
     "triangular_analysis",
-    "GradedWeights",
     "HilbertSeries",
     "hilbert_formula",
     "hilbert_oracle",

@@ -36,7 +36,7 @@ from .polyring import (
 from . import groebner
 
 
-def build_wM(w: Permutation, char: int = 0) -> PolyMatrix:
+def build_wM(w: Permutation) -> PolyMatrix:
     """Generic point of the patch through w: entry (i,j) is 1 when
     i = w(j), 0 when j > w^{-1}(i), and the variable x_{i,j} otherwise."""
     winv = w.inverse()
@@ -46,16 +46,16 @@ def build_wM(w: Permutation, char: int = 0) -> PolyMatrix:
         row = []
         for j in range(1, n + 1):
             if i == w(j):
-                row.append(Polynomial.one(char))
+                row.append(Polynomial.one())
             elif j > winv(i):
-                row.append(Polynomial.zero(char))
+                row.append(Polynomial.zero())
             else:
-                row.append(Polynomial.variable(xvar(i, j), char))
+                row.append(Polynomial.variable(xvar(i, j)))
         rows.append(row)
-    return PolyMatrix(rows, char)
+    return PolyMatrix(rows)
 
 
-def build_Omega(w: Permutation, char: int = 0) -> PolyMatrix:
+def build_Omega(w: Permutation) -> PolyMatrix:
     """Generic point of the Schubert cell of w: entry (i,j) is 1 when
     i = w(j), 0 below or to the right of the pivots, and z_{i,j}
     otherwise.  The number of variables equals the length of w."""
@@ -66,13 +66,13 @@ def build_Omega(w: Permutation, char: int = 0) -> PolyMatrix:
         row = []
         for j in range(1, n + 1):
             if i == w(j):
-                row.append(Polynomial.one(char))
+                row.append(Polynomial.one())
             elif i > w(j) or j > winv(i):
-                row.append(Polynomial.zero(char))
+                row.append(Polynomial.zero())
             else:
-                row.append(Polynomial.variable(zvar(i, j), char))
+                row.append(Polynomial.variable(zvar(i, j)))
         rows.append(row)
-    return PolyMatrix(rows, char)
+    return PolyMatrix(rows)
 
 
 def _conjugate_shift(w: Permutation, m: PolyMatrix) -> PolyMatrix:
@@ -84,27 +84,15 @@ def _conjugate_shift(w: Permutation, m: PolyMatrix) -> PolyMatrix:
 
 
 @lru_cache(maxsize=None)
-def _patch_generators_cached(w: Permutation) -> PolyMatrix:
+def patch_generators(w: Permutation) -> PolyMatrix:
+    """Matrix of patch generators: the conjugate (wM)^{-1} N (wM)."""
     return _conjugate_shift(w, build_wM(w))
 
 
-def patch_generators(w: Permutation, char: int = 0) -> PolyMatrix:
-    """Matrix of patch generators: the conjugate (wM)^{-1} N (wM)."""
-    if char == 0:
-        return _patch_generators_cached(w)
-    return _conjugate_shift(w, build_wM(w, char))
-
-
 @lru_cache(maxsize=None)
-def _cell_generators_cached(w: Permutation) -> PolyMatrix:
-    return _conjugate_shift(w, build_Omega(w))
-
-
-def cell_generators(w: Permutation, char: int = 0) -> PolyMatrix:
+def cell_generators(w: Permutation) -> PolyMatrix:
     """Matrix of cell generators: the conjugate Omega^{-1} N Omega."""
-    if char == 0:
-        return _cell_generators_cached(w)
-    return _conjugate_shift(w, build_Omega(w, char))
+    return _conjugate_shift(w, build_Omega(w))
 
 
 class PsiMap:
@@ -153,14 +141,6 @@ class PsiMap:
         return f"PsiMap(w={self.w})"
 
 
-def psi_map(w: Permutation) -> PsiMap:
-    return PsiMap(w)
-
-
-def psi_apply(psi: PsiMap, p: Polynomial) -> Polynomial:
-    return psi.apply(p)
-
-
 def cell_generators_via_psi(w: Permutation, k: int, l: int) -> Polynomial:
     """Cell generator (k,l) computed as the specialization of the patch
     generator (v(k), v(l)) at the longest permutation, for v = w_0 w.
@@ -170,7 +150,7 @@ def cell_generators_via_psi(w: Permutation, k: int, l: int) -> Polynomial:
     v = v_of_w(w)
     w0 = Permutation.longest_element(w.n)
     f = patch_generators(w0).entry(v(k), v(l))
-    return psi_map(w).apply(f)
+    return PsiMap(w).apply(f)
 
 
 def conjugate_generators_by_v(w: Permutation) -> PolyMatrix:

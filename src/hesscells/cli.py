@@ -75,11 +75,16 @@ def _matrix_entries(mat):
     return out
 
 
-def cmd_patch_gens(args) -> int:
+def cmd_generators(args) -> int:
+    """patch-gens and cell-gens: the nonzero entries of the conjugate
+    matrix, and for cell-gens with --h the ideal's generator positions."""
     w = _parse_perm(args)
-    mat = patch_generators(w)
+    if args.command == "patch-gens":
+        mat, prefix = patch_generators(w), "f"
+    else:
+        mat, prefix = cell_generators(w), "g"
     entries = _matrix_entries(mat)
-    lines = [f"f_{i}_{j} = {e.to_text()}" for i, j, e in entries]
+    lines = [f"{prefix}_{i}_{j} = {e.to_text()}" for i, j, e in entries]
     doc = {
         "n": args.n,
         "w": w.to_json(),
@@ -88,24 +93,7 @@ def cmd_patch_gens(args) -> int:
             for i, j, e in entries
         ],
     }
-    _emit(args, lines, doc)
-    return 0
-
-
-def cmd_cell_gens(args) -> int:
-    w = _parse_perm(args)
-    mat = cell_generators(w)
-    entries = _matrix_entries(mat)
-    lines = [f"g_{i}_{j} = {e.to_text()}" for i, j, e in entries]
-    doc = {
-        "n": args.n,
-        "w": w.to_json(),
-        "entries": [
-            {"k": i, "l": j, "text": e.to_text(), "poly": e.to_json_dict()}
-            for i, j, e in entries
-        ],
-    }
-    if args.h:
+    if args.command == "cell-gens" and args.h:
         h = _parse_h(args)
         pres = build_ideal(w, h, "cell")
         labels = [pres.generator_label(k, l) for k, l, _ in pres.generators]
@@ -155,9 +143,7 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
-    h = HessenbergFunction.parse(args.h)
-    if h.n != args.n:
-        raise ValueError(f"Hessenberg function {args.h!r} does not have size {args.n}")
+    h = _parse_h(args)
     points = fixed_points(h)
     lines = [str(w) for w in points]
     lines.append(f"{len(points)} fixed points")
@@ -177,7 +163,7 @@ def cmd_gb_check(args) -> int:
     pres = build_ideal(w, h, "cell")
     order = order_n_w(w)
     rep = triangular_analysis(pres, order)
-    gb_ok = buchberger_check(pres, order)
+    gb_ok = buchberger_check(pres.generator_polys(), order)
     ok = rep.is_triangular and gb_ok
     doc = {
         "n": args.n,
@@ -199,8 +185,8 @@ def cmd_gb_check(args) -> int:
         "freeVariables": [v.name for v in rep.free_variables],
         "triangular": rep.is_triangular,
         "buchberger": gb_ok,
-        "gvdSufficient": rep.gvd_sufficient,
-        "radicalCertified": rep.radical_certified,
+        "gvdSufficient": rep.squarefree_initial_ideal,
+        "radicalCertified": rep.squarefree_initial_ideal,
         "ok": ok,
     }
     lines = [
@@ -233,15 +219,14 @@ def cmd_hilbert(args) -> int:
         "n": args.n,
         "w": w.to_json(),
         "h": h.to_json(),
-        "numeratorFactors": list(series.numerator_factors),
-        "denominatorFactors": list(series.denominator_factors),
+        **series.to_json(),
         "trunc": args.trunc,
         "coefficients": formula_coeffs,
         "oracleAgrees": agrees,
     }
     lines = [
-        f"numerator factors: {list(series.numerator_factors)}",
-        f"denominator factors: {list(series.denominator_factors)}",
+        f"numerator factors: {doc['numeratorFactors']}",
+        f"denominator factors: {doc['denominatorFactors']}",
         f"coefficients (to t^{args.trunc}): {formula_coeffs}",
         f"oracle agrees: {agrees}",
     ]
@@ -250,9 +235,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_paving(args) -> int:
-    h = HessenbergFunction.parse(args.h)
-    if h.n != args.n:
-        raise ValueError(f"Hessenberg function {args.h!r} does not have size {args.n}")
+    h = _parse_h(args)
     table = paving(h)
     lines = [
         f"{r.w}  length={r.length}  Lambda={r.height}  dim={r.dim}"
@@ -371,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="patch generator matrix at w")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", required=True)
-    p.set_defaults(func=cmd_patch_gens)
+    p.set_defaults(func=cmd_generators)
 
     p = sub.add_parser("cell-gens", parents=[common],
                        help="cell generator matrix at w")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--h", default=None)
-    p.set_defaults(func=cmd_cell_gens)
+    p.set_defaults(func=cmd_generators)
 
     p = sub.add_parser("ideal", parents=[common],
                        help="ordered ideal presentation for (w, h)")

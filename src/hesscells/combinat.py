@@ -244,9 +244,3 @@ def fixed_points(h: HessenbergFunction) -> tuple:
     """Permutations w of [n] with is_fixed_point(w, h), in lexicographic
     order."""
     return tuple(w for w in all_permutations(h.n) if is_fixed_point(w, h))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -17,37 +17,15 @@ from .groebner import TriangularReport
 from .polyring import Polynomial, z_universe
 
 
-class GradedWeights:
-    """Positive integer weights on a set of variables."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        weights = dict(weights)
-        for v, wt in weights.items():
-            if wt < 1:
-                raise ValueError(f"weight of {v} must be positive, got {wt}")
-        self.weights = weights
-
-    def __getitem__(self, v):
-        return self.weights[v]
-
-    def items(self):
-        return self.weights.items()
-
-    def __repr__(self):
-        body = ", ".join(f"{v.name}: {wt}" for v, wt in sorted(self.weights.items()))
-        return f"GradedWeights({body})"
-
-
 @lru_cache(maxsize=None)
-def weights_for(w: Permutation) -> GradedWeights:
-    """Weights of the cell coordinates of w.
+def weights_for(w: Permutation) -> dict:
+    """Weights of the cell coordinates of w, keyed by variable.  The dict
+    is cached per w and shared by every caller, so it must not be mutated.
 
     Both defining formulas, w(j) - i from the torus action and
     (n + 1 - v(j)) - i from pulling back along the specialization map,
-    are evaluated and must agree; a disagreement would be an internal
-    bug, not bad input.
+    are evaluated; they must agree and be positive.  z_{i,j} exists only
+    for i < w(j), so a failure would be an internal bug, not bad input.
     """
     v = v_of_w(w)
     n = w.n
@@ -56,15 +34,16 @@ def weights_for(w: Permutation) -> GradedWeights:
         i, j = var.row, var.col
         action = w(j) - i
         pullback = (n + 1 - v(j)) - i
-        if action != pullback:
+        if action != pullback or action < 1:
             raise AssertionError(
-                f"weight formulas disagree at {var.name}: {action} != {pullback}"
+                f"weight formulas at {var.name} give {action} and {pullback}, "
+                "not one positive weight"
             )
         weights[var] = action
-    return GradedWeights(weights)
+    return weights
 
 
-def is_homogeneous(p: Polynomial, wt: GradedWeights):
+def is_homogeneous(p: Polynomial, wt: dict):
     """The common weighted degree of p's terms, or None if they differ.
 
     Constants (and the zero polynomial) have degree 0.
@@ -73,7 +52,7 @@ def is_homogeneous(p: Polynomial, wt: GradedWeights):
         return 0
     degree = None
     for mono in p.terms:
-        d = mono.weighted_degree(wt.weights) if not mono.is_one else 0
+        d = mono.weighted_degree(wt) if not mono.is_one else 0
         if degree is None:
             degree = d
         elif degree != d:
@@ -174,7 +153,7 @@ def hilbert_formula(w: Permutation, h: HessenbergFunction) -> HilbertSeries:
 
 
 def hilbert_oracle(
-    report: TriangularReport, wt: GradedWeights, truncation: int
+    report: TriangularReport, wt: dict, truncation: int
 ) -> list:
     """Counting oracle: expand the product of 1/(1 - t^weight) over the
     free variables of a passing triangular presentation."""

@@ -276,21 +276,14 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     )
 
 
-def _generator_polys(source):
-    """Accept an IdealPresentation or a plain iterable of polynomials."""
-    gens = getattr(source, "generators", None)
-    if gens is not None:
-        return [g for _, _, g in gens if not g.is_zero]
-    return [g for g in source if not g.is_zero]
-
-
-def buchberger_check(source, order: MonomialOrder) -> bool:
-    """True iff every S-polynomial of every generator pair reduces to 0.
+def buchberger_check(polys, order: MonomialOrder) -> bool:
+    """True iff every S-polynomial of every pair of the nonzero
+    polynomials reduces to 0.
 
     This is the from-scratch criterion; it does not use any structure of
     the generators beyond plain division.
     """
-    gens = _generator_polys(source)
+    gens = [g for g in polys if not g.is_zero]
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             s = s_polynomial(gens[i], gens[j], order)
@@ -320,28 +313,24 @@ class TriangularReport:
     height: int
     free_variables: list
     dimension: int
-    gvd_sufficient: bool
-    radical_certified: bool
+    # distinct single-variable initial terms: a squarefree initial ideal,
+    # which certifies radicality and the sufficient condition for
+    # geometric vertex decomposability
+    squarefree_initial_ideal: bool
     notes: list = field(default_factory=list)
 
 
-def triangular_analysis(source, order: MonomialOrder) -> TriangularReport:
-    """Check the three triangularity conditions and report the quotient.
+def triangular_analysis(pres, order: MonomialOrder) -> TriangularReport:
+    """Check the three triangularity conditions of an IdealPresentation
+    and report the quotient.
 
     When everything passes, the quotient by the ideal is a free
-    polynomial ring on `free_variables`, the ideal is prime of height
-    `height`, and the squarefree initial ideal certifies radicality and
-    the sufficient condition for geometric vertex decomposability.
+    polynomial ring on `free_variables` and the ideal is prime of height
+    `height`.
     """
-    if hasattr(source, "generators"):
-        triples = [(k, l, g) for (k, l, g) in source.generators if not g.is_zero]
-        ambient = list(source.ambient_variables)
-    else:
-        triples = [(None, None, g) for g in source if not g.is_zero]
-        ambient = list(order.priority)
     notes = []
     infos = []
-    for k, l, g in triples:
+    for k, l, g in pres.nonzero_generators():
         c, m = initial_term(g, order)
         if g.char:
             unit = c == 1 or c == g.char - 1
@@ -359,9 +348,9 @@ def triangular_analysis(source, order: MonomialOrder) -> TriangularReport:
     if not initials_are_variables:
         for k, l, g, c, m, var, _ in infos:
             if var is None:
-                where = f"generator ({k},{l})" if k is not None else "generator"
                 notes.append(
-                    f"{where} has initial term {c}*{m!r}, not a signed variable"
+                    f"generator ({k},{l}) has initial term {c}*{m!r}, "
+                    "not a signed variable"
                 )
 
     init_vars = [info[5] for info in infos]
@@ -386,7 +375,7 @@ def triangular_analysis(source, order: MonomialOrder) -> TriangularReport:
                         f"initial variable {var.name} appears in a later generator"
                     )
     ok = initials_are_variables and initials_distinct and no_later_division
-    free = [v for v in ambient if v not in seen]
+    free = [v for v in pres.ambient_variables if v not in seen]
     return TriangularReport(
         is_triangular=ok,
         initials_are_variables=initials_are_variables,
@@ -397,8 +386,7 @@ def triangular_analysis(source, order: MonomialOrder) -> TriangularReport:
         height=len(infos),
         free_variables=free,
         dimension=len(free),
-        gvd_sufficient=initials_are_variables and initials_distinct,
-        radical_certified=initials_are_variables and initials_distinct,
+        squarefree_initial_ideal=initials_are_variables and initials_distinct,
         notes=notes,
     )
 

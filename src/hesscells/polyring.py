@@ -118,9 +118,6 @@ class Monomial:
     def variables(self):
         return tuple(v for v, _ in self.exps)
 
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
     def weighted_degree(self, weights) -> int:
         return sum(e * weights[v] for v, e in self.exps)
 
@@ -284,12 +281,6 @@ class Polynomial:
         for m in self.terms:
             seen.update(m.variables())
         return frozenset(seen)
-
-    def num_terms(self) -> int:
-        return len(self.terms)
-
-    def total_degree(self) -> int:
-        return max((m.degree() for m in self.terms), default=0)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -665,10 +656,6 @@ class PolyMatrix:
         return f"PolyMatrix(\n {body})"
 
 
-def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return a @ b
-
-
 def left_mul_perm(w: Permutation, a: PolyMatrix) -> PolyMatrix:
     """Product (permutation matrix of w) @ a, as a row shuffle."""
     if w.n != a.n:
@@ -723,9 +710,3 @@ def inverse_unitriangular_conjugate(w: Permutation, m: PolyMatrix) -> PolyMatrix
     if w.n != m.n:
         raise ValueError("size mismatch between permutation and matrix")
     return right_mul_perm(unitriangular_inverse(m), w.inverse())
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -34,7 +34,6 @@ from .grading_hilbert import (
 from .groebner import (
     BudgetExceededError,
     buchberger_check,
-    initial_term,
     order_n_w,
     reduced_gb_oracle,
     triangular_analysis,
@@ -82,14 +81,15 @@ def run_case(args):
             failures.append("free variable count disagrees with length minus height")
 
         init_ok = True
-        for k, l, g in pres.nonzero_generators():
-            c, m = initial_term(g, order)
+        for (k, l, _), (sign, var) in zip(
+            rep.ordered_generators, rep.initial_terms
+        ):
             expected = zvar(n + 1 - v(k), v.inverse()(v(l) + 1))
-            if c != -1 or m.exps != ((expected, 1),):
+            if sign != -1 or var != expected:
                 init_ok = False
         case["initialTermsOk"] = init_ok
 
-        case["gbOk"] = buchberger_check(pres, order)
+        case["gbOk"] = buchberger_check(pres.generator_polys(), order)
 
         wt = weights_for(w)
         hom_ok = all(

@@ -12,6 +12,7 @@ from hesscells import (
     Monomial,
     Permutation,
     Polynomial,
+    PsiMap,
     all_permutations,
     build_ideal,
     buchberger_check,
@@ -28,7 +29,6 @@ from hesscells import (
     patch_generators,
     paving,
     poly_parse_text,
-    psi_map,
     random_point_check,
     reduced_gb_oracle,
     splitting_apply,
@@ -84,7 +84,7 @@ def test_criterion_1_worked_example_fidelity():
     assert got_cell == expected_cell
 
     # (c) the specialization data for w = 3421
-    psi = psi_map(W3421)
+    psi = PsiMap(W3421)
     assert psi.zeroed_vars == frozenset({xvar(3, 1)})
     assert psi.assignment[xvar(1, 2)] == zvar(1, 1)
     assert psi.assignment[xvar(1, 1)] == zvar(1, 2)
@@ -117,7 +117,7 @@ def test_criterion_2_main_theorem_exhaustive_n5():
             assert mono == expected, (w, h, k, l)
             assert mono not in seen, (w, h, k, l)
             seen.add(mono)
-        assert buchberger_check(pres, order), (w, h)
+        assert buchberger_check(pres.generator_polys(), order), (w, h)
         cases += 1
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
@@ -131,7 +131,7 @@ def test_criterion_3_psi_consistency_n5():
     for n in range(1, 6):
         for w in all_permutations(n):
             direct = cell_generators(w)
-            routed = psi_map(w).apply_matrix(conjugate_generators_by_v(w))
+            routed = PsiMap(w).apply_matrix(conjugate_generators_by_v(w))
             assert direct == routed, w
             count += 1
     elapsed = time.monotonic() - start

@@ -5,6 +5,7 @@ from hesscells import (
     Permutation,
     Polynomial,
     PolyMatrix,
+    PsiMap,
     all_permutations,
     build_Omega,
     build_ideal,
@@ -16,7 +17,6 @@ from hesscells import (
     patch_generators,
     paving,
     poly_parse_text,
-    psi_map,
     random_point_check,
     solve_cell_point,
     substitute,
@@ -27,7 +27,6 @@ from hesscells import (
     zvar,
 )
 from hesscells.cells import conjugate_generators_by_v
-from hesscells.polyring import mat_mul
 
 W3421 = Permutation([3, 4, 2, 1])
 H3344 = HessenbergFunction([3, 3, 4, 4])
@@ -179,32 +178,32 @@ class TestCellGenerators:
     def test_matches_psi_route_exhaustively_n4(self):
         for w in all_permutations(4):
             direct = cell_generators(w)
-            routed = psi_map(w).apply_matrix(conjugate_generators_by_v(w))
+            routed = PsiMap(w).apply_matrix(conjugate_generators_by_v(w))
             assert direct == routed
 
 
 class TestPsiMap:
     def test_3421_zeroed_and_identifications(self):
-        psi = psi_map(W3421)
+        psi = PsiMap(W3421)
         assert psi.zeroed_vars == frozenset({xvar(3, 1)})
         assert psi.assignment[xvar(1, 2)] == zvar(1, 1)
         assert psi.assignment[xvar(1, 1)] == zvar(1, 2)
         assert psi.assignment[xvar(2, 2)] == zvar(2, 1)
 
     def test_longest_is_pure_relabeling(self):
-        psi = psi_map(Permutation.longest_element(4))
+        psi = PsiMap(Permutation.longest_element(4))
         assert not psi.zeroed_vars
         for var, img in psi.assignment.items():
             assert (img.row, img.col) == (var.row, var.col)
 
     def test_apply_paper_example(self):
-        psi = psi_map(W3421)
+        psi = PsiMap(W3421)
         assert psi.apply(-X(2, 2) + X(3, 1)) == -Z(2, 1)
 
     def test_injective_off_zeroed_and_onto_cell(self):
         for n in range(1, 6):
             for w in all_permutations(n):
-                psi = psi_map(w)
+                psi = PsiMap(w)
                 images = [
                     img for var, img in psi.assignment.items()
                     if img is not None
@@ -213,7 +212,7 @@ class TestPsiMap:
                 assert set(images) == set(z_universe(w))
 
     def test_rejects_foreign_variable(self):
-        psi = psi_map(W3421)
+        psi = PsiMap(W3421)
         with pytest.raises(ValueError):
             psi.apply(Polynomial.variable(xvar(4, 4)))
 
@@ -386,16 +385,15 @@ class TestOmegaInverseBothRoutes:
             for w in all_permutations(n):
                 omega = build_Omega(w)
                 lower = left_mul_perm(w.inverse(), omega)
-                direct = mat_mul(
-                    unitriangular_inverse(lower),
-                    PolyMatrix.permutation(w.inverse()),
+                direct = unitriangular_inverse(lower) @ PolyMatrix.permutation(
+                    w.inverse()
                 )
                 v = v_of_w(w)
-                routed = psi_map(w).apply_matrix(
+                routed = PsiMap(w).apply_matrix(
                     left_mul_perm(v.inverse(), wm_inv)
                 )
                 assert direct == routed, w
-                assert mat_mul(direct, omega) == PolyMatrix.identity(n), w
+                assert direct @ omega == PolyMatrix.identity(n), w
 
 
 class TestPaperMatrixProduct:
@@ -408,20 +406,20 @@ class TestPaperMatrixProduct:
         w0 = Permutation.longest_element(4)
         wm = build_wM(w0)
         inv = inverse_unitriangular_conjugate(w0, left_mul_perm(w0.inverse(), wm))
-        assert mat_mul(inv, wm) == PolyMatrix.identity(4)
+        assert inv @ wm == PolyMatrix.identity(4)
 
     def test_w0M_times_v_w_column_permutes(self):
         # right multiplication permutes columns; specializing the zeroed
         # variable reproduces the displayed cell representative
         w0 = Permutation.longest_element(4)
         v = v_of_w(W3421)
-        prod = mat_mul(build_wM(w0), PolyMatrix.permutation(v))
+        prod = build_wM(w0) @ PolyMatrix.permutation(v)
         specialized = prod.map_entries(
             lambda e: substitute(e, {xvar(3, 1): 0})
         )
         relabel = {
             var: Polynomial.variable(img)
-            for var, img in psi_map(W3421).assignment.items()
+            for var, img in PsiMap(W3421).assignment.items()
             if img is not None
         }
         as_cell = specialized.map_entries(lambda e: substitute(e, relabel))

@@ -11,7 +11,6 @@ from hesscells import (
     PolyMatrix,
     all_permutations,
     inverse_unitriangular_conjugate,
-    mat_mul,
     poly_from_json,
     poly_parse_text,
     substitute,
@@ -191,7 +190,7 @@ class TestMatrices:
         a = PolyMatrix(
             [[V(xvar(i + 1, j + 1)) for j in range(n)] for i in range(n)]
         )
-        assert mat_mul(a, PolyMatrix.identity(n)) == a
+        assert a @ PolyMatrix.identity(n) == a
 
     def test_shift_squared(self):
         n2 = PolyMatrix.nilpotent_shift(3) @ PolyMatrix.nilpotent_shift(3)
@@ -202,11 +201,11 @@ class TestMatrices:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            mat_mul(PolyMatrix.identity(2), PolyMatrix.identity(3))
+            PolyMatrix.identity(2) @ PolyMatrix.identity(3)
 
     def test_domain_mismatch(self):
         with pytest.raises(ValueError):
-            mat_mul(PolyMatrix.identity(2), PolyMatrix.identity(2, char=3))
+            PolyMatrix.identity(2) @ PolyMatrix.identity(2, char=3)
 
 
 def generic_unitriangular(n):
@@ -240,17 +239,17 @@ class TestUnitriangularInverse:
     def test_product_is_identity_generic_n4(self):
         w = Permutation.longest_element(4)
         m = generic_unitriangular(4)
-        wm = mat_mul(PolyMatrix.permutation(w), m)
-        assert mat_mul(inverse_unitriangular_conjugate(w, m), wm) == PolyMatrix.identity(4)
+        wm = PolyMatrix.permutation(w) @ m
+        assert inverse_unitriangular_conjugate(w, m) @ wm == PolyMatrix.identity(4)
 
     def test_product_is_identity_all_w_up_to_n5(self):
         for n in range(1, 6):
             m = generic_unitriangular(n)
             pm = None
             for w in all_permutations(n):
-                wm = mat_mul(PolyMatrix.permutation(w), m)
+                wm = PolyMatrix.permutation(w) @ m
                 inv = inverse_unitriangular_conjugate(w, m)
-                assert mat_mul(inv, wm) == PolyMatrix.identity(n)
+                assert inv @ wm == PolyMatrix.identity(n)
 
     def test_rejects_non_unitriangular(self):
         w = Permutation.identity(2)
