@@ -310,6 +310,31 @@ def paving(h: HessenbergFunction) -> PavingTable:
     return PavingTable(h=h, rows=rows, coefficients=coeffs, max_dim=max_dim)
 
 
+def _triangular_report(w: Permutation, h: HessenbergFunction):
+    """The triangular analysis of the cell ideal; raises ValueError if the
+    generators are not triangular."""
+    report = groebner.triangular_analysis(
+        build_ideal(w, h, "cell"), groebner.order_n_w(w)
+    )
+    if not report.is_triangular:
+        raise ValueError(f"ideal for w={w}, h={h} is not triangular")
+    return report
+
+
+def _solve(report, free_values: dict) -> dict:
+    """`solve_cell_point` on a triangular report, whose initial terms give
+    each generator as sign*var + rest, so var = -sign * rest."""
+    point = dict(free_values)
+    for var in report.free_variables:
+        point.setdefault(var, 0)
+    for (_, _, g), (sign, var) in zip(
+        reversed(report.ordered_generators), reversed(report.initial_terms)
+    ):
+        rest = g - sign * Polynomial.variable(var)
+        point[var] = -sign * rest.evaluate(point)
+    return point
+
+
 def solve_cell_point(w: Permutation, h: HessenbergFunction, free_values: dict):
     """Extend an assignment of the free cell coordinates to a point of the
     cell, solving the triangular generator system back to front.
@@ -318,22 +343,7 @@ def solve_cell_point(w: Permutation, h: HessenbergFunction, free_values: dict):
     variable z, so the bound variables are determined one at a time.
     Returns a full mapping Var -> int.
     """
-    pres = build_ideal(w, h, "cell")
-    order = groebner.order_n_w(w)
-    report = groebner.triangular_analysis(pres, order)
-    if not report.is_triangular:
-        raise ValueError(f"ideal for w={w}, h={h} is not triangular")
-    point = dict(free_values)
-    for var in report.free_variables:
-        point.setdefault(var, 0)
-    for (k, l, g), (sign, var) in zip(
-        reversed(report.ordered_generators), reversed(report.initial_terms)
-    ):
-        c, mono = groebner.initial_term(g, order)
-        rest = g - Polynomial({mono: c})
-        # g = c*var + rest with c = +-1, so solving g = 0 gives:
-        point[var] = -c * rest.evaluate(point)
-    return point
+    return _solve(_triangular_report(w, h), free_values)
 
 
 def random_point_check(
@@ -346,16 +356,14 @@ def random_point_check(
     conjugate of the shift matrix vanishes in all positions (k, l) with
     k > h(l), exactly."""
     rng = random.Random(seed)
-    report = groebner.triangular_analysis(
-        build_ideal(w, h, "cell"), groebner.order_n_w(w)
-    )
+    report = _triangular_report(w, h)
+    omega = build_Omega(w)
     for _ in range(trials):
         free = {v: rng.randint(-9, 9) for v in report.free_variables}
-        point = solve_cell_point(w, h, free)
-        omega = build_Omega(w).map_entries(
-            lambda e: Polynomial.const(e.evaluate(point))
+        point = _solve(report, free)
+        conj = _conjugate_shift(
+            w, omega.map_entries(lambda e: Polynomial.const(e.evaluate(point)))
         )
-        conj = _conjugate_shift(w, omega)
         for l in range(1, w.n + 1):
             for k in range(h(l) + 1, w.n + 1):
                 if not conj.entry(k, l).is_zero:

@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
-check fails, 2 on usage errors, 3 when a resource budget is exhausted.
+check fails or an internal invariant breaks, 2 on usage errors, 3 when a
+resource budget is exhausted.
 JSON output is deterministic for fixed flags (the elapsedSeconds field of
 sweep reports is the one timing exception).
 """
@@ -434,6 +435,10 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # the package has no assert statements: this is a broken invariant
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main_script() -> None:

@@ -9,11 +9,23 @@ is a p-th power and to 0 otherwise, and phi = Tr(F^{p-1} * -) is a
 Frobenius splitting.  Compatibility of an ideal means phi maps it into
 itself, checked generator by generator via Groebner reduction mod p
 (valid since every leading coefficient is a unit mod p).
+
+G, F and F^{p-1} are multiplied out on packed monomials (the `_Packing`
+encoding of `groebner`), with fields wide enough for the exponent bound
+(p-1)(1 + sum of each generator's top exponent), so no product overflows.
+phi(f) never expands F^{p-1} * f.  A product of monomials s survives the
+trace only when every exponent of s is p-1 mod p, so the terms of F^{p-1}
+are bucketed by their exponent vector mod p, and a term of f whose
+exponents are r mod p meets only the bucket (p-1-r) mod p.  Each product
+from that bucket survives, and with ONES the code holding a 1 in every
+field its image is the integer (s + ONES) // p - ONES: every field of
+s + ONES is a multiple of p, so the division is exact field by field.
+Tr itself is the same kernel with 1 in place of F^{p-1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cells import build_ideal
 from .combinat import (
@@ -22,7 +34,15 @@ from .combinat import (
     fixed_points,  # bound for perfbench's combinat.fixed_points span
     is_fixed_point,
 )
-from .groebner import MonomialOrder, initial_term, order_n, order_n_w, reduce
+from .groebner import (
+    MonomialOrder,
+    _multiply,
+    _power,
+    initial_term,
+    order_n,
+    order_n_w,
+    reduce,
+)
 from .polyring import Monomial, Polynomial, x_universe, z_universe
 
 
@@ -53,6 +73,10 @@ class SplittingContext:
     F: Polynomial
     sign: int
     F_pow: Polynomial  # F^(p-1)
+    _top: int  # bound on the exponents of F_pow
+    # (field width, twisted by F_pow?) -> the trace kernel's packed data
+    _kernels: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
 
 def make_splitting_context(
@@ -80,22 +104,30 @@ def make_splitting_context(
         raise ValueError(f"kind must be 'patch' or 'cell', got {kind!r}")
     pres = build_ideal(w, h, kind)
     gens = [(k, l, g.reduce_mod(p)) for k, l, g in pres.generators if not g.is_zero]
-    G = Polynomial.one(p)
+    # every exponent of G, F and F^{p-1} is at most top
+    top = (p - 1) * (1 + sum(_top_exponent(g) for _, _, g in gens))
+    bits = _kernel_bits(top, 0)
+    packing = order._packing(bits)
+    G = {0: 1}
     for _, _, g in gens:
-        G = G * g
+        G = _multiply(G, packing.encode(g), p)
+    G_poly = packing.decode(G, p)
     Z = Monomial({v: 1 for v in variables})
-    c, m = initial_term(G, order)
+    c, m = initial_term(G_poly, order)
     if any(e != 1 for _, e in m.exps) or not m.divides(Z):
         raise AssertionError(
             f"initial monomial of the generator product is not squarefree "
             f"dividing Z: {m!r}"
         )
     sign = 1 if c == 1 else -1
-    F = Polynomial({Z / m: 1}, p) * G
-    cf, mf = initial_term(F, order)
+    z_over_m = packing.ones - max(G)
+    F = {code + z_over_m: coeff for code, coeff in G.items()}
+    F_poly = packing.decode(F, p)
+    cf, mf = initial_term(F_poly, order)
     if mf != Z or cf != c:
         raise AssertionError(f"initial term of F is {cf}*{mf!r}, not +-Z")
-    return SplittingContext(
+    F_pow = _power(F, p - 1, p)
+    ctx = SplittingContext(
         p=p,
         w=w,
         h=h,
@@ -104,11 +136,59 @@ def make_splitting_context(
         order=order,
         generators=gens,
         Z=Z,
-        G=G,
-        F=F,
+        G=G_poly,
+        F=F_poly,
         sign=sign,
-        F_pow=F ** (p - 1),
+        F_pow=packing.decode(F_pow, p),
+        _top=top,
     )
+    ctx._kernels[bits, True] = (packing, _buckets(F_pow, packing, p))
+    return ctx
+
+
+def _top_exponent(f: Polynomial) -> int:
+    """The largest exponent of any variable in f; 0 for a constant."""
+    return max((e for mono in f.terms for _, e in mono.exps), default=0)
+
+
+def _kernel_bits(top: int, top_f: int) -> int:
+    """Field width for Tr(A * f) when A's exponents are at most `top` and
+    f's at most `top_f`: every field of a product plus ONES fits below the
+    guard bit.  Any f with top_f <= top shares the width of top_f = 0."""
+    return (top + max(top, top_f) + 1).bit_length() + 1
+
+
+def _buckets(terms: dict, packing, p: int) -> dict:
+    """Packed terms (code + ONES, coefficient) keyed by residue code."""
+    ones = packing.ones
+    out = {}
+    for code, coeff in terms.items():
+        out.setdefault(packing.residues(code, p), []).append((code + ones, coeff))
+    return out
+
+
+def _twisted_trace(f: Polynomial, ctx: SplittingContext, twisted: bool):
+    """Tr(A * f) for A = F^{p-1} when `twisted`, else A = 1, computing
+    only the products that survive the trace (see the module docstring)."""
+    if f.char != ctx.p:
+        raise ValueError(f"polynomial is not over F_{ctx.p}")
+    p = ctx.p
+    bits = _kernel_bits(ctx._top if twisted else 0, _top_exponent(f))
+    kernel = ctx._kernels.get((bits, twisted))
+    if kernel is None:
+        packing = ctx.order._packing(bits)
+        terms = packing.encode(ctx.F_pow) if twisted else {0: 1}
+        kernel = ctx._kernels[bits, twisted] = (packing, _buckets(terms, packing, p))
+    packing, buckets = kernel
+    ones = packing.ones
+    want = (p - 1) * ones
+    out = {}
+    get = out.get
+    for code, coeff in packing.encode(f).items():
+        for t, tc in buckets.get(want - packing.residues(code, p), ()):
+            s = (code + t) // p - ones
+            out[s] = get(s, 0) + coeff * tc
+    return packing.decode({s: c % p for s, c in out.items() if c % p}, p)
 
 
 def trace(f: Polynomial, ctx: SplittingContext) -> Polynomial:
@@ -117,37 +197,14 @@ def trace(f: Polynomial, ctx: SplittingContext) -> Polynomial:
 
     Coefficients pass through unchanged, since c^{1/p} = c in F_p.
     """
-    if f.char != ctx.p:
-        raise ValueError(f"polynomial is not over F_{ctx.p}")
-    allowed = set(ctx.variables)
-    p = ctx.p
-    out = {}
-    for mono, coeff in f.terms.items():
-        if any(v not in allowed for v, _ in mono.exps):
-            raise ValueError(f"monomial {mono!r} uses variables outside the cell")
-        image = {}
-        ok = True
-        for var in ctx.variables:
-            e = mono.exponent(var) + 1  # exponent in m*Z
-            if e % p:
-                ok = False
-                break
-            image[var] = e // p - 1
-        if ok:
-            key = Monomial(image)
-            v = (out.get(key, 0) + coeff) % p
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return Polynomial(out, p)
+    return _twisted_trace(f, ctx, False)
 
 
 def splitting_apply(f: Polynomial, ctx: SplittingContext) -> Polynomial:
     """The candidate splitting phi(f) = Tr(F^{p-1} * f)."""
     if f.char == 0:
         f = f.reduce_mod(ctx.p)
-    return trace(ctx.F_pow * f, ctx)
+    return _twisted_trace(f, ctx, True)
 
 
 @dataclass

@@ -17,7 +17,9 @@ With G the mask of all guard bits, l divides m exactly when
 ((m | G) - l) & G == G, and a sum whose field outgrew its width shows up
 as a set guard bit.  The width is chosen from the inputs; if a field
 overflows partway through, the division restarts from scratch at double
-width, so the result is exact for any input.
+width, so the result is exact for any input.  `_multiply` and `_power`
+multiply encoded term dicts over F_p for the Frobenius splitting; there the
+caller sizes the fields from an exponent bound, so nothing overflows.
 """
 
 from __future__ import annotations
@@ -87,15 +89,17 @@ class _Packing:
     Every variable owns a field of `bits` bits, the first variable of the
     priority list the most significant one.  An exponent fills the low
     `bits - 1` bits of its field; the top bit is a guard bit, and `guard`
-    is the mask of all of them.  Encoded integers compare like the order.
+    is the mask of all of them, and `ones` has a 1 in every field.  Encoded
+    integers compare like the order.
     """
 
-    __slots__ = ("guard", "_shift", "_fields", "_mask")
+    __slots__ = ("guard", "ones", "_shift", "_fields", "_mask")
 
     def __init__(self, priority, bits: int):
         top = len(priority) - 1
         self._shift = {v: (top - k) * bits for k, v in enumerate(priority)}
-        self.guard = sum(1 << (s + bits - 1) for s in self._shift.values())
+        self.ones = sum(1 << s for s in self._shift.values())
+        self.guard = self.ones << (bits - 1)
         # canonical variable order, so decoding yields sorted Monomial pairs
         self._fields = sorted(self._shift.items())
         self._mask = (1 << (bits - 1)) - 1
@@ -119,6 +123,11 @@ class _Packing:
                 code += e << s
             out[code] = c
         return out
+
+    def residues(self, code: int, p: int) -> int:
+        """The code whose every field is the matching field of `code` mod p."""
+        mask = self._mask
+        return sum((((code >> s) & mask) % p) << s for _, s in self._fields)
 
     def decode(self, terms: dict, char: int) -> Polynomial:
         """The polynomial of encoded terms, in their insertion order."""
@@ -219,6 +228,33 @@ def _divide(rem: dict, divisors: list, guard: int, char: int):
         else:
             out[m] = c
     return quotients, out
+
+
+def _multiply(a: dict, b: dict, p: int) -> dict:
+    """The product of two encoded term dicts over F_p.
+
+    Monomial products are plain integer sums with no guard check: the
+    caller sizes the fields from a bound on the product's exponents.
+    """
+    out = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c % p for m, c in out.items() if c % p}
+
+
+def _power(a: dict, k: int, p: int) -> dict:
+    """a^k over F_p by repeated squaring, for k >= 1; sized as `_multiply`."""
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else _multiply(result, a, p)
+        k >>= 1
+        if not k:
+            return result
+        a = _multiply(a, a, p)
 
 
 def reduce(p: Polynomial, divisors, order: MonomialOrder):

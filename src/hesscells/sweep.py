@@ -81,10 +81,11 @@ def run_case(args):
             failures.append("free variable count disagrees with length minus height")
 
         init_ok = True
+        v_inv = v.inverse()
         for (k, l, _), (sign, var) in zip(
             rep.ordered_generators, rep.initial_terms
         ):
-            expected = zvar(n + 1 - v(k), v.inverse()(v(l) + 1))
+            expected = zvar(n + 1 - v(k), v_inv(v(l) + 1))
             if sign != -1 or var != expected:
                 init_ok = False
         case["initialTermsOk"] = init_ok

@@ -1,0 +1,51 @@
+"""Reference Frobenius splitting on `Polynomial` dicts.
+
+This is the route `hesscells.frobenius` took before its packed,
+residue-bucketed kernel: G, F and F^(p-1) are `Polynomial` products, the
+trace walks every term of its argument and keeps those whose exponents
+are all p - 1 mod p, and phi(f) expands the whole product F^(p-1) * f
+before tracing it.  It is slow but reads like the definitions, so the
+packed kernel is tested against it.
+"""
+
+from hesscells import Monomial, Polynomial, initial_term
+
+
+def reference_products(ctx):
+    """(G, F, F^(p-1)) of a splitting context, by `Polynomial` products."""
+    p = ctx.p
+    G = Polynomial.one(p)
+    for _, _, g in ctx.generators:
+        G = G * g
+    _, m = initial_term(G, ctx.order)
+    F = Polynomial({ctx.Z / m: 1}, p) * G
+    return G, F, F ** (p - 1)
+
+
+def reference_trace(f: Polynomial, ctx) -> Polynomial:
+    """Tr(f): c*m maps to c * (mZ)^(1/p) / Z when mZ is a p-th power."""
+    if f.char != ctx.p:
+        raise ValueError(f"polynomial is not over F_{ctx.p}")
+    allowed = set(ctx.variables)
+    p = ctx.p
+    out = {}
+    for mono, coeff in f.terms.items():
+        if any(v not in allowed for v, _ in mono.exps):
+            raise ValueError(f"monomial {mono!r} uses variables outside the cell")
+        image = {}
+        for var in ctx.variables:
+            e = mono.exponent(var) + 1  # exponent in m*Z
+            if e % p:
+                break
+            image[var] = e // p - 1
+        else:
+            key = Monomial(image)
+            out[key] = (out.get(key, 0) + coeff) % p
+    return Polynomial(out, p)
+
+
+def reference_splitting_apply(f: Polynomial, ctx) -> Polynomial:
+    """phi(f) = Tr(F^(p-1) * f), expanding the product first."""
+    if f.char == 0:
+        f = f.reduce_mod(ctx.p)
+    return reference_trace(ctx.F ** (ctx.p - 1) * f, ctx)

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from hesscells import (
@@ -363,6 +365,18 @@ class TestPointChecks:
 
     def test_random_points_vanish_3421(self):
         assert random_point_check(W3421, H3344, trials=10, seed=42)
+
+    def test_random_point_check_builds_the_ideal_once(self, monkeypatch):
+        cells = importlib.import_module("hesscells.cells")
+        calls = []
+
+        def counting_build_ideal(*args):
+            calls.append(args)
+            return build_ideal(*args)
+
+        monkeypatch.setattr(cells, "build_ideal", counting_build_ideal)
+        assert random_point_check(W3421, H3344, trials=10, seed=42)
+        assert len(calls) == 1
 
 
 class TestOmegaInverseBothRoutes:

@@ -1,6 +1,7 @@
+import importlib
 import json
 
-from hesscells import HessenbergFunction, Permutation, poly_from_json
+from hesscells import HessenbergFunction, Monomial, Permutation, poly_from_json, zvar
 from hesscells.cli import main
 
 
@@ -180,3 +181,22 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_broken_invariant_exits_one(self, capsys, monkeypatch):
+        # an initial term that is not squarefree trips the first invariant
+        # of make_splitting_context
+        frobenius = importlib.import_module("hesscells.frobenius")
+        monkeypatch.setattr(
+            frobenius, "initial_term",
+            lambda poly, order: (1, Monomial({zvar(1, 1): 2})),
+        )
+        code = main([
+            "frobenius-check", "--n", "4", "--w", "3421",
+            "--h", "3,3,4,4", "--p", "3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: internal error: initial monomial of the generator product"
+        )

@@ -1,6 +1,14 @@
 import random
+from functools import lru_cache
 
 import pytest
+from frobenius_reference import (
+    reference_products,
+    reference_splitting_apply,
+    reference_trace,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesscells import (
     HessenbergFunction,
@@ -187,3 +195,83 @@ class TestCompatibility:
         assert doc["p"] == 2
         assert len(doc["generators"]) == 2
         assert all(entry["compatible"] for entry in doc["generators"])
+
+
+# The packed, residue-bucketed kernel against the plain route it replaced.
+
+KERNEL_CASES = (
+    (Permutation.identity(3), HessenbergFunction.full(3), "cell"),
+    (Permutation([2, 3, 1]), HessenbergFunction.full(3), "cell"),
+    (W3421, H3344, "cell"),
+    (Permutation.longest_element(4), HessenbergFunction([2, 3, 4, 4]), "cell"),
+    (Permutation.longest_element(3), HessenbergFunction([2, 3, 3]), "patch"),
+)
+
+
+@lru_cache(maxsize=None)
+def kernel_context(case, p):
+    w, h, kind = KERNEL_CASES[case]
+    return make_splitting_context(w, h, p, kind)
+
+
+@st.composite
+def kernel_inputs(draw, p):
+    """A context and a polynomial over F_p in its variables.  Exponents
+    are often p - 1 mod p, so that many terms survive the bare trace."""
+    ctx = kernel_context(draw(st.integers(0, len(KERNEL_CASES) - 1)), p)
+    exponent = st.builds(
+        lambda q, r: p * q + r,
+        st.integers(0, 2),
+        st.one_of(st.just(p - 1), st.integers(0, p - 1)),
+    )
+    monomials = st.just(Monomial())
+    if ctx.variables:
+        monomials = st.dictionaries(
+            st.sampled_from(ctx.variables), exponent, max_size=len(ctx.variables)
+        ).map(Monomial)
+    terms = draw(st.dictionaries(monomials, st.integers(1, p - 1), max_size=6))
+    return ctx, Polynomial(terms, p)
+
+
+def assert_kernel_matches_reference(f, ctx):
+    assert trace(f, ctx).terms == reference_trace(f, ctx).terms
+    assert splitting_apply(f, ctx).terms == \
+        reference_splitting_apply(f, ctx).terms
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @given(data=st.data())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_matches_reference(self, p, data):
+        ctx, f = data.draw(kernel_inputs(p))
+        assert_kernel_matches_reference(f, ctx)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("big", [200, 2**15])
+    def test_wide_exponents(self, p, big):
+        # exponents far past F^(p-1)'s own, so the fields must widen for f
+        ctx = make_splitting_context(W3421, H3344, p, "cell")
+        z11, z12, z13, z21, z22 = (Polynomial.variable(v, p) for v in ctx.variables)
+        for f in (
+            z11**big,
+            z11**big * z12 * z22 ** (p - 1) + z13 ** (big + 1) * z21,
+            (z11 + z22) ** p * z12**big + z13 ** (p * big - 1),
+            z11 ** (p * big - 1) * z12 ** (p - 1) * z13 ** (p - 1)
+            * z21 ** (p - 1) * z22 ** (p - 1),
+        ):
+            assert_kernel_matches_reference(f, ctx)
+        assert splitting_apply(z11 ** (p * big), ctx) == z11**big
+
+    def test_products_match_polynomial_products(self):
+        for n in range(1, 5):
+            w0 = Permutation.longest_element(n)
+            for h in enumerate_hessenberg(n, indecomposable_only=True):
+                contexts = [(w, "cell") for w in fixed_points(h)] + [(w0, "patch")]
+                for w, kind in contexts:
+                    for p in (2, 3):
+                        ctx = make_splitting_context(w, h, p, kind)
+                        G, F, F_pow = reference_products(ctx)
+                        assert ctx.G == G
+                        assert ctx.F == F
+                        assert ctx.F_pow == F_pow
