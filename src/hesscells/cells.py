@@ -195,7 +195,9 @@ class IdealPresentation:
 
     @property
     def certifies_empty(self) -> bool:
-        return bool(self.constant_generators())
+        return any(
+            not g.is_zero and g.is_constant for _, _, g in self.generators
+        )
 
     @property
     def lambda_size(self) -> int:

@@ -141,14 +141,15 @@ def hilbert_formula(w: Permutation, h: HessenbergFunction) -> HilbertSeries:
         raise ValueError(f"Hessenberg function {h} is decomposable")
     if not is_fixed_point(w, h):
         raise ValueError(f"w={w} is not a fixed point for h={h}")
-    v = v_of_w(w)
+    # 0-based: vi[k] = v(k+1), hv[l] = h(l+1), wi[j] = w(j+1)
+    vi, hv, wi = v_of_w(w).images, h.values, w.images
     n = w.n
     num = []
-    for k in range(n, 1, -1):
-        for l in range(1, n):
-            if k > h(l) and v(k) > v(l) + 1:
-                num.append(v(k) - v(l) - 1)
-    den = [w(var.col) - var.row for var in z_universe(w)]
+    for k in range(n - 1, 0, -1):
+        for l in range(n - 1):
+            if k >= hv[l] and vi[k] > vi[l] + 1:
+                num.append(vi[k] - vi[l] - 1)
+    den = [wi[var.col - 1] - var.row for var in z_universe(w)]
     return HilbertSeries(tuple(num), tuple(den))
 
 

@@ -17,9 +17,21 @@ With G the mask of all guard bits, l divides m exactly when
 ((m | G) - l) & G == G, and a sum whose field outgrew its width shows up
 as a set guard bit.  The width is chosen from the inputs; if a field
 overflows partway through, the division restarts from scratch at double
-width, so the result is exact for any input.  `_multiply` and `_power`
-multiply encoded term dicts over F_p for the Frobenius splitting; there the
-caller sizes the fields from an exponent bound, so nothing overflows.
+width, so the result is exact for any input.  `_multiply`, `_square` and
+`_power` multiply encoded term dicts over F_p for the Frobenius splitting;
+there the caller sizes the fields from an exponent bound, so nothing
+overflows.
+
+`buchberger_check` runs its whole S-pair loop on these codes: it encodes
+each generator once, takes the lcm of two leads as a field-wise maximum
+(`_Packing.lcm`), forms every S-polynomial as a code dict, divides it with
+`_divide` and only asks whether the remainder is empty, so nothing is
+decoded; an overflow restarts the whole check at double width.  It still
+forms and divides every pair from scratch and reads nothing of the
+generators' shape: Buchberger's coprime-lead criterion would pass every
+pair of the cell ideals unseen, since their initial terms are distinct
+variables, and the check would then only restate what
+`triangular_analysis` finds.
 """
 
 from __future__ import annotations
@@ -93,7 +105,7 @@ class _Packing:
     integers compare like the order.
     """
 
-    __slots__ = ("guard", "ones", "_shift", "_fields", "_mask")
+    __slots__ = ("guard", "ones", "_shift", "_fields", "_mask", "_low")
 
     def __init__(self, priority, bits: int):
         top = len(priority) - 1
@@ -103,6 +115,7 @@ class _Packing:
         # canonical variable order, so decoding yields sorted Monomial pairs
         self._fields = sorted(self._shift.items())
         self._mask = (1 << (bits - 1)) - 1
+        self._low = bits - 1
 
     def encode(self, p: Polynomial) -> dict:
         """Terms of p keyed by encoded monomial.
@@ -123,6 +136,18 @@ class _Packing:
                 code += e << s
             out[code] = c
         return out
+
+    def lcm(self, a: int, b: int) -> int:
+        """The field-wise maximum of two codes with clear guard bits.
+
+        A field of (a | guard) - b keeps its guard bit exactly when a's
+        exponent is at least b's; each such bit g becomes the field mask
+        g - (g >> (bits - 1)), which selects a's fields from a and the
+        rest from b.
+        """
+        keep = ((a | self.guard) - b) & self.guard
+        keep -= keep >> self._low
+        return (a & keep) | (b & ~keep)
 
     def residues(self, code: int, p: int) -> int:
         """The code whose every field is the matching field of `code` mod p."""
@@ -196,14 +221,16 @@ def _divide(rem: dict, divisors: list, guard: int, char: int):
     """
     heap = [-m for m in rem]
     heapq.heapify(heap)
-    quotients = [{} for _ in divisors]
+    heappop, heappush = heapq.heappop, heapq.heappush
+    get, pop = rem.get, rem.pop
+    work = [(lm, mult, tail, {}) for lm, mult, tail in divisors]
     out = {}
     while heap:
-        m = -heapq.heappop(heap)
-        c = rem.pop(m, 0)
+        m = -heappop(heap)
+        c = pop(m, 0)
         if not c:
             continue
-        for (lm, mult, tail), quot in zip(divisors, quotients):
+        for lm, mult, tail, quot in work:
             if ((m | guard) - lm) & guard != guard:
                 continue
             qm = m - lm
@@ -213,9 +240,9 @@ def _divide(rem: dict, divisors: list, guard: int, char: int):
                 s = qm + t
                 if s & guard:
                     raise _FieldOverflow
-                old = rem.get(s)
+                old = get(s)
                 if old is None:
-                    heapq.heappush(heap, -s)
+                    heappush(heap, -s)
                     old = 0
                 v = old - qc * tc
                 if char:
@@ -223,11 +250,11 @@ def _divide(rem: dict, divisors: list, guard: int, char: int):
                 if v:
                     rem[s] = v
                 else:
-                    rem.pop(s, None)
+                    pop(s, None)
             break
         else:
             out[m] = c
-    return quotients, out
+    return [quot for *_, quot in work], out
 
 
 def _multiply(a: dict, b: dict, p: int) -> dict:
@@ -245,6 +272,22 @@ def _multiply(a: dict, b: dict, p: int) -> dict:
     return {m: c % p for m, c in out.items() if c % p}
 
 
+def _square(a: dict, p: int) -> dict:
+    """a^2 over F_p, sized as `_multiply`; each cross product is formed
+    once and counted twice."""
+    items = list(a.items())
+    out = {}
+    get = out.get
+    for i, (m1, c1) in enumerate(items):
+        m = m1 + m1
+        out[m] = get(m, 0) + c1 * c1
+        c1 *= 2
+        for m2, c2 in items[i + 1 :]:
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c % p for m, c in out.items() if c % p}
+
+
 def _power(a: dict, k: int, p: int) -> dict:
     """a^k over F_p by repeated squaring, for k >= 1; sized as `_multiply`."""
     result = None
@@ -254,7 +297,45 @@ def _power(a: dict, k: int, p: int) -> dict:
         k >>= 1
         if not k:
             return result
-        a = _multiply(a, a, p)
+        a = _square(a, p)
+
+
+def _encode_divisors(packing: _Packing, polys, char: int) -> list:
+    """(lead, lead coefficient, tail terms) of each polynomial, encoded.
+
+    Raises ValueError for a zero polynomial, a coefficient domain other
+    than `char`, or a variable outside the order.
+    """
+    out = []
+    for g in polys:
+        if g.is_zero:
+            raise ValueError("cannot divide by the zero polynomial")
+        if g.char != char:
+            raise ValueError("coefficient domain mismatch")
+        tail = packing.encode(g)
+        lm = max(tail)
+        lc = tail.pop(lm)
+        out.append((lm, lc, tuple(tail.items())))
+    return out
+
+
+def _divisor_triples(encoded: list, char: int) -> list:
+    """The (lead, multiplier, tail terms) triples `_divide` takes.
+
+    Raises ValueError for a lead coefficient that is not a unit.
+    """
+    out = []
+    for lm, lc, tail in encoded:
+        if char:
+            mult = pow(lc, -1, char)
+        elif lc in (1, -1):
+            mult = lc
+        else:
+            raise ValueError(
+                f"leading coefficient {lc} is not a unit over the integers"
+            )
+        out.append((lm, mult, tail))
+    return out
 
 
 def reduce(p: Polynomial, divisors, order: MonomialOrder):
@@ -270,24 +351,7 @@ def reduce(p: Polynomial, divisors, order: MonomialOrder):
     bits = _field_bits([p, *divisors])
     while True:
         packing = order._packing(bits)
-        packed = []
-        for g in divisors:
-            if g.is_zero:
-                raise ValueError("cannot divide by the zero polynomial")
-            if g.char != char:
-                raise ValueError("coefficient domain mismatch")
-            tail = packing.encode(g)
-            lm = max(tail)
-            lc = tail.pop(lm)
-            if char:
-                mult = pow(lc, -1, char)
-            elif lc in (1, -1):
-                mult = lc
-            else:
-                raise ValueError(
-                    f"leading coefficient {lc} is not a unit over the integers"
-                )
-            packed.append((lm, mult, tuple(tail.items())))
+        packed = _divisor_triples(_encode_divisors(packing, divisors, char), char)
         try:
             quotients, remainder = _divide(
                 packing.encode(p), packed, packing.guard, char
@@ -316,17 +380,63 @@ def buchberger_check(polys, order: MonomialOrder) -> bool:
     """True iff every S-polynomial of every pair of the nonzero
     polynomials reduces to 0.
 
-    This is the from-scratch criterion; it does not use any structure of
-    the generators beyond plain division.
+    This is the from-scratch criterion: every pair i < j is formed and
+    divided by all the generators, with no criterion that skips a pair, and
+    nothing is read from the shape of the initial terms, so it stays
+    independent of `triangular_analysis`.  It runs on packed monomials:
+    each generator is encoded once, the S-polynomial
+    c_j (L / m_i) f_i - c_i (L / m_j) f_j, with (c, m) an initial term and L
+    the lcm of the two, is formed on codes, and `_divide` reduces it.  The
+    remainder is only tested for zero, so nothing is decoded.  Raises
+    ValueError for mixed coefficient domains, a variable outside the
+    order, or a division by a lead coefficient that is not a unit.
+
+    >>> from hesscells.polyring import xvar
+    >>> x, y = Polynomial.variable(xvar(1, 1)), Polynomial.variable(xvar(1, 2))
+    >>> order = MonomialOrder([xvar(1, 1), xvar(1, 2)])
+    >>> buchberger_check([x**2, x*y + 1], order)
+    False
+    >>> buchberger_check([x - y**2, y**3], order)
+    True
     """
     gens = [g for g in polys if not g.is_zero]
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            s = s_polynomial(gens[i], gens[j], order)
-            if s.is_zero:
+    if len(gens) < 2:
+        return True
+    char = gens[0].char
+    bits = _field_bits(gens)
+    while True:
+        try:
+            return _packed_check(gens, order._packing(bits), char)
+        except _FieldOverflow:
+            bits *= 2
+
+
+def _packed_check(gens: list, packing: _Packing, char: int) -> bool:
+    """`buchberger_check` at one field width; raises _FieldOverflow."""
+    encoded = _encode_divisors(packing, gens, char)
+    guard, lcm = packing.guard, packing.lcm
+    divisors = None
+    for i, (li, ci, tail_i) in enumerate(encoded):
+        for lj, cj, tail_j in encoded[i + 1 :]:
+            top = lcm(li, lj)
+            s = {}
+            for u, k, tail in ((top - li, cj, tail_i), (top - lj, -ci, tail_j)):
+                for t, c in tail:
+                    m = u + t
+                    if m & guard:
+                        raise _FieldOverflow
+                    v = s.get(m, 0) + k * c
+                    if char:
+                        v %= char
+                    if v:
+                        s[m] = v
+                    else:
+                        s.pop(m, None)
+            if not s:
                 continue
-            _, r = reduce(s, gens, order)
-            if not r.is_zero:
+            if divisors is None:
+                divisors = _divisor_triples(encoded, char)
+            if _divide(s, divisors, guard, char)[1]:
                 return False
     return True
 

@@ -81,11 +81,11 @@ def run_case(args):
             failures.append("free variable count disagrees with length minus height")
 
         init_ok = True
-        v_inv = v.inverse()
+        vi, v_inv = v.images, v.inverse().images  # vi[k - 1] = v(k)
         for (k, l, _), (sign, var) in zip(
             rep.ordered_generators, rep.initial_terms
         ):
-            expected = zvar(n + 1 - v(k), v_inv(v(l) + 1))
+            expected = zvar(n + 1 - vi[k - 1], v_inv[vi[l - 1]])
             if sign != -1 or var != expected:
                 init_ok = False
         case["initialTermsOk"] = init_ok
@@ -94,7 +94,7 @@ def run_case(args):
 
         wt = weights_for(w)
         hom_ok = all(
-            is_homogeneous(g, wt) == v(k) - v(l) - 1
+            is_homogeneous(g, wt) == vi[k - 1] - vi[l - 1] - 1
             for k, l, g in pres.nonzero_generators()
         )
         case["homogeneousOk"] = hom_ok

@@ -24,6 +24,7 @@ from hesscells import (
     trace,
     zvar,
 )
+from hesscells import groebner
 from hesscells.frobenius import is_prime
 
 W3421 = Permutation([3, 4, 2, 1])
@@ -262,6 +263,16 @@ class TestPackedKernel:
         ):
             assert_kernel_matches_reference(f, ctx)
         assert splitting_apply(z11 ** (p * big), ctx) == z11**big
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_power_matches_repeated_products(self, p):
+        # _power squares with _square; F^k for k <= 6 fits 23-bit fields
+        ctx = make_splitting_context(W3421, H3344, p, "cell")
+        F = ctx.order._packing(24).encode(ctx.F)
+        want = {0: 1}
+        for k in range(1, 7):
+            want = groebner._multiply(want, F, p)
+            assert groebner._power(F, k, p) == want
 
     def test_products_match_polynomial_products(self):
         for n in range(1, 5):

@@ -3,6 +3,7 @@ import doctest
 from pathlib import Path
 
 import hesscells.combinat
+import hesscells.groebner
 import hesscells.polyring
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hesscells"
@@ -23,7 +24,7 @@ def test_no_assert_statements_in_package():
 
 
 def test_doctests_pass():
-    for module in (hesscells.polyring, hesscells.combinat):
+    for module in (hesscells.polyring, hesscells.combinat, hesscells.groebner):
         result = doctest.testmod(module)
         assert result.attempted > 0, module.__name__
         assert result.failed == 0, module.__name__
