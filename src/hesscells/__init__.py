@@ -23,11 +23,8 @@ from .polyring import (
     Polynomial,
     PolyMatrix,
     Var,
-    inverse_unitriangular_conjugate,
     poly_from_json,
     poly_parse_text,
-    substitute,
-    unitriangular_inverse,
     x_universe,
     xvar,
     z_universe,
@@ -89,11 +86,8 @@ __all__ = [
     "Polynomial",
     "PolyMatrix",
     "Var",
-    "inverse_unitriangular_conjugate",
     "poly_from_json",
     "poly_parse_text",
-    "substitute",
-    "unitriangular_inverse",
     "x_universe",
     "xvar",
     "z_universe",

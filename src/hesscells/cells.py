@@ -3,10 +3,16 @@ Hessenberg Schubert cells.
 
 For a permutation w, `build_wM(w)` is the generic point of the translated
 unipotent patch through w and `build_Omega(w)` is the generic point of the
-Schubert cell of w.  Conjugating the regular nilpotent shift matrix by
+Schubert cell of w.  Conjugating the regular nilpotent shift matrix N by
 either one gives the generator polynomials; selecting the entries (k, l)
 with k > h(l) presents the defining ideal of the intersection with the
-Hessenberg variety of h.
+Hessenberg variety of h.  Both points are w times a lower unitriangular
+matrix, so the conjugate is found by one forward substitution, with no
+inverse formed.  The map `PsiMap` from patch coordinates at the longest
+permutation to cell coordinates only renames variables or sets them to 0.
+
+>>> cell_generators(Permutation([3, 4, 2, 1])).entry(4, 2)
+-z_1_1 + z_1_3*z_2_1 + z_2_2
 """
 
 from __future__ import annotations
@@ -22,12 +28,9 @@ from .combinat import (
     v_of_w,
 )
 from .polyring import (
+    Monomial,
     Polynomial,
     PolyMatrix,
-    inverse_unitriangular_conjugate,
-    left_mul_perm,
-    right_mul_perm,
-    substitute,
     x_universe,
     xvar,
     z_universe,
@@ -76,11 +79,22 @@ def build_Omega(w: Permutation) -> PolyMatrix:
 
 
 def _conjugate_shift(w: Permutation, m: PolyMatrix) -> PolyMatrix:
-    """Exact m^{-1} N m for m = w * (lower unitriangular)."""
-    lower = left_mul_perm(w.inverse(), m)
-    m_inv = inverse_unitriangular_conjugate(w, lower)
-    shift = PolyMatrix.nilpotent_shift(m.n, m.char)
-    return m_inv @ shift @ m
+    """Exact X = m^{-1} N m for m = wL with L lower unitriangular.
+
+    X solves L X = w^{-1} N m, by forward substitution: row i of L is row
+    w(i) of m, and row i of w^{-1} N m is row w(i)+1 of m, or zero when
+    w(i) = n.  L has 1 on its diagonal, so no division occurs.
+    """
+    n, rows = m.n, m.rows
+    zero = Polynomial.zero(m.char)
+    x = []
+    for i, wi in enumerate(w.images):
+        acc = list(rows[wi]) if wi < n else [zero] * n
+        for k, c in enumerate(rows[wi - 1][:i]):
+            if c:
+                acc = [a - c * b if b else a for a, b in zip(acc, x[k])]
+        x.append(acc)
+    return PolyMatrix(x, m.char)
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +118,7 @@ class PsiMap:
     variables the assignment is injective onto the cell coordinates.
     """
 
-    __slots__ = ("w", "v", "zeroed_vars", "assignment", "_target")
+    __slots__ = ("w", "v", "zeroed_vars", "assignment")
 
     def __init__(self, w: Permutation):
         self.w = w
@@ -122,17 +136,27 @@ class PsiMap:
                 assignment[var] = zvar(i, vinv(j))
         self.zeroed_vars = frozenset(zeroed)
         self.assignment = assignment
-        self._target = frozenset(z_universe(w))
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Ring homomorphism image of a polynomial in the w_0 patch
-        coordinates; raises if p uses a variable outside them."""
-        sigma = {
-            var: (Polynomial.zero(p.char) if img is None
-                  else Polynomial.variable(img, p.char))
-            for var, img in self.assignment.items()
-        }
-        return substitute(p, sigma, universe=self._target)
+        coordinates; raises if p uses a variable outside them.
+
+        Terms with a zeroed variable vanish and the others are relabelled;
+        the assignment is injective off the zeroed variables, so no two
+        terms merge.
+        """
+        terms = {}
+        for mono, coeff in p.terms.items():
+            exps = []
+            for var, e in mono.exps:
+                if var not in self.assignment:
+                    raise ValueError(
+                        f"variable {var.name} is not in the target universe"
+                    )
+                exps.append((self.assignment[var], e))
+            if all(img is not None for img, _ in exps):
+                terms[Monomial(exps)] = coeff
+        return Polynomial(terms, p.char)
 
     def apply_matrix(self, m: PolyMatrix) -> PolyMatrix:
         return m.map_entries(self.apply)
@@ -151,15 +175,6 @@ def cell_generators_via_psi(w: Permutation, k: int, l: int) -> Polynomial:
     w0 = Permutation.longest_element(w.n)
     f = patch_generators(w0).entry(v(k), v(l))
     return PsiMap(w).apply(f)
-
-
-def conjugate_generators_by_v(w: Permutation) -> PolyMatrix:
-    """The patch generator matrix at w_0 conjugated by v = w_0 w, whose
-    (k,l) entry is the patch generator (v(k), v(l))."""
-    w0 = Permutation.longest_element(w.n)
-    v = v_of_w(w)
-    f = patch_generators(w0)
-    return right_mul_perm(left_mul_perm(v.inverse(), f), v)
 
 
 @dataclass
@@ -185,13 +200,6 @@ class IdealPresentation:
 
     def generator_polys(self):
         return [g for _, _, g in self.generators if not g.is_zero]
-
-    def constant_generators(self):
-        return [
-            (k, l, g.constant_value())
-            for (k, l, g) in self.generators
-            if not g.is_zero and g.is_constant
-        ]
 
     @property
     def certifies_empty(self) -> bool:

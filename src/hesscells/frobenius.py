@@ -72,11 +72,21 @@ class SplittingContext:
     G: Polynomial
     F: Polynomial
     sign: int
-    F_pow: Polynomial  # F^(p-1)
-    _top: int  # bound on the exponents of F_pow
-    # (field width, twisted by F_pow?) -> the trace kernel's packed data
+    _top: int  # bound on the exponents of F^(p-1)
+    # (field width, twisted by F^(p-1)?) -> the trace kernel's packed data;
+    # the entry at the base width is the only stored copy of F^(p-1)
     _kernels: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+
+    @property
+    def F_pow(self) -> Polynomial:
+        """F^(p-1), decoded on request from the trace kernel's buckets."""
+        packing, buckets = self._kernels[_kernel_bits(self._top, 0), True]
+        ones = packing.ones
+        return packing.decode(
+            {t - ones: c for bucket in buckets.values() for t, c in bucket},
+            self.p,
+        )
 
 
 def make_splitting_context(
@@ -126,7 +136,6 @@ def make_splitting_context(
     cf, mf = initial_term(F_poly, order)
     if mf != Z or cf != c:
         raise AssertionError(f"initial term of F is {cf}*{mf!r}, not +-Z")
-    F_pow = _power(F, p - 1, p)
     ctx = SplittingContext(
         p=p,
         w=w,
@@ -139,10 +148,9 @@ def make_splitting_context(
         G=G_poly,
         F=F_poly,
         sign=sign,
-        F_pow=packing.decode(F_pow, p),
         _top=top,
     )
-    ctx._kernels[bits, True] = (packing, _buckets(F_pow, packing, p))
+    ctx._kernels[bits, True] = (packing, _buckets(_power(F, p - 1, p), packing, p))
     return ctx
 
 

@@ -1,4 +1,8 @@
-"""Exact sparse multivariate polynomials and matrices of them.
+"""Exact sparse multivariate polynomials and square matrices of them.
+
+A `PolyMatrix` only holds entries: it has no products, inverses or
+substitution, since `cells` builds its one conjugate by a triangular
+solve and its one specialization by relabelling variables.
 
 Coefficients live in the integers (char 0) or in a prime field F_p
 (char p); prime field elements are stored as canonical residues in
@@ -271,11 +275,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(m.is_one for m in self.terms)
 
-    def constant_value(self) -> int:
-        if not self.is_constant:
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get(ONE, 0)
-
     def variables(self):
         seen = set()
         for m in self.terms:
@@ -484,56 +483,6 @@ def poly_parse_text(text: str, char: int = 0) -> Polynomial:
     return Polynomial(terms, char)
 
 
-def substitute(p: Polynomial, sigma, universe=None) -> Polynomial:
-    """Apply the ring homomorphism sending each sigma key to its image.
-
-    `sigma` maps Var to Polynomial or int.  Variables of `p` absent from
-    `sigma` map to themselves when `universe` is None or when they belong
-    to `universe`; otherwise this raises, since the image would leave the
-    declared target ring.
-    """
-    images = {}
-    for v, q in sigma.items():
-        if not isinstance(q, Polynomial):
-            q = Polynomial.const(q, p.char)
-        elif q.char != p.char:
-            raise ValueError("coefficient domain mismatch in substitution")
-        images[v] = q
-    uni = frozenset(universe) if universe is not None else None
-    if uni is not None:
-        for v, q in images.items():
-            bad = q.variables() - uni
-            if bad:
-                raise ValueError(
-                    f"substitution image of {v} uses variables outside the "
-                    f"target universe: {sorted(b.name for b in bad)}"
-                )
-    power_cache = {}
-
-    def var_power(v: Var, e: int) -> Polynomial:
-        key = (v, e)
-        got = power_cache.get(key)
-        if got is None:
-            base = images.get(v)
-            if base is None:
-                if uni is not None and v not in uni:
-                    raise ValueError(
-                        f"variable {v.name} is not in the target universe"
-                    )
-                base = Polynomial.variable(v, p.char)
-            got = base**e
-            power_cache[key] = got
-        return got
-
-    total = Polynomial.zero(p.char)
-    for mono, coeff in p.terms.items():
-        acc = Polynomial.const(coeff, p.char)
-        for v, e in mono.exps:
-            acc = acc * var_power(v, e)
-        total = total + acc
-    return total
-
-
 class PolyMatrix:
     """A square matrix with Polynomial entries over one coefficient domain."""
 
@@ -572,74 +521,14 @@ class PolyMatrix:
         self.char = char
         self.rows = tuple(out)
 
-    @classmethod
-    def identity(cls, n: int, char: int = 0) -> "PolyMatrix":
-        return cls(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], char
-        )
-
-    @classmethod
-    def nilpotent_shift(cls, n: int, char: int = 0) -> "PolyMatrix":
-        """The regular nilpotent matrix with 1's on the superdiagonal."""
-        return cls(
-            [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)],
-            char,
-        )
-
-    @classmethod
-    def permutation(cls, w: Permutation, char: int = 0) -> "PolyMatrix":
-        """Matrix with a 1 in row w(j) of column j."""
-        return cls(
-            [
-                [1 if i + 1 == w(j + 1) else 0 for j in range(w.n)]
-                for i in range(w.n)
-            ],
-            char,
-        )
-
     def entry(self, i: int, j: int) -> Polynomial:
         """1-based access."""
         return self.rows[i - 1][j - 1]
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("matrix size mismatch")
-        if self.char != other.char:
-            raise ValueError("coefficient domain mismatch")
-        n = self.n
-        zero = Polynomial.zero(self.char)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = self.rows[i][k]
-                    if not a:
-                        continue
-                    b = other.rows[k][j]
-                    if not b:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out, self.char)
 
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix(
             [[fn(e) for e in row] for row in self.rows]
         )
-
-    def is_lower_unitriangular(self) -> bool:
-        for i in range(self.n):
-            if self.rows[i][i] != Polynomial.one(self.char):
-                return False
-            for j in range(i + 1, self.n):
-                if self.rows[i][j]:
-                    return False
-        return True
 
     def __eq__(self, other):
         return (
@@ -654,59 +543,3 @@ class PolyMatrix:
             "[" + ", ".join(e.to_text() for e in row) + "]" for row in self.rows
         )
         return f"PolyMatrix(\n {body})"
-
-
-def left_mul_perm(w: Permutation, a: PolyMatrix) -> PolyMatrix:
-    """Product (permutation matrix of w) @ a, as a row shuffle."""
-    if w.n != a.n:
-        raise ValueError("size mismatch")
-    winv = w.inverse()
-    return PolyMatrix(
-        [a.rows[winv(i + 1) - 1] for i in range(a.n)], a.char
-    )
-
-
-def right_mul_perm(a: PolyMatrix, w: Permutation) -> PolyMatrix:
-    """Product a @ (permutation matrix of w), as a column shuffle."""
-    if w.n != a.n:
-        raise ValueError("size mismatch")
-    return PolyMatrix(
-        [
-            [a.rows[i][w(j + 1) - 1] for j in range(a.n)]
-            for i in range(a.n)
-        ],
-        a.char,
-    )
-
-
-def unitriangular_inverse(m: PolyMatrix) -> PolyMatrix:
-    """Inverse of a lower unitriangular matrix, by forward substitution.
-
-    All entries of the result are polynomials; no fractions appear.
-    """
-    if not m.is_lower_unitriangular():
-        raise ValueError("matrix is not lower unitriangular")
-    n = m.n
-    one = Polynomial.one(m.char)
-    zero = Polynomial.zero(m.char)
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for j in range(n):
-        for i in range(j + 1, n):
-            acc = zero
-            for k in range(j, i):
-                a = m.rows[i][k]
-                if not a:
-                    continue
-                b = inv[k][j]
-                if not b:
-                    continue
-                acc = acc + a * b
-            inv[i][j] = -acc
-    return PolyMatrix(inv, m.char)
-
-
-def inverse_unitriangular_conjugate(w: Permutation, m: PolyMatrix) -> PolyMatrix:
-    """Exact inverse of wM for lower unitriangular M, namely M^{-1} w^{-1}."""
-    if w.n != m.n:
-        raise ValueError("size mismatch between permutation and matrix")
-    return right_mul_perm(unitriangular_inverse(m), w.inverse())

@@ -7,6 +7,10 @@ Buchberger check, the initial-term formula, homogeneity, the Hilbert
 formula against its counting oracle, and optionally Frobenius
 compatibility.  Non-fixed points must exhibit a constant generator, and
 at small n the rational completion oracle must certify the unit ideal.
+The oracle returns the unit ideal at the first constant generator it
+reads, before any reduction step, so at a non-fixed point
+`emptyCertified` repeats `constantGenerator`; it is not an independent
+check there.
 """
 
 from __future__ import annotations
@@ -165,7 +169,17 @@ def sweep(
 
     Cases are independent and may run on parallel workers; results are
     merged in deterministic case order regardless of job count.
+
+    `hilbertOk` compares the two Hilbert series up to t^trunc, so trunc
+    must be at least max(1, max_n - 1), else this raises ValueError.
+    That bound is enough: cross-multiplied by their denominators, both
+    sides are products of factors (1 - t^e) with e <= n - 1, and such a
+    product is fixed by its coefficients up to t^(n-1).
     """
+    if trunc < max(1, max_n - 1):
+        raise ValueError(
+            f"trunc must be at least {max(1, max_n - 1)} for max_n {max_n}"
+        )
     primes = tuple(frobenius_primes)
     for p in primes:
         if not is_prime(p):

@@ -7,6 +7,8 @@ at full scale (run pytest with -s or -rP to see them).
 import random
 import time
 
+from matrix_reference import conjugate_generators_by_v
+
 from hesscells import (
     HessenbergFunction,
     Monomial,
@@ -39,7 +41,6 @@ from hesscells import (
     z_universe,
     zvar,
 )
-from hesscells.cells import conjugate_generators_by_v
 
 W3421 = Permutation([3, 4, 2, 1])
 H3344 = HessenbergFunction([3, 3, 4, 4])

@@ -168,6 +168,10 @@ class TestExitCodes:
         assert main(["sweep", "--max-n", "7"]) == 2
         assert main(["sweep", "--max-n", "5", "--frobenius", "2"]) == 2
 
+    def test_usage_error_on_sweep_trunc_below_n_minus_one(self, capsys):
+        assert main(["sweep", "--max-n", "4", "--trunc", "2"]) == 2
+        assert main(["sweep", "--max-n", "4", "--trunc", "3"]) == 0
+
     def test_math_failure_exit_one(self, capsys):
         code = main(["gb-check", "--n", "4", "--w", "3421", "--h", "2,3,4,4"])
         assert code == 1

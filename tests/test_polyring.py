@@ -9,11 +9,10 @@ from hesscells import (
     Permutation,
     Polynomial,
     PolyMatrix,
+    PsiMap,
     all_permutations,
-    inverse_unitriangular_conjugate,
     poly_from_json,
     poly_parse_text,
-    substitute,
     x_universe,
     xvar,
     z_universe,
@@ -113,39 +112,37 @@ class TestArithmetic:
 
 
 class TestSubstitute:
+    """Variable substitution, which the package performs only as the
+    specialization psi of `PsiMap`; for w = 3421 it zeroes x_3_1."""
+
+    psi = PsiMap(Permutation([3, 4, 2, 1]))
+
     def test_paper_specialization(self):
         p = -V(X22) + V(X31)
-        image = substitute(p, {X22: Polynomial.variable(zvar(2, 1)), X31: 0})
-        assert image == -Polynomial.variable(zvar(2, 1))
+        assert self.psi.apply(p) == -Polynomial.variable(zvar(2, 1))
 
     def test_zero_polynomial(self):
-        assert substitute(Polynomial.zero(), {X11: 5}) == Polynomial.zero()
+        assert self.psi.apply(Polynomial.zero()) == Polynomial.zero()
+        assert self.psi.apply(Polynomial.zero(5)) == Polynomial.zero(5)
 
     def test_monomial_multiplicativity(self):
         p = V(X11) * V(X22)
         z12, z21 = Polynomial.variable(zvar(1, 2)), Polynomial.variable(zvar(2, 1))
-        assert substitute(p, {X11: z12, X22: z21}) == z12 * z21
+        assert self.psi.apply(p) == z12 * z21
 
     def test_unmapped_variable_outside_universe_raises(self):
-        p = V(X11)
+        # a cell coordinate is not a patch coordinate, and a foreign
+        # variable raises even inside a term that psi would zero
         with pytest.raises(ValueError):
-            substitute(p, {}, universe=[zvar(1, 1)])
-
-    def test_image_outside_universe_raises(self):
+            self.psi.apply(Polynomial.variable(zvar(1, 1)))
         with pytest.raises(ValueError):
-            substitute(V(X11), {X11: V(X12)}, universe=[X11])
+            self.psi.apply(V(X31) * V(xvar(4, 4)))
 
     @given(polynomials, polynomials)
     @settings(max_examples=40)
     def test_homomorphism(self, p, q):
-        sigma = {
-            X11: V(X12) + 1,
-            X22: Polynomial.const(2),
-            X31: V(X31) * V(X21),
-        }
-        lhs = substitute(p * q + p, sigma)
-        rhs = substitute(p, sigma) * substitute(q, sigma) + substitute(p, sigma)
-        assert lhs == rhs
+        apply = self.psi.apply
+        assert apply(p * q + p) == apply(p) * apply(q) + apply(p)
 
 
 class TestSerialization:
@@ -185,76 +182,13 @@ class TestSerialization:
 
 
 class TestMatrices:
-    def test_identity_is_neutral(self):
-        n = 3
-        a = PolyMatrix(
-            [[V(xvar(i + 1, j + 1)) for j in range(n)] for i in range(n)]
-        )
-        assert a @ PolyMatrix.identity(n) == a
-
-    def test_shift_squared(self):
-        n2 = PolyMatrix.nilpotent_shift(3) @ PolyMatrix.nilpotent_shift(3)
-        expected = PolyMatrix(
-            [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
-        )
-        assert n2 == expected
-
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            PolyMatrix.identity(2) @ PolyMatrix.identity(3)
+            PolyMatrix([[1, 0], [0]])
 
     def test_domain_mismatch(self):
         with pytest.raises(ValueError):
-            PolyMatrix.identity(2) @ PolyMatrix.identity(2, char=3)
-
-
-def generic_unitriangular(n):
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == j:
-                row.append(Polynomial.one())
-            elif j < i:
-                row.append(V(xvar(i, j)))
-            else:
-                row.append(Polynomial.zero())
-        rows.append(row)
-    return PolyMatrix(rows)
-
-
-class TestUnitriangularInverse:
-    def test_identity_case(self):
-        w = Permutation.identity(3)
-        m = PolyMatrix.identity(3)
-        assert inverse_unitriangular_conjugate(w, m) == PolyMatrix.identity(3)
-
-    def test_two_by_two_hand_inverse(self):
-        w = Permutation([2, 1])
-        x = V(xvar(2, 1))
-        m = PolyMatrix([[1, 0], [x, 1]])
-        inv = inverse_unitriangular_conjugate(w, m)
-        assert inv == PolyMatrix([[0, 1], [1, -x]])
-
-    def test_product_is_identity_generic_n4(self):
-        w = Permutation.longest_element(4)
-        m = generic_unitriangular(4)
-        wm = PolyMatrix.permutation(w) @ m
-        assert inverse_unitriangular_conjugate(w, m) @ wm == PolyMatrix.identity(4)
-
-    def test_product_is_identity_all_w_up_to_n5(self):
-        for n in range(1, 6):
-            m = generic_unitriangular(n)
-            pm = None
-            for w in all_permutations(n):
-                wm = PolyMatrix.permutation(w) @ m
-                inv = inverse_unitriangular_conjugate(w, m)
-                assert inv @ wm == PolyMatrix.identity(n)
-
-    def test_rejects_non_unitriangular(self):
-        w = Permutation.identity(2)
-        with pytest.raises(ValueError):
-            inverse_unitriangular_conjugate(w, PolyMatrix([[1, V(X11)], [0, 1]]))
+            PolyMatrix([[Polynomial.one(), Polynomial.one(3)], [0, 1]])
 
 
 class TestUniverses:

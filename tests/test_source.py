@@ -2,6 +2,8 @@ import ast
 import doctest
 from pathlib import Path
 
+import hesscells
+import hesscells.cells
 import hesscells.combinat
 import hesscells.groebner
 import hesscells.polyring
@@ -23,8 +25,14 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_every_export_resolves():
+    missing = [name for name in hesscells.__all__ if not hasattr(hesscells, name)]
+    assert missing == []
+
+
 def test_doctests_pass():
-    for module in (hesscells.polyring, hesscells.combinat, hesscells.groebner):
+    for module in (hesscells.polyring, hesscells.combinat, hesscells.groebner,
+                   hesscells.cells):
         result = doctest.testmod(module)
         assert result.attempted > 0, module.__name__
         assert result.failed == 0, module.__name__
