@@ -2,26 +2,27 @@
 #
 # Over F_p the trace map Tr sends a monomial m to (mZ)^{1/p} / Z when mZ
 # is a p-th power (Z is the product of all cell variables).  Twisting by
-# the (p-1)-st power of a splitting element F built from the ideal
-# generators yields a Frobenius splitting that maps every cell ideal into
-# itself.
+# the (p-1)-st power of a splitting element F built from the generators
+# of the cell ideal at the least indecomposable Hessenberg function fixing
+# w yields one Frobenius splitting of the cell per prime, and it maps
+# every cell ideal I_{w,h} with h fixing w into itself.
 
 from hesscells import (
-    HessenbergFunction,
     Monomial,
     Permutation,
     Polynomial,
     compatibility_check,
+    enumerate_hessenberg,
+    is_fixed_point,
     make_splitting_context,
     splitting_apply,
     trace,
 )
 
 w = Permutation.parse("3421")
-h = HessenbergFunction.parse("3,3,4,4")
 
-ctx = make_splitting_context(w, h, 2, "cell")
-print("p = 2, cell of w = 3421, h =", h)
+ctx = make_splitting_context(w, 2)
+print("p = 2, cell of w = 3421")
 print("Z =", repr(ctx.Z))
 print("G = product of generators =", ctx.G.to_text())
 print("F =", ctx.F.to_text())
@@ -49,11 +50,19 @@ rhs = Polynomial.variable(z11, 2) * splitting_apply(f, ctx)
 print("phi(z^p f) == z phi(f):", lhs == rhs)
 print()
 
-# Compatibility: phi of each ideal generator lies back in the ideal,
-# witnessed by a zero remainder under Groebner reduction mod p.
+# Compatibility: for each h fixing w, phi of each generator of I_{w,h}
+# lies back in I_{w,h}, witnessed by a zero remainder under Groebner
+# reduction mod p.  One context per prime serves every h.
+fixing = [
+    h
+    for h in enumerate_hessenberg(w.n, indecomposable_only=True)
+    if is_fixed_point(w, h)
+]
 for p in (2, 3, 5):
-    report = compatibility_check(make_splitting_context(w, h, p, "cell"))
-    status = "compatible" if report.all_compatible else "NOT compatible"
-    print(f"p = {p}: {status}")
-    for k, l, r in report.entries:
-        print(f"   phi(g_{k}_{l}) remainder: {r.to_text()}")
+    ctx = make_splitting_context(w, p)
+    for h in fixing:
+        report = compatibility_check(ctx, h)
+        status = "compatible" if report.all_compatible else "NOT compatible"
+        print(f"p = {p}, h = {h}: {status}")
+        for k, l, r in report.entries:
+            print(f"   phi(g_{k}_{l}) remainder: {r.to_text()}")

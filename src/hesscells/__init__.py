@@ -16,6 +16,7 @@ from .combinat import (
     enumerate_hessenberg,
     fixed_points,
     is_fixed_point,
+    least_hessenberg,
     v_of_w,
 )
 from .polyring import (
@@ -81,6 +82,7 @@ __all__ = [
     "enumerate_hessenberg",
     "fixed_points",
     "is_fixed_point",
+    "least_hessenberg",
     "v_of_w",
     "Monomial",
     "Polynomial",

@@ -28,11 +28,15 @@ from .combinat import (
 )
 from .frobenius import (
     compatibility_check,
-    is_prime,
     make_splitting_context,
     splitting_apply,
 )
-from .grading_hilbert import hilbert_formula, hilbert_oracle, weights_for
+from .grading_hilbert import (
+    check_exact_trunc,
+    hilbert_formula,
+    hilbert_oracle,
+    weights_for,
+)
 from .groebner import (
     BudgetExceededError,
     buchberger_check,
@@ -210,6 +214,7 @@ def cmd_gb_check(args) -> int:
 def cmd_hilbert(args) -> int:
     w = _parse_perm(args)
     h = _parse_h(args)
+    check_exact_trunc(args.n, args.trunc)
     series = hilbert_formula(w, h)
     rep = triangular_analysis(build_ideal(w, h, "cell"), order_n_w(w))
     wt = weights_for(w)
@@ -257,25 +262,19 @@ def cmd_paving(args) -> int:
 def _random_poly(ctx, rng, max_terms=5):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        mono = Monomial(
-            {
-                v: rng.randint(0, 2)
-                for v in rng.sample(list(ctx.variables), min(3, len(ctx.variables)))
-            }
-            if ctx.variables
-            else {}
-        )
+        chosen = rng.sample(ctx.variables, min(3, len(ctx.variables)))
+        mono = Monomial({v: rng.randint(0, 2) for v in chosen})
         terms[mono] = terms.get(mono, 0) + rng.randint(1, ctx.p - 1 or 1)
     return Polynomial(terms, ctx.p)
 
 
 def cmd_frobenius_check(args) -> int:
-    if not is_prime(args.p):
-        raise ValueError(f"--p must be prime, got {args.p}")
     w = _parse_perm(args)
     h = _parse_h(args)
-    ctx = make_splitting_context(w, h, args.p, "cell")
-    report = compatibility_check(ctx)
+    if not is_fixed_point(w, h):  # before the splitting, which can take minutes
+        raise ValueError(f"w={w} is not a fixed point for h={h}")
+    ctx = make_splitting_context(w, args.p)
+    report = compatibility_check(ctx, h)
     rng = random.Random(args.seed)
     axioms_ok = True
     for _ in range(20):
@@ -340,13 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (sweep only; default: auto)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized spot checks")
-    common.add_argument("--trunc", type=int, default=30,
-                        help="truncation order for series comparisons")
-    common.add_argument("--budget", type=int, default=100_000,
+    trunc = argparse.ArgumentParser(add_help=False)
+    trunc.add_argument("--trunc", type=int, default=30,
+                       help="truncation order for series comparisons")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=100_000,
                         help="reduction-step budget for the completion oracle")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -378,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True)
     p.set_defaults(func=cmd_fixed_points)
 
-    p = sub.add_parser("gb-check", parents=[common],
+    p = sub.add_parser("gb-check", parents=[common, budget],
                        help="Groebner and triangularity certification")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", required=True)
@@ -387,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the rational completion oracle")
     p.set_defaults(func=cmd_gb_check)
 
-    p = sub.add_parser("hilbert", parents=[common],
+    p = sub.add_parser("hilbert", parents=[common, trunc],
                        help="Hilbert series, closed form vs counting oracle")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", required=True)
@@ -406,9 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--p", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized spot checks")
     p.set_defaults(func=cmd_frobenius_check)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, trunc, budget],
                        help="full verification sweep up to max-n")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--frobenius", default=None,
@@ -416,6 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-nonfixed", action="store_true",
                    dest="oracle_nonfixed",
                    help="run the unit-ideal oracle at every n, not just n <= 4")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: auto)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -14,6 +14,7 @@ It is indecomposable when additionally h(i) >= i + 1 for all i < n.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 
@@ -221,22 +222,26 @@ def enumerate_hessenberg(n: int, indecomposable_only: bool = False):
     return out
 
 
-def is_fixed_point(w: Permutation, h: HessenbergFunction) -> bool:
-    """True iff w^{-1}(w(j) - 1) <= h(j) for all j, in O(n).
+@lru_cache(maxsize=None)
+def least_hessenberg(w: Permutation) -> tuple:
+    """The values of h_w, the least Hessenberg function fixing w:
+    h_w(j) = max(j, w^{-1}(w(i) - 1) for i <= j), where the second term
+    is skipped when w(i) = 1, realizing the convention w(0) = 0.
 
-    The constraint is skipped when w(j) = 1, realizing the convention
-    w(0) = 0.  A permutation of another size is never a fixed point.
+    >>> least_hessenberg(Permutation([3, 4, 2, 1]))
+    (3, 3, 4, 4)
     """
-    n = h.n
-    if w.n != n:
-        return False
-    images, hv = w.images, h.values
-    inv = [0] * (n + 1)
-    for pos, val in enumerate(images, start=1):
-        inv[val] = pos
-    return all(
-        images[j] == 1 or inv[images[j] - 1] <= hv[j] for j in range(n)
-    )
+    inv = w.inverse().images
+    return tuple(itertools.accumulate(
+        (max(j, inv[wj - 2] if wj > 1 else 0) for j, wj in enumerate(w.images, 1)),
+        max,
+    ))
+
+
+def is_fixed_point(w: Permutation, h: HessenbergFunction) -> bool:
+    """True iff w^{-1}(w(j) - 1) <= h(j) whenever w(j) > 1, i.e. (h being
+    nondecreasing) h >= h_w pointwise; never for another size of w."""
+    return w.n == h.n and all(map(operator.ge, h.values, least_hessenberg(w)))
 
 
 @lru_cache(maxsize=None)

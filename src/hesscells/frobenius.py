@@ -1,14 +1,16 @@
-"""Frobenius splittings of cell coordinate rings in characteristic p.
+"""One Frobenius splitting per Schubert cell of w and prime p.
 
-The splitting element F is built from the product G of the nonzero ideal
-generators taken mod p: F = (Z / m) * G where Z is the product of all
+The splitting element F is built from the product G of the nonzero
+generators of I_{w,h^} mod p, h^ the least indecomposable Hessenberg
+function fixing w: F = (Z / m) * G where Z is the product of all
 variables and m is the monomial of the initial term of G, which is
 squarefree because the initial terms of the generators are distinct
 variables.  The trace map Tr sends a monomial m to (mZ)^{1/p} / Z when mZ
 is a p-th power and to 0 otherwise, and phi = Tr(F^{p-1} * -) is a
-Frobenius splitting.  Compatibility of an ideal means phi maps it into
-itself, checked generator by generator via Groebner reduction mod p
-(valid since every leading coefficient is a unit mod p).
+Frobenius splitting.  Each I_{w,h} with h fixing w is generated by some
+generators of I_{w,h^}, so phi maps it into itself (Knutson's lemma),
+checked generator by generator via Groebner reduction mod p (valid since
+every leading coefficient is a unit mod p).
 
 G, F and F^{p-1} are multiplied out on packed monomials (the `_Packing`
 encoding of `groebner`), with fields wide enough for the exponent bound
@@ -33,17 +35,17 @@ from .combinat import (
     Permutation,
     fixed_points,  # bound for perfbench's combinat.fixed_points span
     is_fixed_point,
+    least_hessenberg,
 )
 from .groebner import (
     MonomialOrder,
     _multiply,
     _power,
     initial_term,
-    order_n,
     order_n_w,
     reduce,
 )
-from .polyring import Monomial, Polynomial, x_universe, z_universe
+from .polyring import Monomial, Polynomial, z_universe
 
 
 def is_prime(p: int) -> bool:
@@ -59,19 +61,16 @@ def is_prime(p: int) -> bool:
 
 @dataclass
 class SplittingContext:
-    """Everything needed to evaluate the splitting for one (w, h, p)."""
+    """Everything needed to evaluate the splitting of the cell of w mod p."""
 
     p: int
     w: Permutation
-    h: HessenbergFunction
-    kind: str
     variables: tuple
     order: MonomialOrder
-    generators: list  # (k, l, Polynomial mod p), the nonzero ones
+    generators: list  # (k, l, Polynomial mod p), the nonzero ones of I_{w,h^}
     Z: Monomial
     G: Polynomial
     F: Polynomial
-    sign: int
     _top: int  # bound on the exponents of F^(p-1)
     # (field width, twisted by F^(p-1)?) -> the trace kernel's packed data;
     # the entry at the base width is the only stored copy of F^(p-1)
@@ -89,30 +88,18 @@ class SplittingContext:
         )
 
 
-def make_splitting_context(
-    w: Permutation, h: HessenbergFunction, p: int, kind: str = "cell"
-) -> SplittingContext:
-    """Build and validate the splitting data.
-
-    For kind 'cell', w must be a fixed point of h; for kind 'patch' only
-    the longest permutation is supported, matching the ideals this
-    machinery certifies.
-    """
+def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
+    """Build and validate the splitting of the cell of w mod p, from the
+    generators of I_{w,h^} for h^(j) = max(h_w(j), min(j + 1, n)), the
+    least indecomposable Hessenberg function fixing w."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if kind == "cell":
-        if not is_fixed_point(w, h):
-            raise ValueError(f"w={w} is not a fixed point for h={h}")
-        variables = z_universe(w)
-        order = order_n_w(w)
-    elif kind == "patch":
-        if w != Permutation.longest_element(w.n):
-            raise ValueError("patch splittings are built at the longest permutation")
-        variables = x_universe(w.n)
-        order = order_n(w.n)
-    else:
-        raise ValueError(f"kind must be 'patch' or 'cell', got {kind!r}")
-    pres = build_ideal(w, h, kind)
+    h_hat = HessenbergFunction(
+        max(b, min(j + 1, w.n)) for j, b in enumerate(least_hessenberg(w), start=1)
+    )
+    variables = z_universe(w)
+    order = order_n_w(w)
+    pres = build_ideal(w, h_hat, "cell")
     gens = [(k, l, g.reduce_mod(p)) for k, l, g in pres.generators if not g.is_zero]
     # every exponent of G, F and F^{p-1} is at most top
     top = (p - 1) * (1 + sum(_top_exponent(g) for _, _, g in gens))
@@ -129,7 +116,6 @@ def make_splitting_context(
             f"initial monomial of the generator product is not squarefree "
             f"dividing Z: {m!r}"
         )
-    sign = 1 if c == 1 else -1
     z_over_m = packing.ones - max(G)
     F = {code + z_over_m: coeff for code, coeff in G.items()}
     F_poly = packing.decode(F, p)
@@ -139,15 +125,12 @@ def make_splitting_context(
     ctx = SplittingContext(
         p=p,
         w=w,
-        h=h,
-        kind=kind,
         variables=variables,
         order=order,
         generators=gens,
         Z=Z,
         G=G_poly,
         F=F_poly,
-        sign=sign,
         _top=top,
     )
     ctx._kernels[bits, True] = (packing, _buckets(_power(F, p - 1, p), packing, p))
@@ -220,7 +203,6 @@ class CompatibilityReport:
     p: int
     w: Permutation
     h: HessenbergFunction
-    kind: str
     splits_one: bool
     entries: list  # (k, l, remainder Polynomial mod p)
     all_compatible: bool
@@ -230,7 +212,7 @@ class CompatibilityReport:
             "p": self.p,
             "w": self.w.to_json(),
             "h": self.h.to_json(),
-            "kind": self.kind,
+            "kind": "cell",
             "splitsOne": self.splits_one,
             "generators": [
                 {
@@ -245,29 +227,37 @@ class CompatibilityReport:
         }
 
 
-def compatibility_check(ctx: SplittingContext) -> CompatibilityReport:
-    """Verify phi(1) = 1 and that phi of each ideal generator reduces to
-    zero modulo the generators, i.e. the splitting is compatible.
+def compatibility_check(
+    ctx: SplittingContext, h: HessenbergFunction
+) -> CompatibilityReport:
+    """Verify phi(1) = 1 and that phi of each generator of I_{w,h}, the
+    context's generators (k, l) with k > h(l), reduces to zero modulo
+    them, i.e. the splitting of the cell is compatible with I_{w,h}.
 
     The generators remain a Groebner basis mod p because their leading
     coefficients are units, so reduction decides membership.
+
+    >>> ctx = make_splitting_context(Permutation([3, 4, 2, 1]), 3)
+    >>> [compatibility_check(ctx, HessenbergFunction(h)).all_compatible
+    ...  for h in ([3, 3, 4, 4], [3, 4, 4, 4], [4, 4, 4, 4])]
+    [True, True, True]
     """
+    if not is_fixed_point(ctx.w, h):
+        raise ValueError(f"w={ctx.w} is not a fixed point for h={h}")
+    if not h.is_indecomposable:
+        raise ValueError(f"Hessenberg function {h} is decomposable")
     splits_one = splitting_apply(Polynomial.one(ctx.p), ctx) == Polynomial.one(ctx.p)
-    gen_polys = [g for _, _, g in ctx.generators]
-    entries = []
-    for k, l, g in ctx.generators:
-        phi = splitting_apply(g, ctx)
-        if gen_polys:
-            _, r = reduce(phi, gen_polys, ctx.order)
-        else:
-            r = phi
-        entries.append((k, l, r))
+    gens = [(k, l, g) for k, l, g in ctx.generators if k > h(l)]
+    gen_polys = [g for _, _, g in gens]
+    entries = [
+        (k, l, reduce(splitting_apply(g, ctx), gen_polys, ctx.order)[1])
+        for k, l, g in gens
+    ]
     all_ok = splits_one and all(r.is_zero for _, _, r in entries)
     return CompatibilityReport(
         p=ctx.p,
         w=ctx.w,
-        h=ctx.h,
-        kind=ctx.kind,
+        h=h,
         splits_one=splits_one,
         entries=entries,
         all_compatible=all_ok,

@@ -130,6 +130,16 @@ class HilbertSeries:
         }
 
 
+def check_exact_trunc(n: int, trunc: int) -> None:
+    """Raise ValueError unless trunc >= max(1, n - 1).  Hilbert series of
+    an n x n cell that agree up to t^(n-1) are equal: cross-multiplied by
+    their denominators, both sides are products of factors (1 - t^e) with
+    e <= n - 1, and such a product is fixed by its coefficients up to
+    t^(n-1)."""
+    if trunc < max(1, n - 1):
+        raise ValueError(f"trunc must be at least {max(1, n - 1)} for n = {n}")
+
+
 def hilbert_formula(w: Permutation, h: HessenbergFunction) -> HilbertSeries:
     """Closed form of the Hilbert series of the cell quotient ring.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cells import build_ideal
 from .combinat import (
@@ -28,8 +29,9 @@ from .combinat import (
     is_fixed_point,
     v_of_w,
 )
-from .frobenius import compatibility_check, is_prime, make_splitting_context
+from .frobenius import compatibility_check, make_splitting_context
 from .grading_hilbert import (
+    check_exact_trunc,
     hilbert_formula,
     hilbert_oracle,
     is_homogeneous,
@@ -55,6 +57,18 @@ class SweepOptions:
     oracle_nonfixed: bool = False
     trunc: int = 30
     budget: int = 100_000
+
+
+@lru_cache(maxsize=None)
+def _frobenius_verdicts(w: Permutation, p: int) -> dict:
+    """h.values -> whether the one splitting of the cell of w mod p is
+    compatible with I_{w,h}, for every indecomposable h fixing w."""
+    ctx = make_splitting_context(w, p)
+    return {
+        h.values: compatibility_check(ctx, h).all_compatible
+        for h in enumerate_hessenberg(w.n, indecomposable_only=True)
+        if is_fixed_point(w, h)
+    }
 
 
 def run_case(args):
@@ -111,22 +125,17 @@ def run_case(args):
         else:
             case["hilbertOk"] = False
 
+        if opts.frobenius_primes:
+            case["frobeniusOk"] = all(
+                _frobenius_verdicts(w, p)[h.values] for p in opts.frobenius_primes
+            )
+
         if pres.certifies_empty:
             failures.append("constant generator at a fixed point")
         for key in ("triangularOk", "initialTermsOk", "gbOk",
-                    "homogeneousOk", "hilbertOk"):
-            if not case[key]:
+                    "homogeneousOk", "hilbertOk", "frobeniusOk"):
+            if not case.get(key, True):
                 failures.append(f"{key} failed")
-
-        if opts.frobenius_primes:
-            frob_ok = True
-            for p in opts.frobenius_primes:
-                ctx = make_splitting_context(w, h, p, "cell")
-                if not compatibility_check(ctx).all_compatible:
-                    frob_ok = False
-            case["frobeniusOk"] = frob_ok
-            if not frob_ok:
-                failures.append("frobeniusOk failed")
     else:
         constant = pres.certifies_empty
         case["constantGenerator"] = constant
@@ -170,20 +179,11 @@ def sweep(
     Cases are independent and may run on parallel workers; results are
     merged in deterministic case order regardless of job count.
 
-    `hilbertOk` compares the two Hilbert series up to t^trunc, so trunc
-    must be at least max(1, max_n - 1), else this raises ValueError.
-    That bound is enough: cross-multiplied by their denominators, both
-    sides are products of factors (1 - t^e) with e <= n - 1, and such a
-    product is fixed by its coefficients up to t^(n-1).
+    `hilbertOk` compares the two Hilbert series up to t^trunc, which
+    `check_exact_trunc` requires to be high enough for every n <= max_n.
     """
-    if trunc < max(1, max_n - 1):
-        raise ValueError(
-            f"trunc must be at least {max(1, max_n - 1)} for max_n {max_n}"
-        )
+    check_exact_trunc(max_n, trunc)
     primes = tuple(frobenius_primes)
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
     ceiling = FROBENIUS_CEILING if primes else SWEEP_CEILING
     if not 1 <= max_n <= ceiling:
         raise ValueError(

@@ -237,10 +237,10 @@ def test_criterion_8_frobenius_splitting():
     contexts = 0
     for n, h, w in fixed_cases(4):
         for p in (2, 3, 5):
-            ctx = make_splitting_context(w, h, p, "cell")
+            ctx = make_splitting_context(w, p)
             one = Polynomial.one(p)
             assert splitting_apply(one, ctx) == one, (w, h, p)
-            report = compatibility_check(ctx)
+            report = compatibility_check(ctx, h)
             assert report.all_compatible, (w, h, p)
             vars = list(ctx.variables)
             if vars:  # the p-th power pullout is vacuous on a point

@@ -10,6 +10,7 @@ from matrix_reference import (
 
 from hesscells import (
     HessenbergFunction,
+    Monomial,
     Permutation,
     Polynomial,
     PolyMatrix,
@@ -22,6 +23,8 @@ from hesscells import (
     cell_generators_via_psi,
     enumerate_hessenberg,
     fixed_points,
+    order_n,
+    order_n_w,
     patch_generators,
     paving,
     poly_parse_text,
@@ -253,6 +256,48 @@ class TestCellGeneratorsViaPsi:
             for k in range(1, 5):
                 for l in range(1, 5):
                     assert cell_generators_via_psi(w, k, l) == direct.entry(k, l)
+
+
+def x_to_z(f):
+    """f with every patch variable x_{i,j} renamed z_{i,j}."""
+    return Polynomial(
+        {
+            Monomial({zvar(v.row, v.col): e for v, e in mono.exps}): c
+            for mono, c in f.terms.items()
+        },
+        f.char,
+    )
+
+
+class TestPatchIsCellAtLongest:
+    # At w0 the patch and the cell are the same space, with x written for z
+
+    def test_generator_matrices(self):
+        for n in range(1, 7):
+            w0 = Permutation.longest_element(n)
+            patch, cell = patch_generators(w0), cell_generators(w0)
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    assert x_to_z(patch.entry(k, l)) == cell.entry(k, l)
+
+    def test_orders_and_psi(self):
+        for n in range(1, 7):
+            w0 = Permutation.longest_element(n)
+            relabeled = [zvar(v.row, v.col) for v in order_n(n).priority]
+            assert relabeled == list(order_n_w(w0).priority)
+            assert PsiMap(w0).zeroed_vars == frozenset()
+
+    def test_ideals(self):
+        for n in range(1, 7):
+            w0 = Permutation.longest_element(n)
+            for h in enumerate_hessenberg(n, indecomposable_only=True):
+                patch = build_ideal(w0, h, "patch")
+                cell = build_ideal(w0, h, "cell")
+                assert [(k, l, x_to_z(g)) for k, l, g in patch.generators] \
+                    == cell.generators
+                assert patch.height == cell.height
+                assert [zvar(v.row, v.col) for v in patch.ambient_variables] \
+                    == list(cell.ambient_variables)
 
 
 class TestBuildIdeal:

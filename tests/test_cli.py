@@ -164,6 +164,10 @@ class TestExitCodes:
     def test_usage_error_on_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_usage_error_on_sweep_nonprime(self, capsys):
+        assert main(["sweep", "--max-n", "3", "--frobenius", "2,6", "--jobs", "1"]) == 2
+        assert "6 is not prime" in capsys.readouterr().err
+
     def test_usage_error_on_sweep_ceiling(self, capsys):
         assert main(["sweep", "--max-n", "7"]) == 2
         assert main(["sweep", "--max-n", "5", "--frobenius", "2"]) == 2
@@ -171,6 +175,24 @@ class TestExitCodes:
     def test_usage_error_on_sweep_trunc_below_n_minus_one(self, capsys):
         assert main(["sweep", "--max-n", "4", "--trunc", "2"]) == 2
         assert main(["sweep", "--max-n", "4", "--trunc", "3"]) == 0
+
+    def test_usage_error_on_hilbert_trunc_below_n_minus_one(self, capsys):
+        argv = ["hilbert", "--n", "4", "--w", "3421", "--h", "3,3,4,4"]
+        assert main(argv + ["--trunc", "1"]) == 2
+        assert main(argv + ["--trunc", "3"]) == 0
+
+    def test_usage_error_on_flag_of_another_command(self, capsys):
+        assert main(["paving", "--n", "4", "--h", "3,3,4,4", "--jobs", "2"]) == 2
+        assert main(["paving", "--n", "4", "--h", "3,3,4,4"]) == 0
+
+    def test_frobenius_check_at_non_fixed_point(self, capsys):
+        code = main([
+            "frobenius-check", "--n", "4", "--w", "3421",
+            "--h", "2,3,4,4", "--p", "2",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: w=3421 is not a fixed point for h=2,3,4,4\n"
 
     def test_math_failure_exit_one(self, capsys):
         code = main(["gb-check", "--n", "4", "--w", "3421", "--h", "2,3,4,4"])

@@ -10,6 +10,7 @@ from hesscells import (
     enumerate_hessenberg,
     fixed_points,
     is_fixed_point,
+    least_hessenberg,
     v_of_w,
 )
 
@@ -20,6 +21,21 @@ def brute_inversions(images):
         for a in range(len(images))
         for b in range(a + 1, len(images))
         if images[a] > images[b]
+    )
+
+
+def reference_is_fixed_point(w, h):
+    """w^{-1}(w(j) - 1) <= h(j) for every j with w(j) > 1, read off
+    position by position in O(n); other sizes are never fixed points."""
+    n = h.n
+    if w.n != n:
+        return False
+    images, hv = w.images, h.values
+    inv = [0] * (n + 1)
+    for pos, val in enumerate(images, start=1):
+        inv[val] = pos
+    return all(
+        images[j] == 1 or inv[images[j] - 1] <= hv[j] for j in range(n)
     )
 
 
@@ -215,3 +231,31 @@ class TestFixedPoints:
             if all(w(j) == 1 or winv(w(j) - 1) <= h(j) for j in range(1, 5)):
                 expected.append(w)
         assert list(fixed_points(h)) == expected
+
+
+class TestLeastHessenberg:
+    # all 196 Hessenberg functions with n <= 6, decomposable ones included
+    ALL_H = [h for n in range(1, 7) for h in enumerate_hessenberg(n)]
+
+    def test_is_fixed_point_matches_reference(self):
+        assert len(self.ALL_H) == 196
+        perms = {n: list(all_permutations(n)) for n in range(1, 7)}
+        for h in self.ALL_H:
+            for w in perms[h.n]:
+                assert is_fixed_point(w, h) == reference_is_fixed_point(w, h)
+
+    def test_is_a_hessenberg_function_fixing_w(self):
+        for n in range(1, 7):
+            for w in all_permutations(n):
+                h_w = HessenbergFunction(least_hessenberg(w))
+                assert reference_is_fixed_point(w, h_w)
+
+    def test_fixed_point_count_is_a_product(self):
+        for h in self.ALL_H:
+            want = math.prod(h(j) - j + 1 for j in range(1, h.n + 1))
+            assert len(fixed_points(h)) == want, h
+
+    def test_paper_example(self):
+        assert least_hessenberg(Permutation([3, 4, 2, 1])) == (3, 3, 4, 4)
+        assert least_hessenberg(Permutation.identity(4)) == (1, 2, 3, 4)
+        assert least_hessenberg(Permutation.longest_element(4)) == (2, 3, 4, 4)

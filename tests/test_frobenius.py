@@ -1,4 +1,6 @@
+import importlib
 import random
+import types
 from functools import lru_cache
 
 import pytest
@@ -15,10 +17,13 @@ from hesscells import (
     Monomial,
     Permutation,
     Polynomial,
+    all_permutations,
+    build_ideal,
     compatibility_check,
     enumerate_hessenberg,
     fixed_points,
     initial_term,
+    is_fixed_point,
     make_splitting_context,
     splitting_apply,
     trace,
@@ -36,7 +41,7 @@ def two_variable_context(p):
     # Hessenberg function gives no generators, so F is the product of the
     # variables and trace examples are easy to state
     w = Permutation([2, 3, 1])
-    return make_splitting_context(w, HessenbergFunction.full(3), p, "cell")
+    return make_splitting_context(w, p)
 
 
 def random_poly(ctx, rng, max_terms=6):
@@ -98,26 +103,22 @@ class TestTrace:
 class TestSplittingContext:
     def test_invalid_prime(self):
         with pytest.raises(ValueError):
-            make_splitting_context(W3421, H3344, 6, "cell")
+            make_splitting_context(W3421, 6)
 
     def test_requires_fixed_point(self):
+        ctx = make_splitting_context(W3421, 2)
         with pytest.raises(ValueError):
-            make_splitting_context(W3421, HessenbergFunction([2, 3, 4, 4]), 2)
-
-    def test_patch_kind_requires_longest(self):
-        with pytest.raises(ValueError):
-            make_splitting_context(W3421, H3344, 2, "patch")
+            compatibility_check(ctx, HessenbergFunction([2, 3, 4, 4]))
 
     def test_initial_term_of_F_is_product_of_all_variables(self):
         for n in range(2, 4):
-            for h in enumerate_hessenberg(n, indecomposable_only=True):
-                for w in fixed_points(h):
-                    for p in (2, 3):
-                        ctx = make_splitting_context(w, h, p, "cell")
-                        coeff, mono = initial_term(ctx.F, ctx.order)
-                        assert mono == ctx.Z
-                        assert coeff in (1, p - 1)
-                        assert ctx.sign == (1 if coeff == 1 else -1)
+            for w in all_permutations(n):
+                for p in (2, 3):
+                    ctx = make_splitting_context(w, p)
+                    coeff, mono = initial_term(ctx.F, ctx.order)
+                    assert mono == ctx.Z
+                    assert coeff in (1, p - 1)
+                    assert coeff == initial_term(ctx.G, ctx.order)[0]
 
     def test_no_generators_makes_F_the_variable_product(self):
         ctx = two_variable_context(3)
@@ -129,7 +130,8 @@ class TestSplittingAxioms:
     def test_axioms_on_random_inputs(self, p):
         w0 = Permutation.longest_element(3)
         h = HessenbergFunction([2, 3, 3])
-        ctx = make_splitting_context(w0, h, p, "cell")
+        ctx = make_splitting_context(w0, p)
+        assert compatibility_check(ctx, h).all_compatible
         one = Polynomial.one(p)
         assert splitting_apply(one, ctx) == one
         rng = random.Random(p)
@@ -145,15 +147,15 @@ class TestSplittingAxioms:
 
     def test_splits_one_with_no_variables(self):
         w = Permutation.identity(3)
-        ctx = make_splitting_context(w, HessenbergFunction.full(3), 5, "cell")
+        ctx = make_splitting_context(w, 5)
         assert splitting_apply(Polynomial.one(5), ctx) == Polynomial.one(5)
 
 
 class TestCompatibility:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_3421_cell_ideal(self, p):
-        ctx = make_splitting_context(W3421, H3344, p, "cell")
-        report = compatibility_check(ctx)
+        ctx = make_splitting_context(W3421, p)
+        report = compatibility_check(ctx, H3344)
         assert report.splits_one
         assert report.all_compatible
         assert all(r.is_zero for _, _, r in report.entries)
@@ -161,7 +163,7 @@ class TestCompatibility:
     def test_generator_image_reduces_to_zero(self):
         from hesscells.groebner import reduce as poly_reduce
 
-        ctx = make_splitting_context(W3421, H3344, 2, "cell")
+        ctx = make_splitting_context(W3421, 2)
         gens = [g for _, _, g in ctx.generators]
         phi = splitting_apply(gens[0], ctx)
         _, r = poly_reduce(phi, gens, ctx.order)
@@ -169,29 +171,21 @@ class TestCompatibility:
 
     def test_vacuous_with_no_generators(self):
         w = Permutation([2, 3, 1])
-        ctx = make_splitting_context(w, HessenbergFunction.full(3), 3, "cell")
-        report = compatibility_check(ctx)
+        ctx = make_splitting_context(w, 3)
+        report = compatibility_check(ctx, HessenbergFunction.full(3))
         assert report.all_compatible
         assert report.entries == []
-
-    def test_patch_ideal_at_longest(self):
-        w0 = Permutation.longest_element(4)
-        ctx = make_splitting_context(
-            w0, HessenbergFunction([2, 3, 4, 4]), 3, "patch"
-        )
-        report = compatibility_check(ctx)
-        assert report.all_compatible
 
     def test_all_cases_n3(self):
         for h in enumerate_hessenberg(3, indecomposable_only=True):
             for w in fixed_points(h):
                 for p in (2, 3, 5):
-                    ctx = make_splitting_context(w, h, p, "cell")
-                    assert compatibility_check(ctx).all_compatible
+                    ctx = make_splitting_context(w, p)
+                    assert compatibility_check(ctx, h).all_compatible
 
     def test_json_report_shape(self):
-        ctx = make_splitting_context(W3421, H3344, 2, "cell")
-        doc = compatibility_check(ctx).to_json()
+        ctx = make_splitting_context(W3421, 2)
+        doc = compatibility_check(ctx, H3344).to_json()
         assert doc["allCompatible"] is True
         assert doc["p"] == 2
         assert len(doc["generators"]) == 2
@@ -201,18 +195,17 @@ class TestCompatibility:
 # The packed, residue-bucketed kernel against the plain route it replaced.
 
 KERNEL_CASES = (
-    (Permutation.identity(3), HessenbergFunction.full(3), "cell"),
-    (Permutation([2, 3, 1]), HessenbergFunction.full(3), "cell"),
-    (W3421, H3344, "cell"),
-    (Permutation.longest_element(4), HessenbergFunction([2, 3, 4, 4]), "cell"),
-    (Permutation.longest_element(3), HessenbergFunction([2, 3, 3]), "patch"),
+    Permutation.identity(3),
+    Permutation([2, 3, 1]),
+    W3421,
+    Permutation.longest_element(4),
+    Permutation.longest_element(3),
 )
 
 
 @lru_cache(maxsize=None)
 def kernel_context(case, p):
-    w, h, kind = KERNEL_CASES[case]
-    return make_splitting_context(w, h, p, kind)
+    return make_splitting_context(KERNEL_CASES[case], p)
 
 
 @st.composite
@@ -252,7 +245,7 @@ class TestPackedKernel:
     @pytest.mark.parametrize("big", [200, 2**15])
     def test_wide_exponents(self, p, big):
         # exponents far past F^(p-1)'s own, so the fields must widen for f
-        ctx = make_splitting_context(W3421, H3344, p, "cell")
+        ctx = make_splitting_context(W3421, p)
         z11, z12, z13, z21, z22 = (Polynomial.variable(v, p) for v in ctx.variables)
         for f in (
             z11**big,
@@ -267,7 +260,7 @@ class TestPackedKernel:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_power_matches_repeated_products(self, p):
         # _power squares with _square; F^k for k <= 6 fits 23-bit fields
-        ctx = make_splitting_context(W3421, H3344, p, "cell")
+        ctx = make_splitting_context(W3421, p)
         F = ctx.order._packing(24).encode(ctx.F)
         want = {0: 1}
         for k in range(1, 7):
@@ -276,13 +269,114 @@ class TestPackedKernel:
 
     def test_products_match_polynomial_products(self):
         for n in range(1, 5):
-            w0 = Permutation.longest_element(n)
-            for h in enumerate_hessenberg(n, indecomposable_only=True):
-                contexts = [(w, "cell") for w in fixed_points(h)] + [(w0, "patch")]
-                for w, kind in contexts:
-                    for p in (2, 3):
-                        ctx = make_splitting_context(w, h, p, kind)
-                        G, F, F_pow = reference_products(ctx)
-                        assert ctx.G == G
-                        assert ctx.F == F
-                        assert ctx.F_pow == F_pow
+            for w in all_permutations(n):
+                for p in (2, 3):
+                    ctx = make_splitting_context(w, p)
+                    G, F, F_pow = reference_products(ctx)
+                    assert ctx.G == G
+                    assert ctx.F == F
+                    assert ctx.F_pow == F_pow
+
+
+def fixing(w):
+    """Every indecomposable Hessenberg function fixing w."""
+    return [
+        h for h in enumerate_hessenberg(w.n, indecomposable_only=True)
+        if is_fixed_point(w, h)
+    ]
+
+
+def ideal_mod_p(w, h, p):
+    return [g.reduce_mod(p) for _, _, g in build_ideal(w, h).nonzero_generators()]
+
+
+class TestOneSplittingPerCell:
+    @pytest.mark.parametrize("p,max_n", [(2, 5), (3, 5), (5, 4)])
+    def test_one_context_splits_every_ideal_of_the_cell(self, p, max_n):
+        checks = 0
+        for n in range(1, max_n + 1):
+            for w in all_permutations(n):
+                ctx = make_splitting_context(w, p)
+                for h in fixing(w):
+                    report = compatibility_check(ctx, h)
+                    assert report.all_compatible, (w, h)
+                    assert [(k, l) for k, l, _ in report.entries] == \
+                        [(k, l) for k, l, _ in build_ideal(w, h).nonzero_generators()]
+                    checks += 1
+        want = sum(
+            len(fixed_points(h))
+            for n in range(1, max_n + 1)
+            for h in enumerate_hessenberg(n, indecomposable_only=True)
+        )
+        assert checks == want
+
+    def test_rejects_decomposable_h(self):
+        ctx = make_splitting_context(Permutation.identity(3), 2)
+        with pytest.raises(ValueError):
+            compatibility_check(ctx, HessenbergFunction([1, 3, 3]))
+
+    def test_sweep_builds_one_context_per_cell_and_prime(self, monkeypatch):
+        sweep_mod = importlib.import_module("hesscells.sweep")
+        calls = []
+
+        def counting(w, p):
+            calls.append((w, p))
+            return make_splitting_context(w, p)
+
+        monkeypatch.setattr(sweep_mod, "make_splitting_context", counting)
+        sweep_mod._frobenius_verdicts.cache_clear()
+        try:
+            report = sweep_mod.sweep(4, frobenius_primes=(2, 3), jobs=1)
+        finally:
+            sweep_mod._frobenius_verdicts.cache_clear()
+        assert report["summary"]["ok"]
+        assert len(calls) == len(set(calls)) == 2 * (1 + 2 + 6 + 24)
+
+
+class TestFedder:
+    """Fedder's criterion for the compatible splitting: F^(p-1) I lies in
+    I^[p] = <g^p>.  The g^p have distinct single-variable leading
+    monomials, so they are a Groebner basis and reduction decides it."""
+
+    @staticmethod
+    def in_frobenius_power(f, gens, order, p):
+        return groebner.reduce(f, [g**p for g in gens], order)[1].is_zero
+
+    def test_cell_splitting_satisfies_fedder(self):
+        checks = passed = standard_passed = 0
+        for n in range(1, 5):
+            for w in all_permutations(n):
+                for p in (2, 3, 5):
+                    ctx = make_splitting_context(w, p)
+                    standard = Polynomial({ctx.Z: 1}, p) ** (p - 1)
+                    for h in fixing(w):
+                        gens = ideal_mod_p(w, h, p)
+                        for g in gens:
+                            checks += 1
+                            passed += self.in_frobenius_power(
+                                ctx.F_pow * g, gens, ctx.order, p)
+                            standard_passed += self.in_frobenius_power(
+                                standard * g, gens, ctx.order, p)
+        # the standard splitting F = Z fails every one of them
+        assert (checks, passed, standard_passed) == (72, 72, 0)
+
+    def test_phi_of_ideal_in_ideal_is_not_enough(self):
+        # the standard splitting F = Z, which fails Fedder above, still maps
+        # every generator of every cell ideal back into the ideal
+        checks = 0
+        for n in range(1, 5):
+            for w in all_permutations(n):
+                for p in (2, 3):
+                    ctx = make_splitting_context(w, p)
+                    standard = types.SimpleNamespace(
+                        p=p, variables=ctx.variables, F=Polynomial({ctx.Z: 1}, p)
+                    )
+                    one = Polynomial.one(p)
+                    assert reference_splitting_apply(one, standard) == one
+                    for h in fixing(w):
+                        gens = ideal_mod_p(w, h, p)
+                        for g in gens:
+                            phi = reference_splitting_apply(g, standard)
+                            assert groebner.reduce(phi, gens, ctx.order)[1].is_zero
+                        checks += 1
+        assert checks == 174

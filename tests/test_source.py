@@ -5,6 +5,7 @@ from pathlib import Path
 import hesscells
 import hesscells.cells
 import hesscells.combinat
+import hesscells.frobenius
 import hesscells.groebner
 import hesscells.polyring
 
@@ -32,7 +33,7 @@ def test_every_export_resolves():
 
 def test_doctests_pass():
     for module in (hesscells.polyring, hesscells.combinat, hesscells.groebner,
-                   hesscells.cells):
+                   hesscells.cells, hesscells.frobenius):
         result = doctest.testmod(module)
         assert result.attempted > 0, module.__name__
         assert result.failed == 0, module.__name__
