@@ -4,7 +4,8 @@ Exit codes: 0 when every requested check passes, 1 when a mathematical
 check fails or an internal invariant breaks, 2 on usage errors, 3 when a
 resource budget is exhausted.
 JSON output is deterministic for fixed flags (the elapsedSeconds field of
-sweep reports is the one timing exception).
+sweep reports is the one timing exception).  The sweep report is written
+case by case, in the bytes `json.dumps(report, indent=2)` would give.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .cells import (
     build_ideal,
@@ -45,7 +47,8 @@ from .groebner import (
     triangular_analysis,
 )
 from .polyring import Monomial, Polynomial
-from .sweep import sweep
+from .sweep import SWEEP_CEILING, SweepOptions, iter_sweep
+from .sweep import sweep  # bound for perfbench's sweep.sweep span
 
 
 def _parse_perm(args) -> Permutation:
@@ -60,6 +63,11 @@ def _parse_h(args) -> HessenbergFunction:
     if h.n != args.n:
         raise ValueError(f"Hessenberg function {args.h!r} does not have size {args.n}")
     return h
+
+
+def _check_ceiling(args) -> None:  # for commands that walk all n! permutations
+    if not 1 <= args.n <= SWEEP_CEILING:
+        raise ValueError(f"n must be between 1 and {SWEEP_CEILING}")
 
 
 def _emit(args, lines, doc) -> None:
@@ -148,6 +156,7 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
+    _check_ceiling(args)
     h = _parse_h(args)
     points = fixed_points(h)
     lines = [str(w) for w in points]
@@ -241,6 +250,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_paving(args) -> int:
+    _check_ceiling(args)
     h = _parse_h(args)
     table = paving(h)
     lines = [
@@ -303,31 +313,60 @@ def cmd_frobenius_check(args) -> int:
     return 0 if ok else 1
 
 
+_SCALARS = {
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    str: _encode_str,
+}
+
+
+def _json_value(value, pad: str) -> str:
+    """`json.dumps(value, indent=2)` with `pad` before each line but the
+    first; types other than None, bool, int, str and list go to json.dumps."""
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    if type(value) is list:
+        inner = pad + "  "
+        items = (",\n" + inner).join(_json_value(v, inner) for v in value)
+        return f"[\n{inner}{items}\n{pad}]" if value else "[]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _case_json(case: dict) -> str:
+    """One case as the report's indented case list holds it."""
+    return "    {\n      " + ",\n      ".join(
+        f"{_encode_str(key)}: {_json_value(value, '      ')}"
+        for key, value in case.items()
+    ) + "\n    }"
+
+
+def _write_json_report(out, head: dict, cases, tail: dict) -> None:
+    """Write `json.dumps({**head, "cases": [...], **tail}, indent=2)` and a newline."""
+    out.write(json.dumps(head, indent=2)[:-2] + ',\n  "cases": [')
+    sep = "\n"
+    for case in cases:
+        out.write(sep + _case_json(case))
+        sep = ",\n"
+    out.write("],\n" if sep == "\n" else "\n  ],\n")
+    out.write(json.dumps(tail, indent=2)[2:] + "\n")
+
+
 def cmd_sweep(args) -> int:
-    primes = ()
-    if args.frobenius:
-        primes = tuple(int(p) for p in args.frobenius.split(","))
-    report = sweep(
-        args.max_n,
-        frobenius_primes=primes,
-        oracle_nonfixed=args.oracle_nonfixed,
-        trunc=args.trunc,
-        budget=args.budget,
-        jobs=args.jobs,
-    )
-    summary = report["summary"]
-    lines = []
-    for case in report["cases"]:
-        if not case["ok"]:
-            lines.append(
-                f"FAIL n={case['n']} h={case['h']} w={case['w']}: "
-                + "; ".join(case["failures"])
-            )
-    lines.append(
-        f"{summary['cases']} cases, {summary['fixedPointCases']} fixed points, "
-        f"{summary['failedCases']} failures"
-    )
-    _emit(args, lines, report)
+    primes = tuple(int(p) for p in args.frobenius.split(",")) if args.frobenius else ()
+    opts = SweepOptions(primes, args.oracle_nonfixed, args.trunc, args.budget)
+    head, cases, tail = iter_sweep(args.max_n, opts, args.jobs)
+    summary = tail["summary"]
+    if args.format == "json":
+        _write_json_report(sys.stdout, head, cases, tail)
+    else:
+        for case in cases:
+            if not case["ok"]:
+                print(f"FAIL n={case['n']} h={case['h']} w={case['w']}: "
+                      + "; ".join(case["failures"]))
+        print(f"{summary['cases']} cases, {summary['fixedPointCases']} fixed points, "
+              f"{summary['failedCases']} failures")
     return 0 if summary["ok"] else 1
 
 

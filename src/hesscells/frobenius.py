@@ -76,6 +76,9 @@ class SplittingContext:
     # the entry at the base width is the only stored copy of F^(p-1)
     _kernels: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    # (k, l) -> phi(g_{k,l}), and None -> phi(1): neither depends on h
+    _phi: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def F_pow(self) -> Polynomial:
@@ -198,6 +201,12 @@ def splitting_apply(f: Polynomial, ctx: SplittingContext) -> Polynomial:
     return _twisted_trace(f, ctx, True)
 
 
+def _phi(ctx: SplittingContext, key, f: Polynomial) -> Polynomial:
+    if key not in ctx._phi:
+        ctx._phi[key] = splitting_apply(f, ctx)
+    return ctx._phi[key]
+
+
 @dataclass
 class CompatibilityReport:
     p: int
@@ -246,11 +255,11 @@ def compatibility_check(
         raise ValueError(f"w={ctx.w} is not a fixed point for h={h}")
     if not h.is_indecomposable:
         raise ValueError(f"Hessenberg function {h} is decomposable")
-    splits_one = splitting_apply(Polynomial.one(ctx.p), ctx) == Polynomial.one(ctx.p)
+    splits_one = _phi(ctx, None, Polynomial.one(ctx.p)) == Polynomial.one(ctx.p)
     gens = [(k, l, g) for k, l, g in ctx.generators if k > h(l)]
     gen_polys = [g for _, _, g in gens]
     entries = [
-        (k, l, reduce(splitting_apply(g, ctx), gen_polys, ctx.order)[1])
+        (k, l, reduce(_phi(ctx, (k, l), g), gen_polys, ctx.order)[1])
         for k, l, g in gens
     ]
     all_ok = splits_one and all(r.is_zero for _, _, r in entries)

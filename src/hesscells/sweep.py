@@ -11,10 +11,15 @@ The oracle returns the unit ideal at the first constant generator it
 reads, before any reduction step, so at a non-fixed point
 `emptyCertified` repeats `constantGenerator`; it is not an independent
 check there.
+
+`iter_sweep` is the one sweep path: it yields the cases in (n, h, w)
+order and tallies the summary.  `sweep()` collects them into one report;
+the CLI writes each case as it arrives and keeps none.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +34,7 @@ from .combinat import (
     is_fixed_point,
     v_of_w,
 )
-from .frobenius import compatibility_check, make_splitting_context
+from .frobenius import compatibility_check, is_prime, make_splitting_context
 from .grading_hilbert import (
     check_exact_trunc,
     hilbert_formula,
@@ -48,7 +53,9 @@ from .polyring import Polynomial, zvar
 
 ORACLE_NONFIXED_CEILING = 4
 FROBENIUS_CEILING = 4
-SWEEP_CEILING = 6
+SWEEP_CEILING = 7
+# Cases per task sent to a pool worker, at most.
+MAX_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -161,9 +168,78 @@ def run_case(args):
 
 def _case_args(max_n: int, opts: SweepOptions):
     for n in range(1, max_n + 1):
+        perms = [w.images for w in all_permutations(n)]
         for h in enumerate_hessenberg(n, indecomposable_only=True):
-            for w in all_permutations(n):
-                yield (h.values, w.images, opts)
+            for w in perms:
+                yield (h.values, w, opts)
+
+
+def _run_cases(args: list, jobs: int):
+    """Yield run_case(a) for each a in args, in order, on `jobs` workers."""
+    if jobs > 1 and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, min(len(args) // (jobs * 4), MAX_CHUNK))
+        pool = None
+        try:
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            results = pool.map(run_case, args, chunksize=chunk)
+        except OSError:  # the pool cannot start: run serially
+            if pool is not None:
+                pool.shutdown()
+        else:
+            try:
+                yield from results
+            finally:  # on an early close too: cancel the chunks not started
+                pool.shutdown(cancel_futures=True)
+            return
+    for a in args:
+        yield run_case(a)
+
+
+def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
+    """Check the arguments; return (head, cases, tail) of the report
+    {**head, "cases": [...], **tail}.  `cases` yields the case dicts in
+    (n, h, w) order for any job count; `tail` holds their summary, and
+    elapsedSeconds once they are exhausted.  `hilbertOk` compares series
+    up to t^trunc, which `check_exact_trunc` requires to be exact."""
+    check_exact_trunc(max_n, opts.trunc)
+    primes = opts.frobenius_primes
+    ceiling = FROBENIUS_CEILING if primes else SWEEP_CEILING
+    if not 1 <= max_n <= ceiling:
+        raise ValueError(
+            f"max_n must be between 1 and {ceiling}"
+            + (" when Frobenius checks are enabled" if primes else "")
+        )
+    for p in primes:  # before any case is written
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    head = {
+        "maxN": max_n,
+        "options": {
+            "frobeniusPrimes": list(primes),
+            "oracleNonfixed": opts.oracle_nonfixed,
+            "trunc": opts.trunc,
+            "budget": opts.budget,
+        },
+    }
+    workers = min(os.cpu_count() or 1, 8) if jobs is None else jobs
+    summary = {"cases": 0, "fixedPointCases": 0, "failedCases": 0, "ok": True}
+    tail = {"summary": summary, "elapsedSeconds": None}
+
+    def cases():
+        # in full before the first case: perfbench's set-up mark is its end
+        args = list(_case_args(max_n, opts))
+        start = time.monotonic()
+        for case in _run_cases(args, workers):
+            summary["cases"] += 1
+            summary["fixedPointCases"] += case["fixedPoint"]
+            summary["failedCases"] += not case["ok"]
+            summary["ok"] = summary["ok"] and case["ok"]
+            yield case
+        tail["elapsedSeconds"] = time.monotonic() - start
+
+    return head, cases(), tail
 
 
 def sweep(
@@ -174,61 +250,9 @@ def sweep(
     budget: int = 100_000,
     jobs: int | None = 1,
 ) -> dict:
-    """Run the full verification sweep and aggregate a report.
-
-    Cases are independent and may run on parallel workers; results are
-    merged in deterministic case order regardless of job count.
-
-    `hilbertOk` compares the two Hilbert series up to t^trunc, which
-    `check_exact_trunc` requires to be high enough for every n <= max_n.
-    """
-    check_exact_trunc(max_n, trunc)
-    primes = tuple(frobenius_primes)
-    ceiling = FROBENIUS_CEILING if primes else SWEEP_CEILING
-    if not 1 <= max_n <= ceiling:
-        raise ValueError(
-            f"max_n must be between 1 and {ceiling}"
-            + (" when Frobenius checks are enabled" if primes else "")
-        )
-    opts = SweepOptions(
-        frobenius_primes=primes,
-        oracle_nonfixed=oracle_nonfixed,
-        trunc=trunc,
-        budget=budget,
-    )
-    args = list(_case_args(max_n, opts))
-    start = time.monotonic()
-    if jobs is None:
-        import os
-
-        jobs = min(os.cpu_count() or 1, 8)
-    if jobs > 1 and len(args) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(args) // (jobs * 4))
-                cases = list(pool.map(run_case, args, chunksize=chunk))
-        except OSError:
-            cases = [run_case(a) for a in args]
-    else:
-        cases = [run_case(a) for a in args]
-    elapsed = time.monotonic() - start
-    summary = {
-        "cases": len(cases),
-        "fixedPointCases": sum(1 for c in cases if c["fixedPoint"]),
-        "failedCases": sum(1 for c in cases if not c["ok"]),
-        "ok": all(c["ok"] for c in cases),
-    }
-    return {
-        "maxN": max_n,
-        "options": {
-            "frobeniusPrimes": list(primes),
-            "oracleNonfixed": oracle_nonfixed,
-            "trunc": trunc,
-            "budget": budget,
-        },
-        "cases": cases,
-        "summary": summary,
-        "elapsedSeconds": elapsed,
-    }
+    """Run the full verification sweep and return its report."""
+    opts = SweepOptions(tuple(frobenius_primes), oracle_nonfixed, trunc, budget)
+    head, cases, tail = iter_sweep(max_n, opts, jobs)
+    report = {**head, "cases": list(cases)}
+    report.update(tail)
+    return report

@@ -168,9 +168,21 @@ class TestExitCodes:
         assert main(["sweep", "--max-n", "3", "--frobenius", "2,6", "--jobs", "1"]) == 2
         assert "6 is not prime" in capsys.readouterr().err
 
+    def test_sweep_usage_error_writes_no_report(self, capsys):
+        argv = ["sweep", "--max-n", "3", "--frobenius", "2,6", "--format", "json"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
     def test_usage_error_on_sweep_ceiling(self, capsys):
-        assert main(["sweep", "--max-n", "7"]) == 2
+        assert main(["sweep", "--max-n", "8"]) == 2
         assert main(["sweep", "--max-n", "5", "--frobenius", "2"]) == 2
+
+    def test_usage_error_above_ceiling_for_permutation_walks(self, capsys):
+        assert main(["fixed-points", "--n", "8", "--h", "8,8,8,8,8,8,8,8"]) == 2
+        assert capsys.readouterr().err == "error: n must be between 1 and 7\n"
+        assert main(["paving", "--n", "8", "--h", "2,3,4,5,6,7,8,8"]) == 2
+        assert capsys.readouterr().err == "error: n must be between 1 and 7\n"
+        assert main(["fixed-points", "--n", "7", "--h", "2,3,4,5,6,7,7"]) == 0
 
     def test_usage_error_on_sweep_trunc_below_n_minus_one(self, capsys):
         assert main(["sweep", "--max-n", "4", "--trunc", "2"]) == 2

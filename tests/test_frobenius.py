@@ -310,6 +310,37 @@ class TestOneSplittingPerCell:
         )
         assert checks == want
 
+    def test_phi_computed_once_per_context_and_generator(self, monkeypatch):
+        # phi(1) and phi(g) do not depend on h: the context keeps them, and
+        # the verdicts equal those of phi computed afresh for each h
+        frobenius = importlib.import_module("hesscells.frobenius")
+        calls = []
+
+        def counting(f, ctx):
+            calls.append(ctx.w.n)
+            return splitting_apply(f, ctx)
+
+        monkeypatch.setattr(frobenius, "splitting_apply", counting)
+        contexts = 0
+        for p in (2, 3):
+            for n in range(1, 6):
+                for w in all_permutations(n):
+                    ctx = make_splitting_context(w, p)
+                    contexts += n == 5
+                    for h in fixing(w):
+                        report = compatibility_check(ctx, h)
+                        gens = [g for k, l, g in ctx.generators if k > h(l)]
+                        fresh = [
+                            groebner.reduce(splitting_apply(g, ctx), gens, ctx.order)[1]
+                            for g in gens
+                        ]
+                        assert report.splits_one
+                        assert [r for _, _, r in report.entries] == fresh
+                        assert report.all_compatible == all(r.is_zero for r in fresh)
+        # the n = 5 cells at p = 2, 3, as the frob5 benchmark meets them
+        assert contexts == 240
+        assert calls.count(5) == 474
+
     def test_rejects_decomposable_h(self):
         ctx = make_splitting_context(Permutation.identity(3), 2)
         with pytest.raises(ValueError):
