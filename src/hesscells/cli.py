@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="oracle_nonfixed",
                    help="run the unit-ideal oracle at every n, not just n <= 4")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: auto)")
+                   help="worker processes, 1 to 64 (default: auto)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -5,8 +5,11 @@ and every permutation w, the sweep classifies w as a fixed point or not.
 Fixed points get the full battery: triangular analysis, the from-scratch
 Buchberger check, the initial-term formula, homogeneity, the Hilbert
 formula against its counting oracle, and optionally Frobenius
-compatibility.  Non-fixed points must exhibit a constant generator, and
-at small n the rational completion oracle must certify the unit ideal.
+compatibility.  All but Frobenius read only the ideal, so they run once
+per distinct cell ideal (per chunk in a pool worker), keyed by w, the
+positions of the nonzero generators and of those passing the index
+filter, and the truncation order.  Non-fixed points must exhibit a constant generator,
+and at small n the rational completion oracle must certify the unit ideal.
 The oracle returns the unit ideal at the first constant generator it
 reads, before any reduction step, so at a non-fixed point
 `emptyCertified` repeats `constantGenerator`; it is not an independent
@@ -56,6 +59,7 @@ FROBENIUS_CEILING = 4
 SWEEP_CEILING = 7
 # Cases per task sent to a pool worker, at most.
 MAX_CHUNK = 4096
+MAX_JOBS = 64
 
 
 @dataclass(frozen=True)
@@ -78,14 +82,77 @@ def _frobenius_verdicts(w: Permutation, p: int) -> dict:
     }
 
 
+# Case keys the battery fills, in report order.
+BATTERY_KEYS = ("Lambda", "dim", "triangularOk", "initialTermsOk", "gbOk",
+                "homogeneousOk", "hilbertOk")
+# `_battery` key -> (values, failures); at most one entry per distinct cell
+# ideal up to SWEEP_CEILING and trunc.  A pool worker empties it per chunk.
+_BATTERIES = {}
+# One object per tuple, so that the per-w lru_caches hit on identity.
+_permutation = lru_cache(maxsize=None)(Permutation)
+_hessenberg = lru_cache(maxsize=None)(HessenbergFunction)
+
+
+def _run_battery(pres, order, trunc: int) -> tuple:
+    """The checks of a fixed point that read only the ideal: the values
+    of BATTERY_KEYS and the failure messages, in report order."""
+    w, n = pres.w, pres.w.n
+    dim = w.length() - pres.height
+    failures = []
+    rep = triangular_analysis(pres, order)
+    if rep.height != pres.height:
+        failures.append("nonzero generator count disagrees with the index filter")
+    if rep.is_triangular and rep.dimension != dim:
+        failures.append("free variable count disagrees with length minus height")
+
+    v = v_of_w(w)
+    vi, v_inv = v.images, v.inverse().images  # vi[k - 1] = v(k)
+    init_ok = all(
+        sign == -1 and var == zvar(n + 1 - vi[k - 1], v_inv[vi[l - 1]])
+        for (k, l, _), (sign, var) in zip(rep.ordered_generators, rep.initial_terms)
+    )
+    gb_ok = buchberger_check(pres.generator_polys(), order)
+    wt = weights_for(w)
+    hom_ok = all(
+        is_homogeneous(g, wt) == vi[k - 1] - vi[l - 1] - 1
+        for k, l, g in pres.nonzero_generators()
+    )
+    hilbert_ok = rep.is_triangular and (
+        hilbert_formula(w, pres.h).expand(trunc) == hilbert_oracle(rep, wt, trunc)
+    )
+    if pres.certifies_empty:
+        failures.append("constant generator at a fixed point")
+    values = (pres.height, dim, rep.is_triangular, init_ok, gb_ok, hom_ok, hilbert_ok)
+    failures += [f"{key} failed" for key, ok in zip(BATTERY_KEYS[2:], values[2:])
+                 if not ok]
+    return values, tuple(failures)
+
+
+def _battery(pres, order, trunc: int) -> tuple:
+    """`_run_battery` once per key, the battery's whole input: w fixes the
+    polynomials, variables, order and weights; the masks set bit k * n + l
+    for each generator (k, l) that is nonzero, and that passes the index
+    filter v(k) > v(l) + 1 behind `pres.height` and the Hilbert numerator."""
+    w = pres.w
+    n, vi = w.n, v_of_w(w).images
+    nonzero = filtered = 0
+    for k, l, g in pres.generators:
+        if not g.is_zero:
+            nonzero |= 1 << (k * n + l)
+        if vi[k - 1] > vi[l - 1] + 1:
+            filtered |= 1 << (k * n + l)
+    key = (w.images, nonzero, filtered, trunc)
+    if key not in _BATTERIES:
+        _BATTERIES[key] = _run_battery(pres, order, trunc)
+    return _BATTERIES[key]
+
+
 def run_case(args):
     """Run all checks for one (h, w) pair; returns a JSON-ready dict."""
     h_values, w_images, opts = args
-    h = HessenbergFunction(h_values)
-    w = Permutation(w_images)
-    n = h.n
-    v = v_of_w(w)
-    case = {"n": n, "h": list(h_values), "w": list(w_images)}
+    h = _hessenberg(h_values)
+    w = _permutation(w_images)
+    case = {"n": h.n, "h": list(h_values), "w": list(w_images)}
     failures = []
 
     fixed = is_fixed_point(w, h)
@@ -96,63 +163,23 @@ def run_case(args):
     order = order_n_w(w)
 
     if fixed:
-        case["Lambda"] = pres.height
-        case["dim"] = w.length() - pres.height
-        rep = triangular_analysis(pres, order)
-        case["triangularOk"] = rep.is_triangular
-        if rep.height != pres.height:
-            failures.append("nonzero generator count disagrees with the index filter")
-        if rep.is_triangular and rep.dimension != case["dim"]:
-            failures.append("free variable count disagrees with length minus height")
-
-        init_ok = True
-        vi, v_inv = v.images, v.inverse().images  # vi[k - 1] = v(k)
-        for (k, l, _), (sign, var) in zip(
-            rep.ordered_generators, rep.initial_terms
-        ):
-            expected = zvar(n + 1 - vi[k - 1], v_inv[vi[l - 1]])
-            if sign != -1 or var != expected:
-                init_ok = False
-        case["initialTermsOk"] = init_ok
-
-        case["gbOk"] = buchberger_check(pres.generator_polys(), order)
-
-        wt = weights_for(w)
-        hom_ok = all(
-            is_homogeneous(g, wt) == vi[k - 1] - vi[l - 1] - 1
-            for k, l, g in pres.nonzero_generators()
-        )
-        case["homogeneousOk"] = hom_ok
-
-        if rep.is_triangular:
-            series = hilbert_formula(w, h)
-            case["hilbertOk"] = (
-                series.expand(opts.trunc) == hilbert_oracle(rep, wt, opts.trunc)
-            )
-        else:
-            case["hilbertOk"] = False
-
+        values, battery_failures = _battery(pres, order, opts.trunc)
+        case.update(zip(BATTERY_KEYS, values))
+        failures += battery_failures
         if opts.frobenius_primes:
             case["frobeniusOk"] = all(
                 _frobenius_verdicts(w, p)[h.values] for p in opts.frobenius_primes
             )
-
-        if pres.certifies_empty:
-            failures.append("constant generator at a fixed point")
-        for key in ("triangularOk", "initialTermsOk", "gbOk",
-                    "homogeneousOk", "hilbertOk", "frobeniusOk"):
-            if not case.get(key, True):
-                failures.append(f"{key} failed")
+            if not case["frobeniusOk"]:
+                failures.append("frobeniusOk failed")
     else:
         constant = pres.certifies_empty
         case["constantGenerator"] = constant
         if not constant:
             failures.append("no constant generator at a non-fixed point")
-        if n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed:
+        if h.n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed:
             try:
-                basis = reduced_gb_oracle(
-                    pres.generator_polys(), order, opts.budget
-                )
+                basis = reduced_gb_oracle(pres.generator_polys(), order, opts.budget)
                 unit = basis == [Polynomial.one()]
                 case["emptyCertified"] = unit
                 if not unit:
@@ -174,6 +201,14 @@ def _case_args(max_n: int, opts: SweepOptions):
                 yield (h.values, w, opts)
 
 
+def _run_chunk(chunk: list) -> list:
+    """run_case over a chunk in a pool worker, from an empty battery memo so
+    that its work (and traced work counts) never depends on earlier chunks.
+    The cases come back last first, for the parent to pop and free."""
+    _BATTERIES.clear()
+    return [run_case(a) for a in chunk][::-1]
+
+
 def _run_cases(args: list, jobs: int):
     """Yield run_case(a) for each a in args, in order, on `jobs` workers."""
     if jobs > 1 and len(args) > 1:
@@ -183,13 +218,16 @@ def _run_cases(args: list, jobs: int):
         pool = None
         try:
             pool = ProcessPoolExecutor(max_workers=jobs)
-            results = pool.map(run_case, args, chunksize=chunk)
+            results = pool.map(_run_chunk, (
+                args[i:i + chunk] for i in range(0, len(args), chunk)))
         except OSError:  # the pool cannot start: run serially
             if pool is not None:
                 pool.shutdown()
         else:
             try:
-                yield from results
+                for cases in results:
+                    while cases:
+                        yield cases.pop()
             finally:  # on an early close too: cancel the chunks not started
                 pool.shutdown(cancel_futures=True)
             return
@@ -211,6 +249,8 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
             f"max_n must be between 1 and {ceiling}"
             + (" when Frobenius checks are enabled" if primes else "")
         )
+    if jobs is not None and not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be between 1 and {MAX_JOBS}")
     for p in primes:  # before any case is written
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")

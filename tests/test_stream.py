@@ -191,3 +191,32 @@ class TestCaseIterator:
         assert shutdowns == [True]
         assert tail["summary"]["cases"] == 1
         assert tail["elapsedSeconds"] is None
+
+
+class TestBadJobsAndInternalErrors:
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no pool may start")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("jobs", [0, -1, 65])
+    def test_jobs_out_of_range(self, jobs, capsys):
+        code = main(["sweep", "--max-n", "3", "--jobs", str(jobs), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: jobs must be between 1 and 64\n"
+        with pytest.raises(ValueError, match="jobs must be between 1 and 64"):
+            sweep(3, jobs=jobs)
+
+    def test_internal_error_exits_1(self, monkeypatch, capsys):
+        def broken(args):
+            raise AssertionError("broken invariant")
+
+        monkeypatch.setattr(sweep_mod, "run_case", broken)
+        code = main(["sweep", "--max-n", "3", "--jobs", "1", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: internal error")
+        assert out.startswith("{") and not out.rstrip().endswith("}")
