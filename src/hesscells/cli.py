@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .cells import (
@@ -334,10 +335,18 @@ def _json_value(value, pad: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
+_FLAT = (set(), {int}, {str})  # element types of the lists h, w and failures
+_flat_json = lru_cache(maxsize=None)(lambda items: _json_value(list(items), "      "))
+
+
 def _case_json(case: dict) -> str:
-    """One case as the report's indented case list holds it."""
+    """One case as the report's indented case list holds it; a list of
+    ints or of strs is encoded once per distinct tuple."""
     return "    {\n      " + ",\n      ".join(
-        f"{_encode_str(key)}: {_json_value(value, '      ')}"
+        f"{_encode_str(key)}: " + (
+            _flat_json(tuple(value))
+            if type(value) is list and set(map(type, value)) in _FLAT
+            else _json_value(value, "      "))
         for key, value in case.items()
     ) + "\n    }"
 

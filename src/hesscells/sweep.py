@@ -5,15 +5,18 @@ and every permutation w, the sweep classifies w as a fixed point or not.
 Fixed points get the full battery: triangular analysis, the from-scratch
 Buchberger check, the initial-term formula, homogeneity, the Hilbert
 formula against its counting oracle, and optionally Frobenius
-compatibility.  All but Frobenius read only the ideal, so they run once
-per distinct cell ideal (per chunk in a pool worker), keyed by w, the
-positions of the nonzero generators and of those passing the index
-filter, and the truncation order.  Non-fixed points must exhibit a constant generator,
-and at small n the rational completion oracle must certify the unit ideal.
+compatibility.  Non-fixed points must exhibit a constant generator, and
+at small n the rational completion oracle must certify the unit ideal.
 The oracle returns the unit ideal at the first constant generator it
 reads, before any reduction step, so at a non-fixed point
 `emptyCertified` repeats `constantGenerator`; it is not an independent
 check there.
+
+Each I_{w,h} selects the entries (k, l) with k > h(l) of one matrix, so
+the sweep runs in two phases.  Phase A (`_w_table`, once per w) reads masks
+off that matrix and runs the checks that read only the ideal once per
+distinct I_{w,h}; phase B (`run_case`) builds each case from h's positions
+and w's table.  A pool runs phase A only, so each ideal is checked once.
 
 `iter_sweep` is the one sweep path: it yields the cases in (n, h, w)
 order and tallies the summary.  `sweep()` collects them into one report;
@@ -25,9 +28,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
-from .cells import build_ideal
+from .cells import build_ideal, cell_generators
 from .combinat import (
     HessenbergFunction,
     Permutation,
@@ -57,8 +61,6 @@ from .polyring import Polynomial, zvar
 ORACLE_NONFIXED_CEILING = 4
 FROBENIUS_CEILING = 4
 SWEEP_CEILING = 7
-# Cases per task sent to a pool worker, at most.
-MAX_CHUNK = 4096
 MAX_JOBS = 64
 
 
@@ -70,32 +72,45 @@ class SweepOptions:
     budget: int = 100_000
 
 
-@lru_cache(maxsize=None)
-def _frobenius_verdicts(w: Permutation, p: int) -> dict:
-    """h.values -> whether the one splitting of the cell of w mod p is
-    compatible with I_{w,h}, for every indecomposable h fixing w."""
-    ctx = make_splitting_context(w, p)
-    return {
-        h.values: compatibility_check(ctx, h).all_compatible
-        for h in enumerate_hessenberg(w.n, indecomposable_only=True)
-        if is_fixed_point(w, h)
-    }
-
-
-# Case keys the battery fills, in report order.
-BATTERY_KEYS = ("Lambda", "dim", "triangularOk", "initialTermsOk", "gbOk",
-                "homogeneousOk", "hilbertOk")
-# `_battery` key -> (values, failures); at most one entry per distinct cell
-# ideal up to SWEEP_CEILING and trunc.  A pool worker empties it per chunk.
-_BATTERIES = {}
+# Case keys a fixed point's verdict fills, in report order.
+VERDICT_KEYS = ("Lambda", "dim", "triangularOk", "initialTermsOk", "gbOk",
+                "homogeneousOk", "hilbertOk", "frobeniusOk")
+# (w.images, opts) -> `_w_table(w.images, opts)`, filled by `run_case` on a
+# miss or from the pool; `_run_cases` empties it after each n's cases.
+_TABLES = {}
 # One object per tuple, so that the per-w lru_caches hit on identity.
 _permutation = lru_cache(maxsize=None)(Permutation)
 _hessenberg = lru_cache(maxsize=None)(HessenbergFunction)
+_indecomposable = lru_cache(maxsize=None)(partial(enumerate_hessenberg,
+                                                  indecomposable_only=True))
+
+
+@lru_cache(maxsize=None)
+def _positions(h: HessenbergFunction) -> int:
+    """Bit k * n + l set for each position (k, l) of I_{w,h}: k > h(l)."""
+    return sum(1 << (k * h.n + l)
+               for l, hl in enumerate(h.values, 1) for k in range(hl + 1, h.n + 1))
+
+
+class _Table(NamedTuple):
+    """Phase A's result for one w."""
+    w: tuple
+    nonzero: int  # the positions of nonzero entries of cell_generators(w),
+    constant: int  # of nonzero constant ones,
+    filtered: int  # and of (k, l) with v(k) > v(l) + 1, the index filter
+    verdicts: dict  # `_battery_key` -> (values of VERDICT_KEYS, failures)
+    empty: dict  # nonzero & positions -> emptyCertified, at a non-fixed h
+
+
+def _battery_key(table: _Table, positions: int, trunc: int) -> tuple:
+    """The battery's whole input: w fixes the polynomials, variables, order
+    and weights, the masks which generators I_{w,h} holds."""
+    return table.w, table.nonzero & positions, table.filtered & positions, trunc
 
 
 def _run_battery(pres, order, trunc: int) -> tuple:
     """The checks of a fixed point that read only the ideal: the values
-    of BATTERY_KEYS and the failure messages, in report order."""
+    of VERDICT_KEYS[:7] and the failure messages, in report order."""
     w, n = pres.w, pres.w.n
     dim = w.length() - pres.height
     failures = []
@@ -123,70 +138,79 @@ def _run_battery(pres, order, trunc: int) -> tuple:
     if pres.certifies_empty:
         failures.append("constant generator at a fixed point")
     values = (pres.height, dim, rep.is_triangular, init_ok, gb_ok, hom_ok, hilbert_ok)
-    failures += [f"{key} failed" for key, ok in zip(BATTERY_KEYS[2:], values[2:])
+    failures += [f"{key} failed" for key, ok in zip(VERDICT_KEYS[2:], values[2:])
                  if not ok]
     return values, tuple(failures)
 
 
-def _battery(pres, order, trunc: int) -> tuple:
-    """`_run_battery` once per key, the battery's whole input: w fixes the
-    polynomials, variables, order and weights; the masks set bit k * n + l
-    for each generator (k, l) that is nonzero, and that passes the index
-    filter v(k) > v(l) + 1 behind `pres.height` and the Hilbert numerator."""
-    w = pres.w
-    n, vi = w.n, v_of_w(w).images
-    nonzero = filtered = 0
-    for k, l, g in pres.generators:
-        if not g.is_zero:
-            nonzero |= 1 << (k * n + l)
-        if vi[k - 1] > vi[l - 1] + 1:
-            filtered |= 1 << (k * n + l)
-    key = (w.images, nonzero, filtered, trunc)
-    if key not in _BATTERIES:
-        _BATTERIES[key] = _run_battery(pres, order, trunc)
-    return _BATTERIES[key]
+def _w_table(w_images: tuple, opts: SweepOptions) -> _Table:
+    """Phase A: w's masks, and each check that reads only the ideal once
+    per distinct I_{w,h}: the battery and the Frobenius check (it reads
+    only the generators) for the h fixing w, the oracle for the others."""
+    w = _permutation(w_images)
+    n, vi, rows = w.n, v_of_w(w).images, cell_generators(w).rows
+    below = [(1 << (k * n + l), rows[k - 1][l - 1], vi[k - 1] > vi[l - 1] + 1)
+             for k in range(2, n + 1) for l in range(1, k)]
+    table = _Table(w_images, sum(b for b, g, _ in below if not g.is_zero),
+                   sum(b for b, g, _ in below if not g.is_zero and g.is_constant),
+                   sum(b for b, _, f in below if f), {}, {})
+    order = order_n_w(w)
+    contexts = [make_splitting_context(w, p) for p in opts.frobenius_primes]
+    oracle = n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed
+    for h in _indecomposable(n):
+        positions = _positions(h)
+        if is_fixed_point(w, h):
+            key = _battery_key(table, positions, opts.trunc)
+            if key in table.verdicts:
+                continue
+            values, failures = _run_battery(build_ideal(w, h), order, opts.trunc)
+            if contexts:
+                ok = all(compatibility_check(c, h).all_compatible for c in contexts)
+                values += (ok,)
+                failures += () if ok else ("frobeniusOk failed",)
+            table.verdicts[key] = values, failures
+        elif oracle and (table.nonzero & positions) not in table.empty:
+            polys = build_ideal(w, h).generator_polys()
+            try:  # None: the oracle ran out of budget
+                unit = reduced_gb_oracle(polys, order, opts.budget) == [Polynomial.one()]
+            except BudgetExceededError:
+                unit = None
+            table.empty[table.nonzero & positions] = unit
+    return table
 
 
 def run_case(args):
-    """Run all checks for one (h, w) pair; returns a JSON-ready dict."""
+    """Phase B: run all checks for one (h, w) pair from h's positions and
+    w's table, built here on a miss; returns a JSON-ready dict."""
     h_values, w_images, opts = args
+    table = _TABLES.get((w_images, opts)) or _TABLES.setdefault(
+        (w_images, opts), _w_table(w_images, opts))
     h = _hessenberg(h_values)
-    w = _permutation(w_images)
+    positions = _positions(h)
     case = {"n": h.n, "h": list(h_values), "w": list(w_images)}
     failures = []
 
-    fixed = is_fixed_point(w, h)
+    fixed = is_fixed_point(_permutation(w_images), h)
     case["fixedPoint"] = fixed
-    pres = build_ideal(w, h, "cell")
-    if pres.lambda_size != h.lambda_size():
+    if positions.bit_count() != h.lambda_size():
         failures.append("generator count differs from the partition size")
-    order = order_n_w(w)
 
     if fixed:
-        values, battery_failures = _battery(pres, order, opts.trunc)
-        case.update(zip(BATTERY_KEYS, values))
-        failures += battery_failures
-        if opts.frobenius_primes:
-            case["frobeniusOk"] = all(
-                _frobenius_verdicts(w, p)[h.values] for p in opts.frobenius_primes
-            )
-            if not case["frobeniusOk"]:
-                failures.append("frobeniusOk failed")
+        key = _battery_key(table, positions, opts.trunc)
+        values, verdict_failures = table.verdicts[key]
+        case.update(zip(VERDICT_KEYS, values))
+        failures += verdict_failures
     else:
-        constant = pres.certifies_empty
+        constant = (table.constant & positions) != 0
         case["constantGenerator"] = constant
         if not constant:
             failures.append("no constant generator at a non-fixed point")
         if h.n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed:
-            try:
-                basis = reduced_gb_oracle(pres.generator_polys(), order, opts.budget)
-                unit = basis == [Polynomial.one()]
-                case["emptyCertified"] = unit
-                if not unit:
-                    failures.append("oracle did not certify the unit ideal")
-            except BudgetExceededError:
-                case["emptyCertified"] = None
+            unit = case["emptyCertified"] = table.empty[table.nonzero & positions]
+            if unit is None:
                 failures.append("budget exhausted in the completion oracle")
+            elif not unit:
+                failures.append("oracle did not certify the unit ideal")
 
     case["failures"] = failures
     case["ok"] = not failures
@@ -201,38 +225,40 @@ def _case_args(max_n: int, opts: SweepOptions):
                 yield (h.values, w, opts)
 
 
-def _run_chunk(chunk: list) -> list:
-    """run_case over a chunk in a pool worker, from an empty battery memo so
-    that its work (and traced work counts) never depends on earlier chunks.
-    The cases come back last first, for the parent to pop and free."""
-    _BATTERIES.clear()
-    return [run_case(a) for a in chunk][::-1]
-
-
 def _run_cases(args: list, jobs: int):
-    """Yield run_case(a) for each a in args, in order, on `jobs` workers."""
-    if jobs > 1 and len(args) > 1:
+    """Yield run_case(a) for each a in args, in order.  With jobs > 1 a
+    pool of `jobs` workers builds the tables of the distinct (w, opts) in
+    (n, w) order, and phase B runs here as they arrive."""
+    keys = list(dict.fromkeys((w, opts) for _, w, opts in args))
+    tables, pool = iter(()), None
+    if jobs > 1 and len(keys) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, min(len(args) // (jobs * 4), MAX_CHUNK))
-        pool = None
         try:
             pool = ProcessPoolExecutor(max_workers=jobs)
-            results = pool.map(_run_chunk, (
-                args[i:i + chunk] for i in range(0, len(args), chunk)))
-        except OSError:  # the pool cannot start: run serially
+            tables = zip(keys, pool.map(_w_table, *zip(*keys),
+                                        chunksize=max(1, len(keys) // (jobs * 16))))
+        except OSError:  # the pool cannot start: build the tables here
             if pool is not None:
                 pool.shutdown()
-        else:
-            try:
-                for cases in results:
-                    while cases:
-                        yield cases.pop()
-            finally:  # on an early close too: cancel the chunks not started
-                pool.shutdown(cancel_futures=True)
-            return
-    for a in args:
-        yield run_case(a)
+            pool = None
+    n = 0
+    try:
+        for a in args:
+            if len(a[1]) != n:  # the cases of the last n are out
+                _TABLES.clear()
+                n = len(a[1])
+            key = a[1], a[2]
+            if key not in _TABLES:
+                for done, table in tables:
+                    _TABLES[done] = table
+                    if done == key:
+                        break
+            yield run_case(a)
+    finally:  # on an early close too: cancel the tables not started
+        _TABLES.clear()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:

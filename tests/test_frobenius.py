@@ -355,11 +355,8 @@ class TestOneSplittingPerCell:
             return make_splitting_context(w, p)
 
         monkeypatch.setattr(sweep_mod, "make_splitting_context", counting)
-        sweep_mod._frobenius_verdicts.cache_clear()
-        try:
-            report = sweep_mod.sweep(4, frobenius_primes=(2, 3), jobs=1)
-        finally:
-            sweep_mod._frobenius_verdicts.cache_clear()
+        sweep_mod._TABLES.clear()
+        report = sweep_mod.sweep(4, frobenius_primes=(2, 3), jobs=1)
         assert report["summary"]["ok"]
         assert len(calls) == len(set(calls)) == 2 * (1 + 2 + 6 + 24)
 

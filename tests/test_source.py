@@ -1,5 +1,6 @@
 import ast
 import doctest
+import importlib
 from pathlib import Path
 
 import hesscells
@@ -9,7 +10,8 @@ import hesscells.frobenius
 import hesscells.groebner
 import hesscells.polyring
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hesscells"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hesscells"
 
 
 def test_no_assert_statements_in_package():
@@ -37,3 +39,31 @@ def test_doctests_pass():
         result = doctest.testmod(module)
         assert result.attempted > 0, module.__name__
         assert result.failed == 0, module.__name__
+
+
+def _perfbench_literal(name):
+    """The literal a top-level assignment in perfbench/spans.py binds to
+    `name`, read without importing (or byte-compiling) the file."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and node.targets[0].id == name)
+
+
+def test_perfbench_bindings_resolve():
+    # a traced perfbench run fails on a span whose binding is gone, and its
+    # set-up mark wraps sweep._case_args
+    missing = [
+        f"hesscells.{module}.{metric.rsplit('.', 1)[1]}"
+        for metric, modules in _perfbench_literal("SPANS")
+        for module in modules
+        if not callable(getattr(importlib.import_module(f"hesscells.{module}"),
+                                metric.rsplit(".", 1)[1], None))
+    ]
+    missing += [
+        f"hesscells.polyring.Polynomial.{method}"
+        for _, methods in _perfbench_literal("POLY_SPANS")
+        for method in methods
+        if method not in hesscells.polyring.Polynomial.__dict__
+    ]
+    assert missing == []
+    assert callable(importlib.import_module("hesscells.sweep")._case_args)
