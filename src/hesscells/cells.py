@@ -97,13 +97,13 @@ def _conjugate_shift(w: Permutation, m: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(x, m.char)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def patch_generators(w: Permutation) -> PolyMatrix:
     """Matrix of patch generators: the conjugate (wM)^{-1} N (wM)."""
     return _conjugate_shift(w, build_wM(w))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def cell_generators(w: Permutation) -> PolyMatrix:
     """Matrix of cell generators: the conjugate Omega^{-1} N Omega."""
     return _conjugate_shift(w, build_Omega(w))

@@ -17,10 +17,11 @@ from .groebner import TriangularReport
 from .polyring import Polynomial, z_universe
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def weights_for(w: Permutation) -> dict:
     """Weights of the cell coordinates of w, keyed by variable.  The dict
-    is cached per w and shared by every caller, so it must not be mutated.
+    is cached for the last w and shared by its callers, so it must not be
+    mutated.
 
     Both defining formulas, w(j) - i from the torus action and
     (n + 1 - v(j)) - i from pulling back along the specialization map,

@@ -178,7 +178,7 @@ def order_n(n: int) -> MonomialOrder:
     return MonomialOrder(x_universe(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def order_n_w(w: Permutation) -> MonomialOrder:
     """Lex order on the cell coordinates of w: z_{i,j} beats z_{i',j'}
     when i < i', or i = i' and v(j) < v(j') for v = w_0 w."""

@@ -72,7 +72,7 @@ def x_universe(n: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def z_universe(w: Permutation) -> tuple:
     """Cell coordinates z_{i,j} with i < w(j) and j < w^{-1}(i), row-major.
 

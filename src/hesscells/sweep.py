@@ -13,10 +13,12 @@ reads, before any reduction step, so at a non-fixed point
 check there.
 
 Each I_{w,h} selects the entries (k, l) with k > h(l) of one matrix, so
-the sweep runs in two phases.  Phase A (`_w_table`, once per w) reads masks
-off that matrix and runs the checks that read only the ideal once per
-distinct I_{w,h}; phase B (`run_case`) builds each case from h's positions
-and w's table.  A pool runs phase A only, so each ideal is checked once.
+the sweep runs in two phases.  Phase A (`_w_table`, once per w) decides
+every case of w: it reads masks off that matrix, runs each check that
+reads only the ideal once per distinct I_{w,h}, and returns one entry per
+h.  Phase B (`run_case`) looks the case up.  A pool runs phase A only, so
+each ideal is checked once.  Phase A runs w-major, so the per-w caches
+under it (`cell_generators`, `order_n_w`, ...) hold only the w it checks.
 
 `iter_sweep` is the one sweep path: it yields the cases in (n, h, w)
 order and tallies the summary.  `sweep()` collects them into one report;
@@ -29,7 +31,6 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 from .cells import build_ideal, cell_generators
 from .combinat import (
@@ -72,17 +73,26 @@ class SweepOptions:
     budget: int = 100_000
 
 
-# Case keys a fixed point's verdict fills, in report order.
-VERDICT_KEYS = ("Lambda", "dim", "triangularOk", "initialTermsOk", "gbOk",
-                "homogeneousOk", "hilbertOk", "frobeniusOk")
-# (w.images, opts) -> `_w_table(w.images, opts)`, filled by `run_case` on a
-# miss or from the pool; `_run_cases` empties it after each n's cases.
+# Case keys from fixedPoint on, in report order, by fixedPoint.  An entry
+# stops short of the keys it did not check: frobeniusOk without primes,
+# emptyCertified without the oracle.
+_KEYS = {
+    True: ("fixedPoint", "Lambda", "dim", "triangularOk", "initialTermsOk", "gbOk",
+           "homogeneousOk", "hilbertOk", "frobeniusOk"),
+    False: ("fixedPoint", "constantGenerator", "emptyCertified"),
+}
+# (w.images, opts) -> `_w_table(w.images, opts)`, all that phase B reads;
+# filled by `run_case` on a miss or from the pool.  `_run_cases` empties it
+# after each n's cases, so a sweep holds one n's tables at a time.
 _TABLES = {}
-# One object per tuple, so that the per-w lru_caches hit on identity.
-_permutation = lru_cache(maxsize=None)(Permutation)
-_hessenberg = lru_cache(maxsize=None)(HessenbergFunction)
 _indecomposable = lru_cache(maxsize=None)(partial(enumerate_hessenberg,
                                                   indecomposable_only=True))
+
+
+@lru_cache(maxsize=None)
+def _h_index(n: int) -> dict:
+    """h.values -> the place of h in `_indecomposable(n)`, and in w's table."""
+    return {h.values: i for i, h in enumerate(_indecomposable(n))}
 
 
 @lru_cache(maxsize=None)
@@ -92,25 +102,9 @@ def _positions(h: HessenbergFunction) -> int:
                for l, hl in enumerate(h.values, 1) for k in range(hl + 1, h.n + 1))
 
 
-class _Table(NamedTuple):
-    """Phase A's result for one w."""
-    w: tuple
-    nonzero: int  # the positions of nonzero entries of cell_generators(w),
-    constant: int  # of nonzero constant ones,
-    filtered: int  # and of (k, l) with v(k) > v(l) + 1, the index filter
-    verdicts: dict  # `_battery_key` -> (values of VERDICT_KEYS, failures)
-    empty: dict  # nonzero & positions -> emptyCertified, at a non-fixed h
-
-
-def _battery_key(table: _Table, positions: int, trunc: int) -> tuple:
-    """The battery's whole input: w fixes the polynomials, variables, order
-    and weights, the masks which generators I_{w,h} holds."""
-    return table.w, table.nonzero & positions, table.filtered & positions, trunc
-
-
 def _run_battery(pres, order, trunc: int) -> tuple:
     """The checks of a fixed point that read only the ideal: the values
-    of VERDICT_KEYS[:7] and the failure messages, in report order."""
+    of Lambda through hilbertOk and the failure messages, in report order."""
     w, n = pres.w, pres.w.n
     dim = w.length() - pres.height
     failures = []
@@ -138,81 +132,82 @@ def _run_battery(pres, order, trunc: int) -> tuple:
     if pres.certifies_empty:
         failures.append("constant generator at a fixed point")
     values = (pres.height, dim, rep.is_triangular, init_ok, gb_ok, hom_ok, hilbert_ok)
-    failures += [f"{key} failed" for key, ok in zip(VERDICT_KEYS[2:], values[2:])
+    failures += [f"{key} failed" for key, ok in zip(_KEYS[True][3:], values[2:])
                  if not ok]
     return values, tuple(failures)
 
 
-def _w_table(w_images: tuple, opts: SweepOptions) -> _Table:
-    """Phase A: w's masks, and each check that reads only the ideal once
-    per distinct I_{w,h}: the battery and the Frobenius check (it reads
+def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
+    """Phase A: the entry (values from fixedPoint on, failures) of each case
+    of w, one per h of `_indecomposable(n)` in that order.  The h with an
+    equal key share one entry, so each check that reads only the ideal runs
+    once per distinct I_{w,h}: the battery and the Frobenius check (it reads
     only the generators) for the h fixing w, the oracle for the others."""
-    w = _permutation(w_images)
+    w = Permutation(w_images)
     n, vi, rows = w.n, v_of_w(w).images, cell_generators(w).rows
     below = [(1 << (k * n + l), rows[k - 1][l - 1], vi[k - 1] > vi[l - 1] + 1)
              for k in range(2, n + 1) for l in range(1, k)]
-    table = _Table(w_images, sum(b for b, g, _ in below if not g.is_zero),
-                   sum(b for b, g, _ in below if not g.is_zero and g.is_constant),
-                   sum(b for b, _, f in below if f), {}, {})
+    # the entries below the diagonal that are nonzero, nonzero constants, and
+    # in the index filter v(k) > v(l) + 1
+    nonzero = sum(b for b, g, _ in below if not g.is_zero)
+    constant = sum(b for b, g, _ in below if not g.is_zero and g.is_constant)
+    filtered = sum(b for b, _, f in below if f)
     order = order_n_w(w)
     contexts = [make_splitting_context(w, p) for p in opts.frobenius_primes]
     oracle = n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed
+    entries, table = {}, []
     for h in _indecomposable(n):
         positions = _positions(h)
-        if is_fixed_point(w, h):
-            key = _battery_key(table, positions, opts.trunc)
-            if key in table.verdicts:
-                continue
-            values, failures = _run_battery(build_ideal(w, h), order, opts.trunc)
-            if contexts:
-                ok = all(compatibility_check(c, h).all_compatible for c in contexts)
-                values += (ok,)
-                failures += () if ok else ("frobeniusOk failed",)
-            table.verdicts[key] = values, failures
-        elif oracle and (table.nonzero & positions) not in table.empty:
-            polys = build_ideal(w, h).generator_polys()
-            try:  # None: the oracle ran out of budget
-                unit = reduced_gb_oracle(polys, order, opts.budget) == [Polynomial.one()]
-            except BudgetExceededError:
-                unit = None
-            table.empty[table.nonzero & positions] = unit
-    return table
+        miscount = () if positions.bit_count() == h.lambda_size() else (
+            "generator count differs from the partition size",)
+        fixed = is_fixed_point(w, h)
+        if fixed:
+            key = fixed, miscount, nonzero & positions, filtered & positions
+        else:
+            has_constant = (constant & positions) != 0
+            key = fixed, miscount, has_constant, nonzero & positions if oracle else None
+        if key not in entries:
+            if fixed:
+                values, failures = _run_battery(build_ideal(w, h), order, opts.trunc)
+                if contexts:
+                    ok = all(compatibility_check(c, h).all_compatible for c in contexts)
+                    values += (ok,)
+                    failures += () if ok else ("frobeniusOk failed",)
+            else:
+                values = (has_constant,)
+                failures = () if has_constant else (
+                    "no constant generator at a non-fixed point",)
+                if oracle:
+                    polys = build_ideal(w, h).generator_polys()
+                    try:  # None: the oracle ran out of budget
+                        unit = reduced_gb_oracle(polys, order, opts.budget) == [Polynomial.one()]
+                    except BudgetExceededError:
+                        unit = None
+                    values += (unit,)
+                    if unit is None:
+                        failures += ("budget exhausted in the completion oracle",)
+                    elif not unit:
+                        failures += ("oracle did not certify the unit ideal",)
+            entries[key] = (fixed, *values), miscount + failures
+        table.append(entries[key])
+    return tuple(table)
 
 
 def run_case(args):
-    """Phase B: run all checks for one (h, w) pair from h's positions and
-    w's table, built here on a miss; returns a JSON-ready dict."""
+    """Phase B: look one (h, w) pair up in w's table, built here on a miss;
+    returns a JSON-ready dict.  Raises ValueError unless h is an
+    indecomposable Hessenberg function of w's size."""
     h_values, w_images, opts = args
+    i = _h_index(len(w_images)).get(h_values)
+    if i is None:
+        raise ValueError(f"h = {h_values!r} is not an indecomposable Hessenberg "
+                         f"function of size {len(w_images)}")
     table = _TABLES.get((w_images, opts)) or _TABLES.setdefault(
         (w_images, opts), _w_table(w_images, opts))
-    h = _hessenberg(h_values)
-    positions = _positions(h)
-    case = {"n": h.n, "h": list(h_values), "w": list(w_images)}
-    failures = []
-
-    fixed = is_fixed_point(_permutation(w_images), h)
-    case["fixedPoint"] = fixed
-    if positions.bit_count() != h.lambda_size():
-        failures.append("generator count differs from the partition size")
-
-    if fixed:
-        key = _battery_key(table, positions, opts.trunc)
-        values, verdict_failures = table.verdicts[key]
-        case.update(zip(VERDICT_KEYS, values))
-        failures += verdict_failures
-    else:
-        constant = (table.constant & positions) != 0
-        case["constantGenerator"] = constant
-        if not constant:
-            failures.append("no constant generator at a non-fixed point")
-        if h.n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed:
-            unit = case["emptyCertified"] = table.empty[table.nonzero & positions]
-            if unit is None:
-                failures.append("budget exhausted in the completion oracle")
-            elif not unit:
-                failures.append("oracle did not certify the unit ideal")
-
-    case["failures"] = failures
+    values, failures = table[i]
+    case = {"n": len(w_images), "h": list(h_values), "w": list(w_images)}
+    case.update(zip(_KEYS[values[0]], values))
+    case["failures"] = list(failures)
     case["ok"] = not failures
     return case
 
@@ -229,9 +224,9 @@ def _run_cases(args: list, jobs: int):
     """Yield run_case(a) for each a in args, in order.  With jobs > 1 a
     pool of `jobs` workers builds the tables of the distinct (w, opts) in
     (n, w) order, and phase B runs here as they arrive."""
-    keys = list(dict.fromkeys((w, opts) for _, w, opts in args))
     tables, pool = iter(()), None
-    if jobs > 1 and len(keys) > 1:
+    keys = list(dict.fromkeys((w, opts) for _, w, opts in args)) if jobs > 1 else ()
+    if len(keys) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         try:

@@ -1,8 +1,9 @@
-"""The sweep's two phases: phase A (`_w_table`) checks each distinct cell
-ideal once, in any order of w and on any number of pool workers; phase B
-(`run_case`) reads the table and gives the results a fresh table gives,
-in any case order and for two truncation orders in one process, and every
-case still reports the verdict of its own ideal."""
+"""The sweep's two phases: phase A (`_w_table`) decides every case of w and
+checks each distinct cell ideal once, in any order of w and on any number
+of pool workers; phase B (`run_case`) only looks the case up and gives the
+results a fresh table gives, in any case order and for two truncation
+orders in one process, and every case still reports the verdict of its own
+ideal."""
 
 import importlib
 import random
@@ -10,11 +11,18 @@ import random
 import pytest
 
 from hesscells import (
+    HessenbergFunction,
+    Permutation,
     Polynomial,
     PolyMatrix,
     all_permutations,
     build_ideal,
+    cell_generators,
     enumerate_hessenberg,
+    order_n_w,
+    patch_generators,
+    weights_for,
+    z_universe,
 )
 from hesscells.combinat import is_fixed_point, v_of_w
 from hesscells.sweep import SweepOptions, iter_sweep, run_case, sweep
@@ -37,6 +45,12 @@ def cases_up_to(max_n):
         for h in enumerate_hessenberg(n, indecomposable_only=True)
         for w in all_permutations(n)
     ]
+
+
+def fixed_entries(table):
+    """The distinct entries of a table's fixed points, by identity: the h
+    with an equal key share one."""
+    return {id(entry): entry for entry in table if entry[0][0]}
 
 
 def key_of(pres, trunc=30):
@@ -69,7 +83,7 @@ def test_memo_hits_equal_fresh_runs_in_shuffled_order():
     random.Random(7).shuffle(args)
     memoized = [run_case(a) for a in args]
     fixed = sum(case["fixedPoint"] for case in memoized)
-    verdicts = sum(len(t.verdicts) for t in sweep_mod._TABLES.values())
+    verdicts = sum(len(fixed_entries(t)) for t in sweep_mod._TABLES.values())
     assert 0 < verdicts < fixed  # hits happened
     fresh = []
     for a in args:
@@ -79,22 +93,27 @@ def test_memo_hits_equal_fresh_runs_in_shuffled_order():
 
 
 def test_phase_b_matches_the_per_case_build(monkeypatch):
-    # phase A with a stub battery: w's masks and one key per distinct ideal
+    # phase A with a stub battery: one entry per h, shared by the h of one ideal
     monkeypatch.setattr(sweep_mod, "_run_battery", lambda pres, order, trunc: ((), ()))
     for n in range(1, 7):
-        hs = [(h, sweep_mod._positions(h))
-              for h in enumerate_hessenberg(n, indecomposable_only=True)]
+        hs = list(enumerate_hessenberg(n, indecomposable_only=True))
         for w in all_permutations(n):
             table = sweep_mod._w_table(w.images, SweepOptions())
-            keys = set()
-            for h, positions in hs:
+            assert len(table) == len(hs)
+            pairs = set()
+            for h, entry in zip(hs, table):
+                values, failures = entry
                 pres = build_ideal(w, h)
-                assert ((table.constant & positions) != 0) is pres.certifies_empty
-                assert positions.bit_count() == pres.lambda_size == h.lambda_size()
-                if is_fixed_point(w, h):
-                    keys.add(key_of(pres))
-                    assert sweep_mod._battery_key(table, positions, 30) == key_of(pres)
-            assert set(table.verdicts) == keys
+                assert values[0] is is_fixed_point(w, h)
+                assert sweep_mod._positions(h).bit_count() == pres.lambda_size \
+                    == h.lambda_size()
+                assert "generator count differs from the partition size" not in failures
+                if values[0]:
+                    pairs.add((id(entry), key_of(pres)))
+                else:
+                    assert values[1] is pres.certifies_empty
+            ids, keys = zip(*pairs) if pairs else ((), ())
+            assert len(pairs) == len(fixed_entries(table)) == len(set(ids)) == len(set(keys))
 
 
 def test_one_buchberger_check_per_distinct_ideal(monkeypatch):
@@ -169,6 +188,21 @@ def test_truncation_order_is_part_of_the_key(monkeypatch):
                 assert case["hilbertOk"] is (trunc == 30)
 
 
+def test_each_non_fixed_case_gets_the_oracle_verdict_of_its_own_ideal(monkeypatch):
+    # a stub oracle whose verdict depends on the ideal: the unit ideal
+    # exactly when the ideal has an odd number of nonzero generators
+    monkeypatch.setattr(sweep_mod, "reduced_gb_oracle", lambda polys, order, budget:
+                        [Polynomial.one()] if len(polys) % 2 else [])
+    verdicts = set()
+    for h, w in cases_up_to(4):
+        case = run_case((h.values, w.images, SweepOptions()))
+        if not case["fixedPoint"]:
+            odd = len(build_ideal(w, h).generator_polys()) % 2 == 1
+            assert case["emptyCertified"] is odd
+            verdicts.add(odd)
+    assert verdicts == {False, True}
+
+
 def drop_first_generator(monkeypatch, h, w):
     """Zero the first nonzero generator of I_{w,h} in w's cell matrix, which
     both the masks and build_ideal read."""
@@ -213,12 +247,57 @@ def test_a_changed_mask_gets_its_own_verdict(h, w, tamper, monkeypatch):
     args = (h, w, SweepOptions())
     assert run_case(args)["ok"]
     clean = sweep_mod._TABLES.pop((w, args[2]))
-    hf, wp = sweep_mod._hessenberg(h), sweep_mod._permutation(w)
+    hf, wp = HessenbergFunction(h), Permutation(w)
 
     tamper(monkeypatch, hf, wp)
     assert "nonzero generator count disagrees with the index filter" in (
         run_case(args)["failures"]
     )
     tampered = sweep_mod._TABLES[w, args[2]]
-    key = sweep_mod._battery_key(tampered, sweep_mod._positions(hf), 30)
-    assert key not in clean.verdicts
+    assert tampered[sweep_mod._h_index(len(w))[h]] not in clean
+
+
+def test_a_zeroed_generator_fails_exactly_the_ideals_that_hold_it(monkeypatch):
+    # Zeroing g_{4,1} of w = 3421 changes the nonzero mask but not the index
+    # filter, so h = 3444 (which holds (4, 1)) and h = 4444 (which does not)
+    # then have equal nonzero positions: only the filter mask tells them apart.
+    h, w = HessenbergFunction((3, 3, 4, 4)), Permutation((3, 4, 2, 1))
+    k, l, _ = build_ideal(w, h).nonzero_generators()[0]
+    assert (k, l) == (4, 1)
+    drop_first_generator(monkeypatch, h, w)
+    fixing = [g for g in enumerate_hessenberg(4, indecomposable_only=True)
+              if is_fixed_point(w, g)]
+    assert {(3, 4, 4, 4), (4, 4, 4, 4)} <= {g.values for g in fixing}
+    for g in fixing:
+        case = run_case((g.values, w.images, SweepOptions()))
+        assert ("nonzero generator count disagrees with the index filter"
+                in case["failures"]) is (k > g(l)), g
+
+
+@pytest.mark.parametrize("h, w", [
+    ((1, 2, 3), (1, 2, 3)),  # decomposable
+    ((5, 5, 5, 5, 5), (3, 2, 1)),  # of another size than w
+    ((2, 3, 3), (5, 4, 3, 2, 1)),
+])
+def test_run_case_rejects_an_h_that_is_not_indecomposable_of_w_size(h, w):
+    with pytest.raises(ValueError, match="not an indecomposable Hessenberg function"):
+        run_case((h, w, SweepOptions()))
+
+
+def test_phase_b_does_no_per_case_work(monkeypatch):
+    args = [(h.values, w.images, SweepOptions()) for h, w in cases_up_to(5)]
+    filled = [run_case(a) for a in args]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("phase B did per-case work")
+
+    for name in ("is_fixed_point", "build_ideal", "cell_generators", "_run_battery",
+                 "_positions", "_w_table"):
+        monkeypatch.setattr(sweep_mod, name, refuse)
+    assert [run_case(a) for a in args] == filled
+
+
+def test_per_w_caches_hold_only_the_w_being_checked():
+    sweep(5, jobs=1)
+    for cached in (cell_generators, patch_generators, order_n_w, z_universe, weights_for):
+        assert cached.cache_info().currsize <= 1, cached.__name__
