@@ -55,4 +55,4 @@ print("denominator factors:", list(series.denominator_factors))
 print("cancelled form:     ", series.canonical())
 report = triangular_analysis(build_ideal(w, h, "cell"), order_n_w(w))
 print("formula expansion:", series.expand(10))
-print("oracle expansion: ", hilbert_oracle(report, wt, 10))
+print("oracle expansion: ", hilbert_oracle(report, wt).expand(10))

@@ -62,15 +62,15 @@ def build_Omega(w: Permutation) -> PolyMatrix:
     """Generic point of the Schubert cell of w: entry (i,j) is 1 when
     i = w(j), 0 below or to the right of the pivots, and z_{i,j}
     otherwise.  The number of variables equals the length of w."""
-    winv = w.inverse()
+    wi, winv = w.images, w.inverse().images
     n = w.n
     rows = []
     for i in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
-            if i == w(j):
+            if i == wi[j - 1]:
                 row.append(Polynomial.one())
-            elif i > w(j) or j > winv(i):
+            elif i > wi[j - 1] or j > winv[i - 1]:
                 row.append(Polynomial.zero())
             else:
                 row.append(Polynomial.variable(zvar(i, j)))
@@ -183,9 +183,10 @@ class IdealPresentation:
 
     Generators are the conjugate-matrix entries (k, l) with k > h(l),
     read bottom row left to right, then the next row up, and so on.
-    `height` counts the nonzero generators; for cell ideals this is the
-    number of pairs with v(k) > v(l) + 1.  Constant nonzero generators
-    are retained and flagged: they certify an empty intersection.
+    `height` counts the nonzero generators; for cell ideals this is
+    `cell_height(w, h)`, the number of pairs with v(k) > v(l) + 1.
+    Constant nonzero generators are retained and flagged: they certify an
+    empty intersection.
     """
 
     kind: str  # "patch" or "cell"
@@ -216,6 +217,14 @@ class IdealPresentation:
         return f"{prefix}_{k}_{l}"
 
 
+def cell_height(w: Permutation, h: HessenbergFunction) -> int:
+    """The height of I_{w,h}: the number of positions (k, l) with k > h(l)
+    and v(k) > v(l) + 1 for v = w_0 w, counted with no polynomial built."""
+    vi, n = v_of_w(w).images, w.n
+    return sum(vi[k - 1] > vi[l - 1] + 1
+               for l, hl in enumerate(h.values, 1) for k in range(hl + 1, n + 1))
+
+
 def build_ideal(
     w: Permutation, h: HessenbergFunction, kind: str = "cell"
 ) -> IdealPresentation:
@@ -240,20 +249,12 @@ def build_ideal(
     else:
         conj = cell_generators(w)
         ambient = z_universe(w)
-    # 0-based indices: hv[l] = h(l+1), vi[k] = v(k+1), rows[k][l] = (k+1, l+1)
-    hv, vi, rows = h.values, v_of_w(w).images, conj.rows
-    gens = []
-    height = 0
-    for k in range(n - 1, 0, -1):
-        for l in range(n - 1):
-            if k >= hv[l]:
-                g = rows[k][l]
-                gens.append((k + 1, l + 1, g))
-                if kind == "cell":
-                    if vi[k] > vi[l] + 1:
-                        height += 1
-                elif not g.is_zero:
-                    height += 1
+    # 0-based indices: hv[l] = h(l+1), rows[k][l] = (k+1, l+1)
+    hv, rows = h.values, conj.rows
+    gens = [(k + 1, l + 1, rows[k][l])
+            for k in range(n - 1, 0, -1) for l in range(n - 1) if k >= hv[l]]
+    height = (cell_height(w, h) if kind == "cell"
+              else sum(not g.is_zero for _, _, g in gens))
     return IdealPresentation(
         kind=kind,
         w=w,
@@ -303,16 +304,15 @@ def paving(h: HessenbergFunction) -> PavingTable:
     """Dimensions of the nonempty Hessenberg Schubert cells of h.
 
     Each fixed point w contributes a cell of dimension length(w) minus
-    the number of nonzero ideal generators.
+    the height of I_{w,h} (`cell_height`), the number of positions
+    (k, l) with k > h(l) and v(k) > v(l) + 1; no polynomial is built.
     """
     if not h.is_indecomposable:
         raise ValueError(f"Hessenberg function {h} is decomposable")
     rows = []
     for w in fixed_points(h):
-        pres = build_ideal(w, h, "cell")
-        r = w.length()
-        rows.append(PavingRow(w=w, length=r, height=pres.height,
-                              dim=r - pres.height))
+        r, height = w.length(), cell_height(w, h)
+        rows.append(PavingRow(w=w, length=r, height=height, dim=r - height))
     max_dim = max(r.dim for r in rows)
     coeffs = [0] * (max_dim + 1)
     for r in rows:

@@ -229,8 +229,7 @@ def cmd_hilbert(args) -> int:
     rep = triangular_analysis(build_ideal(w, h, "cell"), order_n_w(w))
     wt = weights_for(w)
     formula_coeffs = series.expand(args.trunc)
-    oracle_coeffs = hilbert_oracle(rep, wt, args.trunc)
-    agrees = formula_coeffs == oracle_coeffs
+    agrees = series.canonical() == hilbert_oracle(rep, wt).canonical()
     doc = {
         "n": args.n,
         "w": w.to_json(),
@@ -389,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text")
     trunc = argparse.ArgumentParser(add_help=False)
     trunc.add_argument("--trunc", type=int, default=30,
-                       help="truncation order for series comparisons")
+                       help="order of the series coefficients printed (hilbert) "
+                       "and reported (sweep); at least max(1, n - 1)")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=100_000,
                         help="reduction-step budget for the completion oracle")

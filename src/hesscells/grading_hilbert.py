@@ -28,13 +28,12 @@ def weights_for(w: Permutation) -> dict:
     are evaluated; they must agree and be positive.  z_{i,j} exists only
     for i < w(j), so a failure would be an internal bug, not bad input.
     """
-    v = v_of_w(w)
-    n = w.n
+    wi, vi, n = w.images, v_of_w(w).images, w.n
     weights = {}
     for var in z_universe(w):
         i, j = var.row, var.col
-        action = w(j) - i
-        pullback = (n + 1 - v(j)) - i
+        action = wi[j - 1] - i
+        pullback = (n + 1 - vi[j - 1]) - i
         if action != pullback or action < 1:
             raise AssertionError(
                 f"weight formulas at {var.name} give {action} and {pullback}, "
@@ -103,7 +102,10 @@ class HilbertSeries:
         )
 
     def canonical(self) -> "HilbertSeries":
-        """Cancel common factors of numerator and denominator."""
+        """Cancel common factors of numerator and denominator.  Two series
+        are equal iff their canonical forms are: a product of factors
+        (1 - t^e) fixes its multiset of exponents (peel off the largest
+        cyclotomic factor), so N1/D1 = N2/D2 iff N1 + D2 = N2 + D1."""
         num = list(self.numerator_factors)
         den = []
         for e in self.denominator_factors:
@@ -136,7 +138,10 @@ def check_exact_trunc(n: int, trunc: int) -> None:
     an n x n cell that agree up to t^(n-1) are equal: cross-multiplied by
     their denominators, both sides are products of factors (1 - t^e) with
     e <= n - 1, and such a product is fixed by its coefficients up to
-    t^(n-1)."""
+    t^(n-1).  So comparing expansions to any accepted trunc gives the
+    verdict of comparing the `canonical()` forms, which the sweep's
+    `hilbertOk` and the CLI's `oracleAgrees` do: no accepted trunc
+    changes either."""
     if trunc < max(1, n - 1):
         raise ValueError(f"trunc must be at least {max(1, n - 1)} for n = {n}")
 
@@ -164,16 +169,9 @@ def hilbert_formula(w: Permutation, h: HessenbergFunction) -> HilbertSeries:
     return HilbertSeries(tuple(num), tuple(den))
 
 
-def hilbert_oracle(
-    report: TriangularReport, wt: dict, truncation: int
-) -> list:
-    """Counting oracle: expand the product of 1/(1 - t^weight) over the
-    free variables of a passing triangular presentation."""
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
+def hilbert_oracle(report: TriangularReport, wt: dict) -> HilbertSeries:
+    """Counting oracle: the product of 1/(1 - t^weight) over the free
+    variables of a passing triangular presentation."""
     if not report.is_triangular:
         raise ValueError("oracle requires a passing triangular analysis")
-    coeffs = [1] + [0] * truncation
-    for var in report.free_variables:
-        coeffs = series_div_one_minus(coeffs, wt[var])
-    return coeffs
+    return HilbertSeries((), tuple(wt[var] for var in report.free_variables))

@@ -182,9 +182,9 @@ def order_n(n: int) -> MonomialOrder:
 def order_n_w(w: Permutation) -> MonomialOrder:
     """Lex order on the cell coordinates of w: z_{i,j} beats z_{i',j'}
     when i < i', or i = i' and v(j) < v(j') for v = w_0 w."""
-    v = v_of_w(w)
+    vi = v_of_w(w).images
     return MonomialOrder(
-        sorted(z_universe(w), key=lambda var: (var.row, v(var.col)))
+        sorted(z_universe(w), key=lambda var: (var.row, vi[var.col - 1]))
     )
 
 

@@ -78,12 +78,12 @@ def z_universe(w: Permutation) -> tuple:
 
     Their number equals the length of w.
     """
-    winv = w.inverse()
+    wi, winv = w.images, w.inverse().images
     return tuple(
         zvar(i, j)
         for i in range(1, w.n + 1)
         for j in range(1, w.n + 1)
-        if i < w(j) and j < winv(i)
+        if i < wi[j - 1] and j < winv[i - 1]
     )
 
 

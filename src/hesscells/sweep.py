@@ -5,12 +5,13 @@ and every permutation w, the sweep classifies w as a fixed point or not.
 Fixed points get the full battery: triangular analysis, the from-scratch
 Buchberger check, the initial-term formula, homogeneity, the Hilbert
 formula against its counting oracle, and optionally Frobenius
-compatibility.  Non-fixed points must exhibit a constant generator, and
-at small n the rational completion oracle must certify the unit ideal.
-The oracle returns the unit ideal at the first constant generator it
-reads, before any reduction step, so at a non-fixed point
-`emptyCertified` repeats `constantGenerator`; it is not an independent
-check there.
+compatibility.  The two Hilbert series are compared exactly, as cancelled
+products of factors (1 - t^e), so `trunc` changes no verdict.  Non-fixed
+points must exhibit a constant generator, and at small n the rational
+completion oracle must certify the unit ideal.  The oracle returns the
+unit ideal at the first constant generator it reads, before any reduction
+step, so at a non-fixed point `emptyCertified` repeats
+`constantGenerator`; it is not an independent check there.
 
 Each I_{w,h} selects the entries (k, l) with k > h(l) of one matrix, so
 the sweep runs in two phases.  Phase A (`_w_table`, once per w) decides
@@ -30,16 +31,16 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from operator import ge
 
 from .cells import build_ideal, cell_generators
 from .combinat import (
-    HessenbergFunction,
     Permutation,
     all_permutations,
     enumerate_hessenberg,
     fixed_points,  # bound for perfbench's combinat.fixed_points span
-    is_fixed_point,
+    least_hessenberg,
     v_of_w,
 )
 from .frobenius import compatibility_check, is_prime, make_splitting_context
@@ -85,24 +86,26 @@ _KEYS = {
 # filled by `run_case` on a miss or from the pool.  `_run_cases` empties it
 # after each n's cases, so a sweep holds one n's tables at a time.
 _TABLES = {}
-_indecomposable = lru_cache(maxsize=None)(partial(enumerate_hessenberg,
-                                                  indecomposable_only=True))
 
 
 @lru_cache(maxsize=None)
-def _h_index(n: int) -> dict:
-    """h.values -> the place of h in `_indecomposable(n)`, and in w's table."""
-    return {h.values: i for i, h in enumerate(_indecomposable(n))}
+def _h_facts(n: int) -> dict:
+    """h.values -> (i, h, positions, miscount) for each indecomposable h of
+    size n, in enumeration order: i is h's place in a w's table, positions
+    has bit k * n + l set for each position (k, l) of I_{w,h} (k > h(l)),
+    and miscount holds the failure when their number is not h's partition
+    size."""
+    facts = {}
+    for i, h in enumerate(enumerate_hessenberg(n, indecomposable_only=True)):
+        positions = sum(1 << (k * n + l)
+                        for l, hl in enumerate(h.values, 1) for k in range(hl + 1, n + 1))
+        miscount = () if positions.bit_count() == h.lambda_size() else (
+            "generator count differs from the partition size",)
+        facts[h.values] = i, h, positions, miscount
+    return facts
 
 
-@lru_cache(maxsize=None)
-def _positions(h: HessenbergFunction) -> int:
-    """Bit k * n + l set for each position (k, l) of I_{w,h}: k > h(l)."""
-    return sum(1 << (k * h.n + l)
-               for l, hl in enumerate(h.values, 1) for k in range(hl + 1, h.n + 1))
-
-
-def _run_battery(pres, order, trunc: int) -> tuple:
+def _run_battery(pres, order) -> tuple:
     """The checks of a fixed point that read only the ideal: the values
     of Lambda through hilbertOk and the failure messages, in report order."""
     w, n = pres.w, pres.w.n
@@ -126,8 +129,8 @@ def _run_battery(pres, order, trunc: int) -> tuple:
         is_homogeneous(g, wt) == vi[k - 1] - vi[l - 1] - 1
         for k, l, g in pres.nonzero_generators()
     )
-    hilbert_ok = rep.is_triangular and (
-        hilbert_formula(w, pres.h).expand(trunc) == hilbert_oracle(rep, wt, trunc)
+    hilbert_ok = rep.is_triangular and (  # exact: see HilbertSeries.canonical
+        hilbert_formula(w, pres.h).canonical() == hilbert_oracle(rep, wt).canonical()
     )
     if pres.certifies_empty:
         failures.append("constant generator at a fixed point")
@@ -139,7 +142,7 @@ def _run_battery(pres, order, trunc: int) -> tuple:
 
 def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
     """Phase A: the entry (values from fixedPoint on, failures) of each case
-    of w, one per h of `_indecomposable(n)` in that order.  The h with an
+    of w, one per h of `_h_facts(n)` in that order.  The h with an
     equal key share one entry, so each check that reads only the ideal runs
     once per distinct I_{w,h}: the battery and the Frobenius check (it reads
     only the generators) for the h fixing w, the oracle for the others."""
@@ -152,15 +155,12 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
     nonzero = sum(b for b, g, _ in below if not g.is_zero)
     constant = sum(b for b, g, _ in below if not g.is_zero and g.is_constant)
     filtered = sum(b for b, _, f in below if f)
-    order = order_n_w(w)
+    order, hw = order_n_w(w), least_hessenberg(w)
     contexts = [make_splitting_context(w, p) for p in opts.frobenius_primes]
     oracle = n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed
     entries, table = {}, []
-    for h in _indecomposable(n):
-        positions = _positions(h)
-        miscount = () if positions.bit_count() == h.lambda_size() else (
-            "generator count differs from the partition size",)
-        fixed = is_fixed_point(w, h)
+    for _, h, positions, miscount in _h_facts(n).values():
+        fixed = all(map(ge, h.values, hw))  # h >= h_w: w is a fixed point of h
         if fixed:
             key = fixed, miscount, nonzero & positions, filtered & positions
         else:
@@ -168,7 +168,7 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
             key = fixed, miscount, has_constant, nonzero & positions if oracle else None
         if key not in entries:
             if fixed:
-                values, failures = _run_battery(build_ideal(w, h), order, opts.trunc)
+                values, failures = _run_battery(build_ideal(w, h), order)
                 if contexts:
                     ok = all(compatibility_check(c, h).all_compatible for c in contexts)
                     values += (ok,)
@@ -198,13 +198,13 @@ def run_case(args):
     returns a JSON-ready dict.  Raises ValueError unless h is an
     indecomposable Hessenberg function of w's size."""
     h_values, w_images, opts = args
-    i = _h_index(len(w_images)).get(h_values)
-    if i is None:
+    facts = _h_facts(len(w_images)).get(h_values)
+    if facts is None:
         raise ValueError(f"h = {h_values!r} is not an indecomposable Hessenberg "
                          f"function of size {len(w_images)}")
     table = _TABLES.get((w_images, opts)) or _TABLES.setdefault(
         (w_images, opts), _w_table(w_images, opts))
-    values, failures = table[i]
+    values, failures = table[facts[0]]
     case = {"n": len(w_images), "h": list(h_values), "w": list(w_images)}
     case.update(zip(_KEYS[values[0]], values))
     case["failures"] = list(failures)
@@ -260,8 +260,9 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
     """Check the arguments; return (head, cases, tail) of the report
     {**head, "cases": [...], **tail}.  `cases` yields the case dicts in
     (n, h, w) order for any job count; `tail` holds their summary, and
-    elapsedSeconds once they are exhausted.  `hilbertOk` compares series
-    up to t^trunc, which `check_exact_trunc` requires to be exact."""
+    elapsedSeconds once they are exhausted.  `hilbertOk` compares the two
+    series exactly; `trunc` is still checked by `check_exact_trunc` and
+    reported, and no accepted value changes a verdict."""
     check_exact_trunc(max_n, opts.trunc)
     primes = opts.frobenius_primes
     ceiling = FROBENIUS_CEILING if primes else SWEEP_CEILING

@@ -3,15 +3,18 @@ checks each distinct cell ideal once, in any order of w and on any number
 of pool workers; phase B (`run_case`) only looks the case up and gives the
 results a fresh table gives, in any case order and for two truncation
 orders in one process, and every case still reports the verdict of its own
-ideal."""
+ideal.  `hilbertOk` compares the two Hilbert series exactly, so no
+truncation order changes it and no series is expanded."""
 
 import importlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from hesscells import (
     HessenbergFunction,
+    HilbertSeries,
     Permutation,
     Polynomial,
     PolyMatrix,
@@ -29,6 +32,7 @@ from hesscells.sweep import SweepOptions, iter_sweep, run_case, sweep
 
 sweep_mod = importlib.import_module("hesscells.sweep")
 cells_mod = importlib.import_module("hesscells.cells")
+hilbert_mod = importlib.import_module("hesscells.grading_hilbert")
 
 
 @pytest.fixture(autouse=True)
@@ -94,7 +98,7 @@ def test_memo_hits_equal_fresh_runs_in_shuffled_order():
 
 def test_phase_b_matches_the_per_case_build(monkeypatch):
     # phase A with a stub battery: one entry per h, shared by the h of one ideal
-    monkeypatch.setattr(sweep_mod, "_run_battery", lambda pres, order, trunc: ((), ()))
+    monkeypatch.setattr(sweep_mod, "_run_battery", lambda pres, order: ((), ()))
     for n in range(1, 7):
         hs = list(enumerate_hessenberg(n, indecomposable_only=True))
         for w in all_permutations(n):
@@ -105,8 +109,8 @@ def test_phase_b_matches_the_per_case_build(monkeypatch):
                 values, failures = entry
                 pres = build_ideal(w, h)
                 assert values[0] is is_fixed_point(w, h)
-                assert sweep_mod._positions(h).bit_count() == pres.lambda_size \
-                    == h.lambda_size()
+                _, _, positions, _ = sweep_mod._h_facts(n)[h.values]
+                assert positions.bit_count() == pres.lambda_size == h.lambda_size()
                 assert "generator count differs from the partition size" not in failures
                 if values[0]:
                     pairs.add((id(entry), key_of(pres)))
@@ -173,19 +177,57 @@ def test_a_failing_verdict_reaches_every_case_of_the_ideal(monkeypatch):
     assert all(case["ok"] for case in report["cases"] if not case["fixedPoint"])
 
 
-def test_truncation_order_is_part_of_the_key(monkeypatch):
-    oracle = sweep_mod.hilbert_oracle
+def test_hilbert_verdict_is_the_same_at_every_accepted_truncation():
+    for h, w in cases_up_to(5):
+        if is_fixed_point(w, h):
+            verdicts = {run_case((h.values, w.images, SweepOptions(trunc=trunc)))["hilbertOk"]
+                        for trunc in (30, max(1, w.n - 1))}
+            assert verdicts == {True}, (h, w)
 
-    def wrong_at_4(rep, wt, trunc):
-        coeffs = oracle(rep, wt, trunc)
-        return coeffs[:-1] + [coeffs[-1] + 1] if trunc == 4 else coeffs
 
-    monkeypatch.setattr(sweep_mod, "hilbert_oracle", wrong_at_4)
-    for h, w in cases_up_to(4):
-        for trunc in (30, 4):
-            case = run_case((h.values, w.images, SweepOptions(trunc=trunc)))
-            if case["fixedPoint"]:
-                assert case["hilbertOk"] is (trunc == 30)
+def test_an_oracle_missing_a_weight_fails_exactly_the_ideals_with_a_free_variable(
+        monkeypatch):
+    monkeypatch.setattr(sweep_mod, "hilbert_oracle", lambda rep, wt: HilbertSeries(
+        (), tuple(wt[var] for var in rep.free_variables[1:])))
+    seen = set()
+    for h, w in cases_up_to(5):
+        if is_fixed_point(w, h):
+            for trunc in (30, max(1, w.n - 1)):
+                case = run_case((h.values, w.images, SweepOptions(trunc=trunc)))
+                free = case["dim"] > 0
+                assert case["hilbertOk"] is not free
+                assert case["failures"] == (["hilbertOk failed"] if free else [])
+                seen.add(free)
+    assert seen == {False, True}
+
+
+def test_the_table_key_separates_options(monkeypatch):
+    monkeypatch.setattr(sweep_mod, "compatibility_check",
+                        lambda ctx, h: SimpleNamespace(all_compatible=ctx.p == 3))
+    options = (SweepOptions(), SweepOptions(frobenius_primes=(2,)),
+                SweepOptions(frobenius_primes=(3,)))
+    for h, w in cases_up_to(3):
+        cases = [run_case((h.values, w.images, opts)) for opts in options]
+        if cases[0]["fixedPoint"]:
+            assert [case.get("frobeniusOk") for case in cases] == [None, False, True]
+        assert len({c["ok"] for c in cases}) == (2 if cases[0]["fixedPoint"] else 1)
+    ws = {w.images for _, w in cases_up_to(3)}
+    assert set(sweep_mod._TABLES) == {(w, opts) for w in ws for opts in options}
+
+
+def test_the_sweep_expands_no_series(monkeypatch):
+    expected = sweep(5, jobs=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hilbert series was expanded")
+
+    monkeypatch.setattr(HilbertSeries, "expand", refuse)
+    for name in ("series_div_one_minus", "series_mul_one_minus"):
+        monkeypatch.setattr(hilbert_mod, name, refuse)
+    sweep_mod._TABLES.clear()
+    report = sweep(5, jobs=1)
+    del expected["elapsedSeconds"], report["elapsedSeconds"]
+    assert report == expected
 
 
 def test_each_non_fixed_case_gets_the_oracle_verdict_of_its_own_ideal(monkeypatch):
@@ -223,10 +265,16 @@ def add_zero_generator_passing_the_filter(monkeypatch, h, w):
     """Add position (2, 1) to h's positions and a zero generator there to
     its ideal: v(2) = 3 > v(1) + 1 = 2 at w = 312, and (2, 1) is not a
     generator at h = 333."""
-    positions, build = sweep_mod._positions, sweep_mod.build_ideal
+    facts, build = sweep_mod._h_facts, sweep_mod.build_ideal
 
-    def more_positions(u):
-        return positions(u) | (1 << (2 * u.n + 1) if u == h else 0)
+    def more_positions(n):
+        out = dict(facts(n))
+        if h.values in out:
+            i, g, positions, _ = out[h.values]
+            positions |= 1 << (2 * n + 1)
+            out[h.values] = i, g, positions, () if positions.bit_count() == g.lambda_size() \
+                else ("generator count differs from the partition size",)
+        return out
 
     def more_generators(u, g, kind="cell"):
         pres = build(u, g, kind)
@@ -235,7 +283,7 @@ def add_zero_generator_passing_the_filter(monkeypatch, h, w):
             pres.height += 1
         return pres
 
-    monkeypatch.setattr(sweep_mod, "_positions", more_positions)
+    monkeypatch.setattr(sweep_mod, "_h_facts", more_positions)
     monkeypatch.setattr(sweep_mod, "build_ideal", more_generators)
 
 
@@ -254,7 +302,7 @@ def test_a_changed_mask_gets_its_own_verdict(h, w, tamper, monkeypatch):
         run_case(args)["failures"]
     )
     tampered = sweep_mod._TABLES[w, args[2]]
-    assert tampered[sweep_mod._h_index(len(w))[h]] not in clean
+    assert tampered[sweep_mod._h_facts(len(w))[h][0]] not in clean
 
 
 def test_a_zeroed_generator_fails_exactly_the_ideals_that_hold_it(monkeypatch):
@@ -287,14 +335,17 @@ def test_run_case_rejects_an_h_that_is_not_indecomposable_of_w_size(h, w):
 def test_phase_b_does_no_per_case_work(monkeypatch):
     args = [(h.values, w.images, SweepOptions()) for h, w in cases_up_to(5)]
     filled = [run_case(a) for a in args]
+    misses = sweep_mod._h_facts.cache_info().misses
 
     def refuse(*args, **kwargs):
         raise AssertionError("phase B did per-case work")
 
-    for name in ("is_fixed_point", "build_ideal", "cell_generators", "_run_battery",
-                 "_positions", "_w_table"):
+    for name in ("least_hessenberg", "build_ideal", "cell_generators", "_run_battery",
+                 "_w_table"):
         monkeypatch.setattr(sweep_mod, name, refuse)
     assert [run_case(a) for a in args] == filled
+    # phase B reads h's place from the per-n facts and computes none of them
+    assert sweep_mod._h_facts.cache_info().misses == misses
 
 
 def test_per_w_caches_hold_only_the_w_being_checked():

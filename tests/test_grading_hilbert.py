@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesscells import (
     HessenbergFunction,
@@ -11,6 +13,7 @@ from hesscells import (
     fixed_points,
     hilbert_formula,
     hilbert_oracle,
+    is_fixed_point,
     is_homogeneous,
     order_n_w,
     triangular_analysis,
@@ -151,17 +154,17 @@ class TestHilbertOracle:
 
     def test_3421_against_partition_count(self):
         rep, wt = self.report_and_weights(W3421, H3344)
-        assert hilbert_oracle(rep, wt, 6) == [1, 1, 2, 3, 4, 5, 7]
+        assert hilbert_oracle(rep, wt).expand(6) == [1, 1, 2, 3, 4, 5, 7]
 
     def test_no_free_variables_constant_one(self):
         w = Permutation.identity(3)
         rep, wt = self.report_and_weights(w, HessenbergFunction.full(3))
-        assert hilbert_oracle(rep, wt, 5) == [1, 0, 0, 0, 0, 0]
+        assert hilbert_oracle(rep, wt).expand(5) == [1, 0, 0, 0, 0, 0]
 
     def test_truncation_validation(self):
         rep, wt = self.report_and_weights(W3421, H3344)
         with pytest.raises(ValueError):
-            hilbert_oracle(rep, wt, 0)
+            hilbert_oracle(rep, wt).expand(0)
 
     def test_formula_matches_oracle_n4_order20(self):
         for n in range(1, 5):
@@ -169,7 +172,31 @@ class TestHilbertOracle:
                 for w in fixed_points(h):
                     rep, wt = self.report_and_weights(w, h)
                     formula = hilbert_formula(w, h).expand(20)
-                    assert formula == hilbert_oracle(rep, wt, 20)
+                    assert formula == hilbert_oracle(rep, wt).expand(20)
+
+    def test_exact_comparison_gives_the_truncated_verdict_n6(self):
+        # the sweep's exact hilbertOk against the comparison of expansions
+        # to t^(n-1) it replaced, on each true pair and on an oracle that
+        # misses its largest free-variable weight
+        compared = 0
+        for n in range(1, 7):
+            hs = enumerate_hessenberg(n, indecomposable_only=True)
+            for w in all_permutations(n):
+                wt = weights_for(w)
+                for h in hs:
+                    if not is_fixed_point(w, h):
+                        continue
+                    rep, _ = self.report_and_weights(w, h)
+                    formula, oracle = hilbert_formula(w, h), hilbert_oracle(rep, wt)
+                    free = oracle.denominator_factors
+                    pairs = [(formula, oracle), (formula, HilbertSeries((), free[:-1]))]
+                    for a, b in pairs[:1 + bool(free)]:
+                        trunc = max(1, n - 1)
+                        exact = a.canonical() == b.canonical()
+                        assert exact is (a.expand(trunc) == b.expand(trunc)), (w, h)
+                        assert exact is (b is oracle), (w, h)
+                    compared += 1
+        assert compared == 8955
 
     def test_coefficients_start_at_one_and_stay_nonnegative(self):
         for h in enumerate_hessenberg(4, indecomposable_only=True):
@@ -188,6 +215,24 @@ class TestSeriesArithmetic:
         series = HilbertSeries((2, 3), (2, 3, 1))
         same = HilbertSeries((), (1,))
         assert series.expand(12) == same.expand(12)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_canonical_equality_is_agreement_up_to_the_sum_of_exponents(self, data):
+        # at most 8 factors a series, exponents 1 to 6
+        factors = st.lists(st.integers(1, 6), max_size=4)
+        num, den = data.draw(factors), data.draw(factors)
+        if data.draw(st.booleans()):  # an equal series: common factors added on both sides
+            common = tuple(data.draw(st.lists(st.integers(1, 6),
+                                              max_size=(8 - len(num) - len(den)) // 2)))
+            other = HilbertSeries(tuple(num[::-1]) + common, tuple(den) + common)
+        else:
+            other = HilbertSeries(tuple(data.draw(factors)), tuple(data.draw(factors)))
+        series = HilbertSeries(tuple(num), tuple(den))
+        top = sum(series.numerator_factors + series.denominator_factors
+                  + other.numerator_factors + other.denominator_factors)
+        agree = series.expand(max(1, top)) == other.expand(max(1, top))
+        assert (series.canonical() == other.canonical()) is agree
 
     def test_json(self):
         series = hilbert_formula(W3421, H3344)
