@@ -183,8 +183,8 @@ class IdealPresentation:
 
     Generators are the conjugate-matrix entries (k, l) with k > h(l),
     read bottom row left to right, then the next row up, and so on.
-    `height` counts the nonzero generators; for cell ideals this is
-    `cell_height(w, h)`, the number of pairs with v(k) > v(l) + 1.
+    `height` counts the nonzero generators; for cell ideals this is the
+    length of `cell_degrees(w, h)`, the number of pairs with v(k) > v(l) + 1.
     Constant nonzero generators are retained and flagged: they certify an
     empty intersection.
     """
@@ -217,12 +217,13 @@ class IdealPresentation:
         return f"{prefix}_{k}_{l}"
 
 
-def cell_height(w: Permutation, h: HessenbergFunction) -> int:
-    """The height of I_{w,h}: the number of positions (k, l) with k > h(l)
-    and v(k) > v(l) + 1 for v = w_0 w, counted with no polynomial built."""
-    vi, n = v_of_w(w).images, w.n
-    return sum(vi[k - 1] > vi[l - 1] + 1
-               for l, hl in enumerate(h.values, 1) for k in range(hl + 1, n + 1))
+def cell_degrees(w: Permutation, h: HessenbergFunction) -> list:
+    """The degrees v(k) - v(l) - 1 of the nonzero generators of I_{w,h} in
+    reading order, one per position (k, l) with k > h(l) and v(k) > v(l) + 1
+    for v = w_0 w, with no polynomial built; their number is the height."""
+    vi, hv = v_of_w(w).images, h.values  # 0-based: vi[k] = v(k+1), hv[l] = h(l+1)
+    return [vi[k] - vi[l] - 1 for k in range(w.n - 1, 0, -1) for l in range(w.n - 1)
+            if k >= hv[l] and vi[k] > vi[l] + 1]
 
 
 def build_ideal(
@@ -253,7 +254,7 @@ def build_ideal(
     hv, rows = h.values, conj.rows
     gens = [(k + 1, l + 1, rows[k][l])
             for k in range(n - 1, 0, -1) for l in range(n - 1) if k >= hv[l]]
-    height = (cell_height(w, h) if kind == "cell"
+    height = (len(cell_degrees(w, h)) if kind == "cell"
               else sum(not g.is_zero for _, _, g in gens))
     return IdealPresentation(
         kind=kind,
@@ -304,14 +305,14 @@ def paving(h: HessenbergFunction) -> PavingTable:
     """Dimensions of the nonempty Hessenberg Schubert cells of h.
 
     Each fixed point w contributes a cell of dimension length(w) minus
-    the height of I_{w,h} (`cell_height`), the number of positions
+    the height of I_{w,h} (`cell_degrees`), the number of positions
     (k, l) with k > h(l) and v(k) > v(l) + 1; no polynomial is built.
     """
     if not h.is_indecomposable:
         raise ValueError(f"Hessenberg function {h} is decomposable")
     rows = []
     for w in fixed_points(h):
-        r, height = w.length(), cell_height(w, h)
+        r, height = w.length(), len(cell_degrees(w, h))
         rows.append(PavingRow(w=w, length=r, height=height, dim=r - height))
     max_dim = max(r.dim for r in rows)
     coeffs = [0] * (max_dim + 1)

@@ -72,7 +72,9 @@ class Permutation:
         inv = [0] * self.n
         for j, v in enumerate(self.images, start=1):
             inv[v - 1] = j
-        return Permutation(inv)
+        p = Permutation.__new__(Permutation)  # a permutation by construction
+        p.images = tuple(inv)
+        return p
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.n != other.n:

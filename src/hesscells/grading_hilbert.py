@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cells import cell_degrees
 from .combinat import HessenbergFunction, Permutation, is_fixed_point, v_of_w
 from .groebner import TriangularReport
 from .polyring import Polynomial, z_universe
@@ -157,16 +158,8 @@ def hilbert_formula(w: Permutation, h: HessenbergFunction) -> HilbertSeries:
         raise ValueError(f"Hessenberg function {h} is decomposable")
     if not is_fixed_point(w, h):
         raise ValueError(f"w={w} is not a fixed point for h={h}")
-    # 0-based: vi[k] = v(k+1), hv[l] = h(l+1), wi[j] = w(j+1)
-    vi, hv, wi = v_of_w(w).images, h.values, w.images
-    n = w.n
-    num = []
-    for k in range(n - 1, 0, -1):
-        for l in range(n - 1):
-            if k >= hv[l] and vi[k] > vi[l] + 1:
-                num.append(vi[k] - vi[l] - 1)
-    den = [wi[var.col - 1] - var.row for var in z_universe(w)]
-    return HilbertSeries(tuple(num), tuple(den))
+    den = [w.images[var.col - 1] - var.row for var in z_universe(w)]
+    return HilbertSeries(tuple(cell_degrees(w, h)), tuple(den))
 
 
 def hilbert_oracle(report: TriangularReport, wt: dict) -> HilbertSeries:

@@ -22,8 +22,9 @@ each ideal is checked once.  Phase A runs w-major, so the per-w caches
 under it (`cell_generators`, `order_n_w`, ...) hold only the w it checks.
 
 `iter_sweep` is the one sweep path: it yields the cases in (n, h, w)
-order and tallies the summary.  `sweep()` collects them into one report;
-the CLI writes each case as it arrives and keeps none.
+order and tallies the summary, with no case list: per n, phase A's tables
+come from one iterator, serial or pooled, before n's first case.  `sweep()`
+collects the cases into one report; the CLI writes each as it arrives.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, repeat
 from operator import ge
 
 from .cells import build_ideal, cell_generators
@@ -83,8 +85,8 @@ _KEYS = {
     False: ("fixedPoint", "constantGenerator", "emptyCertified"),
 }
 # (w.images, opts) -> `_w_table(w.images, opts)`, all that phase B reads;
-# filled by `run_case` on a miss or from the pool.  `_run_cases` empties it
-# after each n's cases, so a sweep holds one n's tables at a time.
+# `_run_cases` holds one n's tables at a time, all stored before n's first
+# case, and `run_case` fills it on a miss for a direct caller.
 _TABLES = {}
 
 
@@ -213,43 +215,37 @@ def run_case(args):
 
 
 def _case_args(max_n: int, opts: SweepOptions):
+    """Per n up to max_n: the h values in `_h_facts(n)` order and the w
+    images, one tuple per w shared by every h of n; the same for any opts."""
     for n in range(1, max_n + 1):
-        perms = [w.images for w in all_permutations(n)]
-        for h in enumerate_hessenberg(n, indecomposable_only=True):
-            for w in perms:
-                yield (h.values, w, opts)
+        yield list(_h_facts(n)), [w.images for w in all_permutations(n)]
 
 
-def _run_cases(args: list, jobs: int):
-    """Yield run_case(a) for each a in args, in order.  With jobs > 1 a
-    pool of `jobs` workers builds the tables of the distinct (w, opts) in
-    (n, w) order, and phase B runs here as they arrive."""
-    tables, pool = iter(()), None
-    keys = list(dict.fromkeys((w, opts) for _, w, opts in args)) if jobs > 1 else ()
-    if len(keys) > 1:
+def _run_cases(inputs: list, opts: SweepOptions, jobs: int):
+    """Yield run_case((h, w, opts)) for each (hs, ws) of `inputs`, h in hs
+    and w in ws.  One iterator of phase A tables, here or from a pool of
+    `jobs` workers, yields each n's tables, stored before n's first case."""
+    ws = [w for _, n_ws in inputs for w in n_ws]
+    tables, pool = map(_w_table, ws, repeat(opts)), None
+    if jobs > 1 and len(ws) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         try:
             pool = ProcessPoolExecutor(max_workers=jobs)
-            tables = zip(keys, pool.map(_w_table, *zip(*keys),
-                                        chunksize=max(1, len(keys) // (jobs * 16))))
+            tables = pool.map(_w_table, ws, repeat(opts),
+                              chunksize=max(1, len(ws) // (jobs * 16)))
         except OSError:  # the pool cannot start: build the tables here
             if pool is not None:
                 pool.shutdown()
             pool = None
-    n = 0
     try:
-        for a in args:
-            if len(a[1]) != n:  # the cases of the last n are out
-                _TABLES.clear()
-                n = len(a[1])
-            key = a[1], a[2]
-            if key not in _TABLES:
-                for done, table in tables:
-                    _TABLES[done] = table
-                    if done == key:
-                        break
-            yield run_case(a)
+        for hs, n_ws in inputs:
+            _TABLES.clear()
+            _TABLES.update(((w, opts), table)
+                           for w, table in zip(n_ws, islice(tables, len(n_ws))))
+            for h in hs:
+                for w in n_ws:
+                    yield run_case((h, w, opts))
     finally:  # on an early close too: cancel the tables not started
         _TABLES.clear()
         if pool is not None:
@@ -262,7 +258,10 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
     (n, h, w) order for any job count; `tail` holds their summary, and
     elapsedSeconds once they are exhausted.  `hilbertOk` compares the two
     series exactly; `trunc` is still checked by `check_exact_trunc` and
-    reported, and no accepted value changes a verdict."""
+    reported, and no accepted value changes a verdict.  Serially as in a
+    pool, all tables of n are built before n's first case: that moves no
+    work and raises no peak, for n's first h reads every w's table, so all
+    are held by the end of that h either way."""
     check_exact_trunc(max_n, opts.trunc)
     primes = opts.frobenius_primes
     ceiling = FROBENIUS_CEILING if primes else SWEEP_CEILING
@@ -291,9 +290,9 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
 
     def cases():
         # in full before the first case: perfbench's set-up mark is its end
-        args = list(_case_args(max_n, opts))
+        inputs = list(_case_args(max_n, opts))
         start = time.monotonic()
-        for case in _run_cases(args, workers):
+        for case in _run_cases(inputs, opts, workers):
             summary["cases"] += 1
             summary["fixedPointCases"] += case["fixedPoint"]
             summary["failedCases"] += not case["ok"]

@@ -165,6 +165,15 @@ def test_each_n_drops_its_tables_once_its_cases_are_out(jobs):
     assert sweep_mod._TABLES == {}
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_n_has_all_its_tables_at_its_first_case(jobs):
+    _, cases, _ = iter_sweep(4, SweepOptions(), jobs)
+    held = {}
+    for case in cases:
+        held.setdefault(case["n"], len(sweep_mod._TABLES))
+    assert held == {1: 1, 2: 2, 3: 6, 4: 24}
+
+
 def test_a_failing_verdict_reaches_every_case_of_the_ideal(monkeypatch):
     calls = counting_buchberger(monkeypatch, result=False)
     report = sweep(4, jobs=1)

@@ -23,6 +23,7 @@ from hesscells import (
     cell_generators_via_psi,
     enumerate_hessenberg,
     fixed_points,
+    is_homogeneous,
     order_n,
     order_n_w,
     patch_generators,
@@ -31,11 +32,13 @@ from hesscells import (
     random_point_check,
     solve_cell_point,
     v_of_w,
+    weights_for,
     x_universe,
     xvar,
     z_universe,
     zvar,
 )
+from hesscells.cells import cell_degrees
 
 W3421 = Permutation([3, 4, 2, 1])
 H3344 = HessenbergFunction([3, 3, 4, 4])
@@ -353,6 +356,13 @@ class TestBuildIdeal:
                 for w in fixed_points(h):
                     pres = build_ideal(w, h, "cell")
                     assert pres.height == len(pres.nonzero_generators())
+
+    def test_cell_degrees_are_the_nonzero_generator_degrees_in_reading_order(self):
+        for n in range(1, 5):
+            for h in enumerate_hessenberg(n, indecomposable_only=True):
+                for w in fixed_points(h):
+                    wt, gens = weights_for(w), build_ideal(w, h).nonzero_generators()
+                    assert cell_degrees(w, h) == [is_homogeneous(g, wt) for _, _, g in gens]
 
 
 class TestNonEmptinessDichotomy:

@@ -74,6 +74,14 @@ class TestPermutation:
         assert w.inverse() == Permutation([4, 3, 1, 2])
         assert (w * w.inverse()).is_identity()
 
+    def test_inverse_builds_no_checked_permutation(self, monkeypatch):
+        def refuse(self, images):
+            raise AssertionError("Permutation.__init__ ran")
+
+        w = Permutation([3, 4, 2, 1])
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        assert w.inverse().images == (4, 3, 1, 2)
+
     def test_length_identity(self):
         assert Permutation.identity(5).length() == 0
 

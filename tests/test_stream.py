@@ -155,14 +155,18 @@ class TestCaseIterator:
         assert len(events) == 1 + 135
 
     def test_case_list_shares_each_n_permutation_tuples(self):
-        args = list(sweep_mod._case_args(4, SweepOptions()))
-        assert [(h, w) for h, w, _ in args] == [
+        inputs = list(sweep_mod._case_args(4, SweepOptions()))
+        cases = [(h, w) for hs, ws in inputs for h in hs for w in ws]
+        assert cases == [
             (h.values, w.images)
             for n in range(1, 5)
             for h in enumerate_hessenberg(n, indecomposable_only=True)
             for w in all_permutations(n)
         ]
-        assert len({id(w) for h, w, _ in args if len(h) == 4}) == 24
+        assert len({id(w) for h, w in cases if len(h) == 4}) == 24
+
+    def test_case_args_has_one_entry_per_n(self):
+        assert len(list(sweep_mod._case_args(5, SweepOptions()))) == 5
 
     def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch):
         def no_pool(*args, **kwargs):
