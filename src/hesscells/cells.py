@@ -5,11 +5,14 @@ For a permutation w, `build_wM(w)` is the generic point of the translated
 unipotent patch through w and `build_Omega(w)` is the generic point of the
 Schubert cell of w.  Conjugating the regular nilpotent shift matrix N by
 either one gives the generator polynomials; selecting the entries (k, l)
-with k > h(l) presents the defining ideal of the intersection with the
-Hessenberg variety of h.  Both points are w times a lower unitriangular
-matrix, so the conjugate is found by one forward substitution, with no
-inverse formed.  The map `PsiMap` from patch coordinates at the longest
-permutation to cell coordinates only renames variables or sets them to 0.
+with k > h(l) (`ideal_positions`) presents the defining ideal of the
+intersection with the Hessenberg variety of h.  For the cell, the nonzero
+ones are those with v(k) > v(l) + 1 for v = w_0 w (`index_filter`); the
+other modules read both rules from here.  Both points are w times a lower
+unitriangular matrix, so the conjugate is found by one forward
+substitution, with no inverse formed.  The map `PsiMap` from patch
+coordinates at the longest permutation to cell coordinates only renames
+variables or sets them to 0.
 
 >>> cell_generators(Permutation([3, 4, 2, 1])).entry(4, 2)
 -z_1_1 + z_1_3*z_2_1 + z_2_2
@@ -181,10 +184,9 @@ def cell_generators_via_psi(w: Permutation, k: int, l: int) -> Polynomial:
 class IdealPresentation:
     """Ordered generators of a patch or cell ideal.
 
-    Generators are the conjugate-matrix entries (k, l) with k > h(l),
-    read bottom row left to right, then the next row up, and so on.
+    Generators are the conjugate-matrix entries at `ideal_positions(h)`.
     `height` counts the nonzero generators; for cell ideals this is the
-    length of `cell_degrees(w, h)`, the number of pairs with v(k) > v(l) + 1.
+    length of `cell_degrees(w, h)`, read off `index_filter`.
     Constant nonzero generators are retained and flagged: they certify an
     empty intersection.
     """
@@ -217,13 +219,27 @@ class IdealPresentation:
         return f"{prefix}_{k}_{l}"
 
 
+@lru_cache(maxsize=None)
+def ideal_positions(h: HessenbergFunction) -> tuple:
+    """The positions (k, l) with k > h(l) of the generators of every
+    I_{w,h}, in reading order: bottom row first, left to right."""
+    n = h.n
+    return tuple((k, l) for k in range(n, 1, -1) for l in range(1, n) if k > h(l))
+
+
+def index_filter(w: Permutation, positions) -> list:
+    """(k, l, v(k) - v(l) - 1) for each (k, l) of `positions`, in their
+    order, with v(k) > v(l) + 1 for v = w_0 w.  On `ideal_positions(h)`
+    these are the nonzero generators of I_{w,h} and their degrees."""
+    vi = v_of_w(w).images  # vi[k - 1] = v(k)
+    return [(k, l, vi[k - 1] - vi[l - 1] - 1) for k, l in positions
+            if vi[k - 1] > vi[l - 1] + 1]
+
+
 def cell_degrees(w: Permutation, h: HessenbergFunction) -> list:
-    """The degrees v(k) - v(l) - 1 of the nonzero generators of I_{w,h} in
-    reading order, one per position (k, l) with k > h(l) and v(k) > v(l) + 1
-    for v = w_0 w, with no polynomial built; their number is the height."""
-    vi, hv = v_of_w(w).images, h.values  # 0-based: vi[k] = v(k+1), hv[l] = h(l+1)
-    return [vi[k] - vi[l] - 1 for k in range(w.n - 1, 0, -1) for l in range(w.n - 1)
-            if k >= hv[l] and vi[k] > vi[l] + 1]
+    """The degrees of the nonzero generators of I_{w,h} in reading order, by
+    `index_filter` with no polynomial built; their number is the height."""
+    return [d for _, _, d in index_filter(w, ideal_positions(h))]
 
 
 def build_ideal(
@@ -250,10 +266,7 @@ def build_ideal(
     else:
         conj = cell_generators(w)
         ambient = z_universe(w)
-    # 0-based indices: hv[l] = h(l+1), rows[k][l] = (k+1, l+1)
-    hv, rows = h.values, conj.rows
-    gens = [(k + 1, l + 1, rows[k][l])
-            for k in range(n - 1, 0, -1) for l in range(n - 1) if k >= hv[l]]
+    gens = [(k, l, conj.entry(k, l)) for k, l in ideal_positions(h)]
     height = (len(cell_degrees(w, h)) if kind == "cell"
               else sum(not g.is_zero for _, _, g in gens))
     return IdealPresentation(
@@ -375,10 +388,8 @@ def random_point_check(
         conj = _conjugate_shift(
             w, omega.map_entries(lambda e: Polynomial.const(e.evaluate(point)))
         )
-        for l in range(1, w.n + 1):
-            for k in range(h(l) + 1, w.n + 1):
-                if not conj.entry(k, l).is_zero:
-                    return False
+        if any(not conj.entry(k, l).is_zero for k, l in ideal_positions(h)):
+            return False
         # the solved point must also satisfy every generator on the nose
         for k, l, g in report.ordered_generators:
             if g.evaluate(point) != 0:

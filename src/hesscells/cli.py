@@ -481,11 +481,12 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        # the package has no assert statements: this is a broken invariant
+    except (AssertionError, IndexError) as exc:
+        # the package has no assert statements, and no argument reaches an
+        # index bounds check: this is a broken invariant
         print(f"error: internal error: {exc}", file=sys.stderr)
         return 1
 

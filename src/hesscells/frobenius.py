@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cells import build_ideal
+from .cells import build_ideal, ideal_positions
 from .combinat import (
     HessenbergFunction,
     Permutation,
@@ -240,7 +240,7 @@ def compatibility_check(
     ctx: SplittingContext, h: HessenbergFunction
 ) -> CompatibilityReport:
     """Verify phi(1) = 1 and that phi of each generator of I_{w,h}, the
-    context's generators (k, l) with k > h(l), reduces to zero modulo
+    context's generators at `ideal_positions(h)`, reduces to zero modulo
     them, i.e. the splitting of the cell is compatible with I_{w,h}.
 
     The generators remain a Groebner basis mod p because their leading
@@ -256,7 +256,8 @@ def compatibility_check(
     if not h.is_indecomposable:
         raise ValueError(f"Hessenberg function {h} is decomposable")
     splits_one = _phi(ctx, None, Polynomial.one(ctx.p)) == Polynomial.one(ctx.p)
-    gens = [(k, l, g) for k, l, g in ctx.generators if k > h(l)]
+    positions = set(ideal_positions(h))
+    gens = [(k, l, g) for k, l, g in ctx.generators if (k, l) in positions]
     gen_polys = [g for _, _, g in gens]
     entries = [
         (k, l, reduce(_phi(ctx, (k, l), g), gen_polys, ctx.order)[1])

@@ -151,15 +151,15 @@ def hilbert_formula(w: Permutation, h: HessenbergFunction) -> HilbertSeries:
     """Closed form of the Hilbert series of the cell quotient ring.
 
     Numerator factors are the degrees v(k) - v(l) - 1 of the nonzero
-    generators; denominator factors are the weights of all cell
-    coordinates.  Requires w among the fixed points of h.
+    generators (`cell_degrees`); denominator factors are the weights of
+    all cell coordinates (`weights_for`).  Requires w among the fixed
+    points of h.
     """
     if not h.is_indecomposable:
         raise ValueError(f"Hessenberg function {h} is decomposable")
     if not is_fixed_point(w, h):
         raise ValueError(f"w={w} is not a fixed point for h={h}")
-    den = [w.images[var.col - 1] - var.row for var in z_universe(w)]
-    return HilbertSeries(tuple(cell_degrees(w, h)), tuple(den))
+    return HilbertSeries(tuple(cell_degrees(w, h)), tuple(weights_for(w).values()))
 
 
 def hilbert_oracle(report: TriangularReport, wt: dict) -> HilbertSeries:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -447,93 +447,74 @@ class TriangularReport:
 
     `ordered_generators` lists the nonzero generators sorted by strictly
     decreasing initial term; `initial_terms` aligns with it.  Failures are
-    recorded in the flags, never raised.
+    recorded in `notes`, never raised; the analysis passes exactly when
+    there is none.
     """
 
-    is_triangular: bool
-    initials_are_variables: bool
-    initials_distinct: bool
-    no_later_division: bool
     ordered_generators: list
     initial_terms: list  # (sign, Var or None) per ordered generator
-    height: int
     free_variables: list
-    dimension: int
-    # distinct single-variable initial terms: a squarefree initial ideal,
-    # which certifies radicality and the sufficient condition for
-    # geometric vertex decomposability
-    squarefree_initial_ideal: bool
-    notes: list = field(default_factory=list)
+    notes: list
+
+    @property
+    def is_triangular(self) -> bool:
+        return not self.notes
+
+    @property
+    def squarefree_initial_ideal(self) -> bool:
+        """Distinct single-variable initial terms: a squarefree initial
+        ideal, which certifies radicality and the sufficient condition for
+        geometric vertex decomposability."""
+        init_vars = [var for _, var in self.initial_terms]
+        return None not in init_vars and len(set(init_vars)) == len(init_vars)
+
+    @property
+    def height(self) -> int:
+        return len(self.ordered_generators)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.free_variables)
 
 
 def triangular_analysis(pres, order: MonomialOrder) -> TriangularReport:
     """Check the three triangularity conditions of an IdealPresentation
-    and report the quotient.
+    and report the quotient: the initial terms are signed variables, they
+    are distinct, and none divides a term of a later generator.  The last
+    is checked only when the first holds.
 
     When everything passes, the quotient by the ideal is a free
     polynomial ring on `free_variables` and the ideal is prime of height
     `height`.
     """
-    notes = []
-    infos = []
+    gens = []
     for k, l, g in pres.nonzero_generators():
         c, m = initial_term(g, order)
+        gens.append((order.key(m), c, m, k, l, g))
+    gens.sort(key=lambda info: info[0], reverse=True)
+    initial_terms, unsigned, repeats, later, seen = [], [], [], [], set()
+    for idx, (_, c, m, k, l, g) in enumerate(gens):
         if g.char:
-            unit = c == 1 or c == g.char - 1
-            sign = 1 if c == 1 else -1
+            unit, sign = c in (1, g.char - 1), 1 if c == 1 else -1
         else:
-            unit = c in (1, -1)
-            sign = 1 if c > 0 else -1
-        var = None
-        if unit and len(m.exps) == 1 and m.exps[0][1] == 1:
-            var = m.exps[0][0]
-        infos.append((k, l, g, c, m, var, sign))
-    infos.sort(key=lambda info: order.key(info[4]), reverse=True)
-
-    initials_are_variables = all(info[5] is not None for info in infos)
-    if not initials_are_variables:
-        for k, l, g, c, m, var, _ in infos:
-            if var is None:
-                notes.append(
-                    f"generator ({k},{l}) has initial term {c}*{m!r}, "
-                    "not a signed variable"
-                )
-
-    init_vars = [info[5] for info in infos]
-    seen = set()
-    initials_distinct = True
-    for var in init_vars:
+            unit, sign = c in (1, -1), 1 if c > 0 else -1
+        var = m.exps[0][0] if unit and len(m.exps) == 1 and m.exps[0][1] == 1 else None
+        initial_terms.append((sign, var))
         if var is None:
+            unsigned.append(f"generator ({k},{l}) has initial term {c}*{m!r}, "
+                            "not a signed variable")
             continue
         if var in seen:
-            initials_distinct = False
-            notes.append(f"initial variable {var.name} repeats")
+            repeats.append(f"initial variable {var.name} repeats")
         seen.add(var)
-
-    no_later_division = True
-    if initials_are_variables:
-        for idx, (_, _, _, _, _, var, _) in enumerate(infos):
-            for later in infos[idx + 1 :]:
-                g_later = later[2]
-                if any(m.exponent(var) for m in g_later.terms):
-                    no_later_division = False
-                    notes.append(
-                        f"initial variable {var.name} appears in a later generator"
-                    )
-    ok = initials_are_variables and initials_distinct and no_later_division
-    free = [v for v in pres.ambient_variables if v not in seen]
+        later += [f"initial variable {var.name} appears in a later generator"
+                  for *_, g_later in gens[idx + 1:]
+                  if any(mono.exponent(var) for mono in g_later.terms)]
     return TriangularReport(
-        is_triangular=ok,
-        initials_are_variables=initials_are_variables,
-        initials_distinct=initials_distinct,
-        no_later_division=no_later_division,
-        ordered_generators=[(k, l, g) for (k, l, g, *_rest) in infos],
-        initial_terms=[(info[6], info[5]) for info in infos],
-        height=len(infos),
-        free_variables=free,
-        dimension=len(free),
-        squarefree_initial_ideal=initials_are_variables and initials_distinct,
-        notes=notes,
+        ordered_generators=[(k, l, g) for *_, k, l, g in gens],
+        initial_terms=initial_terms,
+        free_variables=[v for v in pres.ambient_variables if v not in seen],
+        notes=unsigned + repeats + ([] if unsigned else later),
     )
 
 

@@ -13,9 +13,10 @@ unit ideal at the first constant generator it reads, before any reduction
 step, so at a non-fixed point `emptyCertified` repeats
 `constantGenerator`; it is not an independent check there.
 
-Each I_{w,h} selects the entries (k, l) with k > h(l) of one matrix, so
-the sweep runs in two phases.  Phase A (`_w_table`, once per w) decides
-every case of w: it reads masks off that matrix, runs each check that
+Each I_{w,h} selects the entries at `cells.ideal_positions(h)` of one
+matrix, so the sweep runs in two phases.  Phase A (`_w_table`, once per w)
+decides every case of w: it reads masks off that matrix (and off
+`cells.index_filter`), each position (k, l) one bit, runs each check that
 reads only the ideal once per distinct I_{w,h}, and returns one entry per
 h.  Phase B (`run_case`) looks the case up.  A pool runs phase A only, so
 each ideal is checked once.  Phase A runs w-major, so the per-w caches
@@ -36,7 +37,7 @@ from functools import lru_cache
 from itertools import islice, repeat
 from operator import ge
 
-from .cells import build_ideal, cell_generators
+from .cells import build_ideal, cell_generators, ideal_positions, index_filter
 from .combinat import (
     Permutation,
     all_permutations,
@@ -90,17 +91,20 @@ _KEYS = {
 _TABLES = {}
 
 
+def _mask(n: int, positions) -> int:
+    """The integer with bit k * n + l set for each (k, l, ...) of `positions`."""
+    return sum(1 << (k * n + l) for k, l, *_ in positions)
+
+
 @lru_cache(maxsize=None)
 def _h_facts(n: int) -> dict:
     """h.values -> (i, h, positions, miscount) for each indecomposable h of
     size n, in enumeration order: i is h's place in a w's table, positions
-    has bit k * n + l set for each position (k, l) of I_{w,h} (k > h(l)),
-    and miscount holds the failure when their number is not h's partition
-    size."""
+    is the `_mask` of h's `ideal_positions`, and miscount holds the failure
+    when their number is not h's partition size."""
     facts = {}
     for i, h in enumerate(enumerate_hessenberg(n, indecomposable_only=True)):
-        positions = sum(1 << (k * n + l)
-                        for l, hl in enumerate(h.values, 1) for k in range(hl + 1, n + 1))
+        positions = _mask(n, ideal_positions(h))
         miscount = () if positions.bit_count() == h.lambda_size() else (
             "generator count differs from the partition size",)
         facts[h.values] = i, h, positions, miscount
@@ -149,14 +153,13 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
     once per distinct I_{w,h}: the battery and the Frobenius check (it reads
     only the generators) for the h fixing w, the oracle for the others."""
     w = Permutation(w_images)
-    n, vi, rows = w.n, v_of_w(w).images, cell_generators(w).rows
-    below = [(1 << (k * n + l), rows[k - 1][l - 1], vi[k - 1] > vi[l - 1] + 1)
-             for k in range(2, n + 1) for l in range(1, k)]
+    n, rows = w.n, cell_generators(w).rows
+    below = [(k, l, rows[k - 1][l - 1]) for k in range(2, n + 1) for l in range(1, k)]
     # the entries below the diagonal that are nonzero, nonzero constants, and
-    # in the index filter v(k) > v(l) + 1
-    nonzero = sum(b for b, g, _ in below if not g.is_zero)
-    constant = sum(b for b, g, _ in below if not g.is_zero and g.is_constant)
-    filtered = sum(b for b, _, f in below if f)
+    # in the index filter
+    nonzero = _mask(n, [(k, l) for k, l, g in below if not g.is_zero])
+    constant = _mask(n, [(k, l) for k, l, g in below if not g.is_zero and g.is_constant])
+    filtered = _mask(n, index_filter(w, [(k, l) for k, l, _ in below]))
     order, hw = order_n_w(w), least_hessenberg(w)
     contexts = [make_splitting_context(w, p) for p in opts.frobenius_primes]
     oracle = n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed
@@ -214,9 +217,9 @@ def run_case(args):
     return case
 
 
-def _case_args(max_n: int, opts: SweepOptions):
+def _case_args(max_n: int):
     """Per n up to max_n: the h values in `_h_facts(n)` order and the w
-    images, one tuple per w shared by every h of n; the same for any opts."""
+    images, one tuple per w shared by every h of n."""
     for n in range(1, max_n + 1):
         yield list(_h_facts(n)), [w.images for w in all_permutations(n)]
 
@@ -290,7 +293,7 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
 
     def cases():
         # in full before the first case: perfbench's set-up mark is its end
-        inputs = list(_case_args(max_n, opts))
+        inputs = list(_case_args(max_n))
         start = time.monotonic()
         for case in _run_cases(inputs, opts, workers):
             summary["cases"] += 1

@@ -38,7 +38,8 @@ from hesscells import (
     z_universe,
     zvar,
 )
-from hesscells.cells import cell_degrees
+from hesscells.cells import cell_degrees, ideal_positions
+from hesscells.sweep import _h_facts
 
 W3421 = Permutation([3, 4, 2, 1])
 H3344 = HessenbergFunction([3, 3, 4, 4])
@@ -363,6 +364,23 @@ class TestBuildIdeal:
                 for w in fixed_points(h):
                     wt, gens = weights_for(w), build_ideal(w, h).nonzero_generators()
                     assert cell_degrees(w, h) == [is_homogeneous(g, wt) for _, _, g in gens]
+
+    def test_ideal_positions_is_the_one_positions_rule(self):
+        # every reader of the positions k > h(l) agrees with it: the
+        # generators of build_ideal and the sweep's bit masks
+        for n in range(1, 8):
+            for h in enumerate_hessenberg(n, indecomposable_only=True):
+                positions = ideal_positions(h)
+                assert list(positions) == sorted(positions, key=lambda kl: (-kl[0], kl[1]))
+                assert len(positions) == h.lambda_size()
+                assert all(k > h(l) for k, l in positions)
+                bits = _h_facts(n)[h.values][2]
+                assert [(k, l) for k in range(n, 0, -1) for l in range(1, n + 1)
+                        if bits >> (k * n + l) & 1] == list(positions)
+                if n <= 5:
+                    for w in all_permutations(n):
+                        assert [(k, l) for k, l, _ in build_ideal(w, h).generators] \
+                            == list(positions), (w, h)
 
 
 class TestNonEmptinessDichotomy:

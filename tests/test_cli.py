@@ -238,3 +238,20 @@ class TestExitCodes:
         assert captured.err.startswith(
             "error: internal error: initial monomial of the generator product"
         )
+
+    def test_index_error_exits_one(self, capsys, monkeypatch):
+        # only the bounds checks of Permutation and HessenbergFunction raise
+        # IndexError, and no argument reaches them: it is an internal bug,
+        # not a usage error
+        def broken(args):
+            raise IndexError("index 5 out of range 1..4")
+
+        cli = importlib.import_module("hesscells.cli")
+        monkeypatch.setattr(cli, "cmd_ideal", broken)
+        code = main(["ideal", "--n", "4", "--w", "3421", "--h", "3,3,4,4",
+                     "--kind", "cell"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal error: index 5 out of range 1..4\n")

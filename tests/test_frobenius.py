@@ -310,6 +310,15 @@ class TestOneSplittingPerCell:
         )
         assert checks == want
 
+    def test_entries_keep_the_context_generator_order(self):
+        for n in range(1, 5):
+            for w in all_permutations(n):
+                ctx = make_splitting_context(w, 2)
+                for h in fixing(w):
+                    entries = [(k, l) for k, l, _ in compatibility_check(ctx, h).entries]
+                    assert entries == [(k, l) for k, l, _ in ctx.generators
+                                       if (k, l) in entries], (w, h)
+
     def test_phi_computed_once_per_context_and_generator(self, monkeypatch):
         # phi(1) and phi(g) do not depend on h: the context keeps them, and
         # the verdicts equal those of phi computed afresh for each h

@@ -188,8 +188,30 @@ class TestTriangularAnalysis:
         pres = build_ideal(W3421, H2344, "cell")
         rep = triangular_analysis(pres, order_n_w(W3421))
         assert not rep.is_triangular
-        assert not rep.initials_are_variables
-        assert rep.notes
+        assert rep.notes == [
+            "generator (3,1) has initial term 1*1, not a signed variable"]
+
+    def test_notes_name_each_failed_condition(self):
+        # a repeated initial variable also divides a later generator; that
+        # last condition is reported only when every initial term is a
+        # signed variable
+        def z(i, j):
+            return Polynomial.variable(zvar(i, j))
+
+        pres = build_ideal(W3421, H3344, "cell")
+        pres.generators = [(4, 1, -z(1, 1) + z(2, 2)), (4, 2, -z(1, 1))]
+        rep = triangular_analysis(pres, order_n_w(W3421))
+        assert rep.notes == ["initial variable z_1_1 repeats",
+                             "initial variable z_1_1 appears in a later generator"]
+        assert (rep.height, rep.dimension) == (2, 4)
+        assert not rep.is_triangular and not rep.squarefree_initial_ideal
+        pres.generators.append((3, 1, 2 * z(1, 2) ** 2 - z(2, 2)))
+        rep = triangular_analysis(pres, order_n_w(W3421))
+        assert rep.notes == [
+            "generator (3,1) has initial term 2*z_1_2^2, not a signed variable",
+            "initial variable z_1_1 repeats",
+        ]
+        assert rep.initial_terms[0] == (1, None)
 
     def test_agreement_of_certifications_n4(self):
         for n in range(1, 5):

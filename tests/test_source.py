@@ -67,3 +67,31 @@ def test_perfbench_bindings_resolve():
     ]
     assert missing == []
     assert callable(importlib.import_module("hesscells.sweep")._case_args)
+
+
+def test_every_imported_name_is_used():
+    # a name bound only for a perfbench span is the one exemption; the
+    # package's __all__ counts as a use
+    spans = {(module, metric.rsplit(".", 1)[1])
+             for metric, modules in _perfbench_literal("SPANS") for module in modules}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) == "__all__"
+            for name in ast.literal_eval(node.value)
+        )
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)
+                   if (path.stem, name) not in spans]
+    assert unused == []

@@ -155,7 +155,7 @@ class TestCaseIterator:
         assert len(events) == 1 + 135
 
     def test_case_list_shares_each_n_permutation_tuples(self):
-        inputs = list(sweep_mod._case_args(4, SweepOptions()))
+        inputs = list(sweep_mod._case_args(4))
         cases = [(h, w) for hs, ws in inputs for h in hs for w in ws]
         assert cases == [
             (h.values, w.images)
@@ -166,7 +166,7 @@ class TestCaseIterator:
         assert len({id(w) for h, w in cases if len(h) == 4}) == 24
 
     def test_case_args_has_one_entry_per_n(self):
-        assert len(list(sweep_mod._case_args(5, SweepOptions()))) == 5
+        assert len(list(sweep_mod._case_args(5))) == 5
 
     def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch):
         def no_pool(*args, **kwargs):
