@@ -14,7 +14,6 @@ import argparse
 import json
 import random
 import sys
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .cells import (
@@ -335,19 +334,29 @@ def _json_value(value, pad: str) -> str:
 
 
 _FLAT = (set(), {int}, {str})  # element types of the lists h, w and failures
-_flat_json = lru_cache(maxsize=None)(lambda items: _json_value(list(items), "      "))
+# (key, exact type, value) -> the encoded '"key": value' item, for a value of
+# a _SCALARS type or a flat list, keyed as a tuple.  The type is in the key
+# because 1, True and 1.0 are equal keys, as are (1,) and (True,).
+_ITEMS = {}
 
 
 def _case_json(case: dict) -> str:
-    """One case as the report's indented case list holds it; a list of
-    ints or of strs is encoded once per distinct tuple."""
-    return "    {\n      " + ",\n      ".join(
-        f"{_encode_str(key)}: " + (
-            _flat_json(tuple(value))
-            if type(value) is list and set(map(type, value)) in _FLAT
-            else _json_value(value, "      "))
-        for key, value in case.items()
-    ) + "\n    }"
+    """One case as the report's indented case list holds it; each item
+    with a scalar or flat-list value is encoded once per distinct value."""
+    items = []
+    for key, value in case.items():
+        kind = type(value)
+        if kind is list:
+            memo = (key, kind, tuple(value)) if set(map(type, value)) in _FLAT else None
+        else:
+            memo = (key, kind, value) if kind in _SCALARS else None
+        item = _ITEMS.get(memo)
+        if item is None:
+            item = f"{_encode_str(key)}: {_json_value(value, '      ')}"
+            if memo is not None:
+                _ITEMS[memo] = item
+        items.append(item)
+    return "    {\n      " + ",\n      ".join(items) + "\n    }"
 
 
 def _write_json_report(out, head: dict, cases, tail: dict) -> None:

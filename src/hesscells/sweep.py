@@ -26,12 +26,18 @@ under it (`cell_generators`, `order_n_w`, ...) hold only the w it checks.
 order and tallies the summary, with no case list: per n, phase A's tables
 come from one iterator, serial or pooled, before n's first case.  `sweep()`
 collects the cases into one report; the CLI writes each as it arrives.
+
+Phase A's cost grows steeply with ℓ(w), the cell's dimension, so
+`_run_cases` hands each n's w out longest first, in batches of 1, 1, 2, 2,
+4, 4, ... w: the few long w are shared out one by one, and the many short
+ones go in few tasks and even out the workers' finish.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
@@ -131,10 +137,12 @@ def _run_battery(pres, order) -> tuple:
     )
     gb_ok = buchberger_check(pres.generator_polys(), order)
     wt = weights_for(w)
-    hom_ok = all(
-        is_homogeneous(g, wt) == vi[k - 1] - vi[l - 1] - 1
-        for k, l, g in pres.nonzero_generators()
-    )
+    gens = pres.nonzero_generators()
+    degrees = {(k, l): d for k, l, d in index_filter(w, [(k, l) for k, l, _ in gens])}
+    # a generator outside the filter has no degree: it fails, whatever
+    # is_homogeneous says (None for a generator that is not homogeneous)
+    hom_ok = all((k, l) in degrees and is_homogeneous(g, wt) == degrees[k, l]
+                 for k, l, g in gens)
     hilbert_ok = rep.is_triangular and (  # exact: see HilbertSeries.canonical
         hilbert_formula(w, pres.h).canonical() == hilbert_oracle(rep, wt).canonical()
     )
@@ -224,28 +232,65 @@ def _case_args(max_n: int):
         yield list(_h_facts(n)), [w.images for w in all_permutations(n)]
 
 
+def _batches(n_ws: list, cap: int) -> list:
+    """n's w, longest first with ties in lexicographic order, in batches of
+    1, 1, 2, 2, 4, 4, ... w, none over `cap`."""
+    # a stable sort: ties keep the lexicographic order of n_ws
+    ws = sorted(n_ws, key=lambda w: -Permutation(w).length())
+    batches, start = [], 0
+    while start < len(ws):
+        size = min(cap, 1 << (len(batches) // 2))
+        batches.append(ws[start:start + size])
+        start += size
+    return batches
+
+
+def _w_tables(batch: list, opts: SweepOptions) -> list:
+    """Phase A for each w of `batch`: one task of the pool, or of a serial run."""
+    return [_w_table(w, opts) for w in batch]
+
+
 def _run_cases(inputs: list, opts: SweepOptions, jobs: int):
     """Yield run_case((h, w, opts)) for each (hs, ws) of `inputs`, h in hs
-    and w in ws.  One iterator of phase A tables, here or from a pool of
-    `jobs` workers, yields each n's tables, stored before n's first case."""
-    ws = [w for _, n_ws in inputs for w in n_ws]
-    tables, pool = map(_w_table, ws, repeat(opts)), None
-    if jobs > 1 and len(ws) > 1:
+    and w in ws (each ws in lexicographic order).  One iterator of phase A
+    batches, run here or by a pool of `jobs` workers, yields each n's
+    tables, stored by w before n's first case.
+
+    Phase A's cost sits in the longest w: at n = 7 the mean CPU of a w
+    grows about 3x per unit of ℓ(w) near the top, and the 184 longest w
+    (3.7 %) take two thirds of it.  So each n's w are handed out longest
+    first (longest-processing-time-first, Graham 1969); ℓ(w), the cell's
+    dimension, is read off the input.  The batches grow 1, 1, 2, 2, 4, ...
+    up to `cap`: the long w go out one or two at a time and are shared
+    between the workers, and the short ones even out the workers' ends in
+    few tasks, since each task costs a round trip to a worker.  The cap
+    splits all the w into 16 chunks per worker."""
+    cap = max(1, sum(len(n_ws) for _, n_ws in inputs) // (jobs * 16))
+    batches = [_batches(n_ws, cap) for _, n_ws in inputs]
+    queue = [batch for n_batches in batches for batch in n_batches]
+    tables, pool = map(_w_tables, queue, repeat(opts)), None
+    if jobs > 1 and len(queue) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         try:
             pool = ProcessPoolExecutor(max_workers=jobs)
-            tables = pool.map(_w_table, ws, repeat(opts),
-                              chunksize=max(1, len(ws) // (jobs * 16)))
-        except OSError:  # the pool cannot start: build the tables here
+            futures = deque(pool.submit(_w_tables, batch, opts) for batch in queue)
+            tables = (futures.popleft().result() for _ in queue)  # dropped once read
+        except OSError as exc:  # the pool cannot start: build the tables here
+            import logging  # loaded already, by concurrent.futures
+
+            logging.getLogger(__name__).warning(
+                "hesscells sweep: no process pool (%s); building the tables serially",
+                exc)
             if pool is not None:
-                pool.shutdown()
+                pool.shutdown(cancel_futures=True)
             pool = None
     try:
-        for hs, n_ws in inputs:
+        for (hs, n_ws), n_batches in zip(inputs, batches):
             _TABLES.clear()
-            _TABLES.update(((w, opts), table)
-                           for w, table in zip(n_ws, islice(tables, len(n_ws))))
+            for batch, batch_tables in zip(n_batches, islice(tables, len(n_batches))):
+                _TABLES.update(((w, opts), table)
+                               for w, table in zip(batch, batch_tables))
             for h in hs:
                 for w in n_ws:
                     yield run_case((h, w, opts))

@@ -186,6 +186,26 @@ def test_a_failing_verdict_reaches_every_case_of_the_ideal(monkeypatch):
     assert all(case["ok"] for case in report["cases"] if not case["fixedPoint"])
 
 
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_a_generator_outside_the_index_filter_fails_homogeneity(homogeneous, monkeypatch):
+    # the filter loses the first nonzero generator, which is also made
+    # non-homogeneous: a degree lookup giving None would then pass it
+    w, h = Permutation((3, 4, 2, 1)), HessenbergFunction((3, 3, 4, 4))
+    pres, order = build_ideal(w, h), order_n_w(w)
+    assert sweep_mod._run_battery(pres, order) == ((2, 3, True, True, True, True, True), ())
+    (k0, l0, g0), *rest = pres.nonzero_generators()
+    assert rest
+    index_filter, is_homogeneous = sweep_mod.index_filter, sweep_mod.is_homogeneous
+    monkeypatch.setattr(sweep_mod, "index_filter", lambda w, positions: [
+        e for e in index_filter(w, positions) if e[:2] != (k0, l0)])
+    if not homogeneous:
+        monkeypatch.setattr(sweep_mod, "is_homogeneous", lambda g, wt:
+                            None if g is g0 else is_homogeneous(g, wt))
+    values, failures = sweep_mod._run_battery(pres, order)
+    assert values[5] is False
+    assert failures == ("homogeneousOk failed",)
+
+
 def test_hilbert_verdict_is_the_same_at_every_accepted_truncation():
     for h, w in cases_up_to(5):
         if is_fixed_point(w, h):

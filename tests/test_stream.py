@@ -1,12 +1,14 @@
-"""The streamed sweep report: the per-case JSON formatter, the CLI's
-report against `json.dumps` of `sweep()`, the order of case-list build
-and first case, and the pool's fallback and early close."""
+"""The streamed sweep report: the per-case JSON formatter and its memo,
+the CLI's report against `json.dumps` of `sweep()`, the order of
+case-list build and first case, phase A's schedule, and the pool's
+fallback and early close."""
 
 import concurrent.futures
 import contextlib
 import importlib
 import io
 import json
+import logging
 import re
 
 import pytest
@@ -18,6 +20,7 @@ from hesscells.cli import _case_json, _write_json_report, main
 from hesscells.sweep import SweepOptions, iter_sweep, run_case, sweep
 
 sweep_mod = importlib.import_module("hesscells.sweep")
+cli_mod = importlib.import_module("hesscells.cli")
 
 _ELAPSED = re.compile(r'("elapsedSeconds": )[^\n,}]+')
 
@@ -59,6 +62,15 @@ class TestCaseFormatter:
         case = dict(NONFIXED, emptyCertified=None, failures=failures,
                     ok=not failures)
         assert _case_json(case) == reindented(case)
+
+    def test_memo_tells_equal_values_of_other_types_apart(self, monkeypatch):
+        # 1 == True == 1.0 and (1,) == (True,): an item memo keyed by the
+        # value alone would give each later value the bytes of the first
+        monkeypatch.setattr(cli_mod, "_ITEMS", {})
+        cases = [{"n": 4, "value": value, "ok": True}
+                 for value in (1, True, 1.0, [1], [True], [], ["1"])]
+        for case in cases + cases[3:4]:
+            assert _case_json(case) == reindented(case)
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(
@@ -168,7 +180,7 @@ class TestCaseIterator:
     def test_case_args_has_one_entry_per_n(self):
         assert len(list(sweep_mod._case_args(5))) == 5
 
-    def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch):
+    def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch, caplog):
         def no_pool(*args, **kwargs):
             raise OSError("no pool here")
 
@@ -178,6 +190,9 @@ class TestCaseIterator:
                                  "--format", "json")
         assert code == 0
         assert masked(fallback) == masked(serial)
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("hesscells.sweep", logging.WARNING)
+        assert "no pool here" in record.getMessage()
 
     def test_early_close_cancels_the_pending_chunks(self, monkeypatch):
         shutdowns = []
@@ -195,6 +210,41 @@ class TestCaseIterator:
         assert shutdowns == [True]
         assert tail["summary"]["cases"] == 1
         assert tail["elapsedSeconds"] is None
+
+
+def inversions(w):
+    return sum(a > b for i, a in enumerate(w) for b in w[i + 1:])
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("cap", [1, 3, 27, 10_000])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_each_n_goes_longest_first_in_growing_batches(self, n, cap):
+        ws = [w.images for w in all_permutations(n)]
+        batches = sweep_mod._batches(ws, cap)
+        # each w once, by length descending, ties in lexicographic order
+        assert [w for b in batches for w in b] == sorted(ws, key=lambda w: (-inversions(w), w))
+        assert batches[0] == [tuple(range(n, 0, -1))]
+        sizes = [len(b) for b in batches]
+        assert sizes[:-1] == [min(cap, 2 ** (i // 2)) for i in range(len(sizes) - 1)]
+        assert 0 < sizes[-1] <= cap
+
+    def test_the_pool_gets_each_n_longest_w_first(self, monkeypatch):
+        submitted = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, batch, *args, **kwargs):
+                submitted.append(batch)
+                return super().submit(fn, batch, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        assert sweep(5, jobs=2)["summary"]["ok"]
+        ns = [len(batch[0]) for batch in submitted]
+        assert ns == sorted(ns)
+        assert [submitted[ns.index(n)] for n in range(1, 6)] == [
+            [tuple(range(n, 0, -1))] for n in range(1, 6)]
+        assert sorted(w for batch in submitted for w in batch) == sorted(
+            w.images for n in range(1, 6) for w in all_permutations(n))
 
 
 class TestBadJobsAndInternalErrors:
