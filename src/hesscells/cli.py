@@ -47,7 +47,7 @@ from .groebner import (
     triangular_analysis,
 )
 from .polyring import Monomial, Polynomial
-from .sweep import SWEEP_CEILING, SweepOptions, iter_sweep
+from .sweep import SWEEP_CEILING, SweepOptions, case_dict, iter_sweep
 from .sweep import sweep  # bound for perfbench's sweep.sweep span
 
 
@@ -333,38 +333,35 @@ def _json_value(value, pad: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-_FLAT = (set(), {int}, {str})  # element types of the lists h, w and failures
-# (key, exact type, value) -> the encoded '"key": value' item, for a value of
-# a _SCALARS type or a flat list, keyed as a tuple.  The type is in the key
-# because 1, True and 1.0 are equal keys, as are (1,) and (True,).
-_ITEMS = {}
-
-
-def _case_json(case: dict) -> str:
-    """One case as the report's indented case list holds it; each item
-    with a scalar or flat-list value is encoded once per distinct value."""
-    items = []
-    for key, value in case.items():
-        kind = type(value)
-        if kind is list:
-            memo = (key, kind, tuple(value)) if set(map(type, value)) in _FLAT else None
-        else:
-            memo = (key, kind, value) if kind in _SCALARS else None
-        item = _ITEMS.get(memo)
-        if item is None:
-            item = f"{_encode_str(key)}: {_json_value(value, '      ')}"
-            if memo is not None:
-                _ITEMS[memo] = item
-        items.append(item)
-    return "    {\n      " + ",\n      ".join(items) + "\n    }"
-
-
-def _write_json_report(out, head: dict, cases, tail: dict) -> None:
-    """Write `json.dumps({**head, "cases": [...], **tail}, indent=2)` and a newline."""
+def _write_json_report(out, head: dict, rows, tail: dict) -> None:
+    """Write `json.dumps({**head, "cases": [...], **tail}, indent=2)` and a
+    newline, the cases `case_dict(*row)` for the rows (h, w, entry) of
+    `iter_sweep`, h and w tuples of int.  A case is written from three
+    pieces, each encoded once from its `case_dict`: the "n" and "h" items
+    per h, the "w" item per w of the current n, and the rest per distinct
+    entry, keyed with the exact types of its values (1 == True == 1.0);
+    only values of the _SCALARS types are memoized (0.0 == -0.0)."""
     out.write(json.dumps(head, indent=2)[:-2] + ',\n  "cases": [')
+    h_items, w_items, tails = {}, {}, {}
     sep = "\n"
-    for case in cases:
-        out.write(sep + _case_json(case))
+    for h, w, entry in rows:
+        # tuple(map(...)) would resize, leaving a block per row in a free list
+        key = entry, *map(type, entry[0])
+        h_item, w_item, rest = h_items.get(h), w_items.get(w), tails.get(key)
+        if h_item is None or w_item is None or rest is None:
+            items = [f"{_encode_str(k)}: {_json_value(v, '      ')}"
+                     for k, v in case_dict(h, w, entry).items()]
+            if h_item is None:
+                h_item = h_items[h] = "    {\n      " + ",\n      ".join(items[:2])
+            if w_item is None:
+                if w_items and len(next(iter(w_items))) != len(w):
+                    w_items.clear()  # a new n
+                w_item = w_items[w] = ",\n      " + items[2] + ",\n      "
+            if rest is None:
+                rest = ",\n      ".join(items[3:]) + "\n    }"
+                if set(key[1:]) <= _SCALARS.keys():
+                    tails[key] = rest
+        out.write(f"{sep}{h_item}{w_item}{rest}")
         sep = ",\n"
     out.write("],\n" if sep == "\n" else "\n  ],\n")
     out.write(json.dumps(tail, indent=2)[2:] + "\n")
@@ -373,17 +370,20 @@ def _write_json_report(out, head: dict, cases, tail: dict) -> None:
 def cmd_sweep(args) -> int:
     primes = tuple(int(p) for p in args.frobenius.split(",")) if args.frobenius else ()
     opts = SweepOptions(primes, args.oracle_nonfixed, args.trunc, args.budget)
-    head, cases, tail = iter_sweep(args.max_n, opts, args.jobs)
+    head, rows, tail = iter_sweep(args.max_n, opts, args.jobs)
     summary = tail["summary"]
-    if args.format == "json":
-        _write_json_report(sys.stdout, head, cases, tail)
-    else:
-        for case in cases:
-            if not case["ok"]:
-                print(f"FAIL n={case['n']} h={case['h']} w={case['w']}: "
-                      + "; ".join(case["failures"]))
-        print(f"{summary['cases']} cases, {summary['fixedPointCases']} fixed points, "
-              f"{summary['failedCases']} failures")
+    try:
+        if args.format == "json":
+            _write_json_report(sys.stdout, head, rows, tail)
+        else:
+            for h, w, (_, failures) in rows:
+                if failures:
+                    print(f"FAIL n={len(w)} h={list(h)} w={list(w)}: "
+                          + "; ".join(failures))
+            print(f"{summary['cases']} cases, {summary['fixedPointCases']} fixed "
+                  f"points, {summary['failedCases']} failures")
+    except ValueError as exc:  # the arguments are checked: a broken invariant
+        raise AssertionError(exc) from exc
     return 0 if summary["ok"] else 1
 
 

@@ -17,15 +17,18 @@ Each I_{w,h} selects the entries at `cells.ideal_positions(h)` of one
 matrix, so the sweep runs in two phases.  Phase A (`_w_table`, once per w)
 decides every case of w: it reads masks off that matrix (and off
 `cells.index_filter`), each position (k, l) one bit, runs each check that
-reads only the ideal once per distinct I_{w,h}, and returns one entry per
-h.  Phase B (`run_case`) looks the case up.  A pool runs phase A only, so
-each ideal is checked once.  Phase A runs w-major, so the per-w caches
-under it (`cell_generators`, `order_n_w`, ...) hold only the w it checks.
+reads only the ideal once per distinct I_{w,h}, and returns one entry
+(values, failures) per h.  Phase B reads each case's entry off w's table.
+A pool runs phase A only, so each ideal is checked once.  Phase A runs
+w-major, so the per-w caches under it (`cell_generators`, `order_n_w`,
+...) hold only the w it checks.
 
-`iter_sweep` is the one sweep path: it yields the cases in (n, h, w)
-order and tallies the summary, with no case list: per n, phase A's tables
-come from one iterator, serial or pooled, before n's first case.  `sweep()`
-collects the cases into one report; the CLI writes each as it arrives.
+`iter_sweep` is the one sweep path: it yields one row (h, w, entry) per
+case in (n, h, w) order and tallies the summary from the entries, with no
+case list: per n, phase A's tables come from one iterator, serial or
+pooled, before n's first row.  `case_dict` turns a row into the report's
+case, for `sweep()` and `run_case`; the CLI writes each row as it arrives
+and encodes each distinct entry once.
 
 Phase A's cost grows steeply with ℓ(w), the cell's dimension, so
 `_run_cases` hands each n's w out longest first, in batches of 1, 1, 2, 2,
@@ -206,10 +209,21 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
     return tuple(table)
 
 
+def case_dict(h_values: tuple, w_images: tuple, entry: tuple) -> dict:
+    """The report's JSON-ready dict of one case: a row (h, w, entry) of the
+    sweep, the entry (values, failures) from w's table."""
+    values, failures = entry
+    case = {"n": len(w_images), "h": list(h_values), "w": list(w_images)}
+    case.update(zip(_KEYS[values[0]], values))
+    case["failures"] = list(failures)
+    case["ok"] = not failures
+    return case
+
+
 def run_case(args):
-    """Phase B: look one (h, w) pair up in w's table, built here on a miss;
-    returns a JSON-ready dict.  Raises ValueError unless h is an
-    indecomposable Hessenberg function of w's size."""
+    """Look one (h, w) pair up in w's table, built here on a miss; returns
+    its `case_dict`.  Raises ValueError unless h is an indecomposable
+    Hessenberg function of w's size."""
     h_values, w_images, opts = args
     facts = _h_facts(len(w_images)).get(h_values)
     if facts is None:
@@ -217,12 +231,7 @@ def run_case(args):
                          f"function of size {len(w_images)}")
     table = _TABLES.get((w_images, opts)) or _TABLES.setdefault(
         (w_images, opts), _w_table(w_images, opts))
-    values, failures = table[facts[0]]
-    case = {"n": len(w_images), "h": list(h_values), "w": list(w_images)}
-    case.update(zip(_KEYS[values[0]], values))
-    case["failures"] = list(failures)
-    case["ok"] = not failures
-    return case
+    return case_dict(h_values, w_images, table[facts[0]])
 
 
 def _case_args(max_n: int):
@@ -251,10 +260,10 @@ def _w_tables(batch: list, opts: SweepOptions) -> list:
 
 
 def _run_cases(inputs: list, opts: SweepOptions, jobs: int):
-    """Yield run_case((h, w, opts)) for each (hs, ws) of `inputs`, h in hs
-    and w in ws (each ws in lexicographic order).  One iterator of phase A
-    batches, run here or by a pool of `jobs` workers, yields each n's
-    tables, stored by w before n's first case.
+    """Yield the row (h, w, entry) of each (hs, ws) of `inputs`, h in hs and
+    w in ws (each ws in lexicographic order), the entry read off w's table.
+    One iterator of phase A batches, run here or by a pool of `jobs`
+    workers, yields each n's tables, stored by w before n's first row.
 
     Phase A's cost sits in the longest w: at n = 7 the mean CPU of a w
     grows about 3x per unit of ℓ(w) near the top, and the 184 longest w
@@ -291,9 +300,11 @@ def _run_cases(inputs: list, opts: SweepOptions, jobs: int):
             for batch, batch_tables in zip(n_batches, islice(tables, len(n_batches))):
                 _TABLES.update(((w, opts), table)
                                for w, table in zip(batch, batch_tables))
-            for h in hs:
-                for w in n_ws:
-                    yield run_case((h, w, opts))
+            n_tables = [_TABLES[w, opts] for w in n_ws]
+            for i, h in enumerate(hs):  # h's place in each table of n
+                for w, table in zip(n_ws, n_tables):
+                    yield h, w, table[i]
+            del n_tables  # n's tables go before the next n's arrive
     finally:  # on an early close too: cancel the tables not started
         _TABLES.clear()
         if pool is not None:
@@ -301,15 +312,18 @@ def _run_cases(inputs: list, opts: SweepOptions, jobs: int):
 
 
 def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
-    """Check the arguments; return (head, cases, tail) of the report
-    {**head, "cases": [...], **tail}.  `cases` yields the case dicts in
-    (n, h, w) order for any job count; `tail` holds their summary, and
-    elapsedSeconds once they are exhausted.  `hilbertOk` compares the two
-    series exactly; `trunc` is still checked by `check_exact_trunc` and
+    """Check the arguments; return (head, rows, tail) of the report
+    {**head, "cases": [...], **tail}.  `rows` yields the row (h values,
+    w images, entry) of each case in (n, h, w) order for any job count, the
+    entry (values, failures) shared with every case of an equal key of w's
+    table; `case_dict(*row)` is the case.  `tail` holds the summary, and
+    elapsedSeconds once the rows are exhausted.  `hilbertOk` compares the
+    two series exactly; `trunc` is still checked by `check_exact_trunc` and
     reported, and no accepted value changes a verdict.  Serially as in a
-    pool, all tables of n are built before n's first case: that moves no
+    pool, all tables of n are built before n's first row: that moves no
     work and raises no peak, for n's first h reads every w's table, so all
-    are held by the end of that h either way."""
+    are held by the end of that h either way.  An error raised once `rows`
+    has started is not one of the arguments."""
     check_exact_trunc(max_n, opts.trunc)
     primes = opts.frobenius_primes
     ceiling = FROBENIUS_CEILING if primes else SWEEP_CEILING
@@ -336,19 +350,20 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
     summary = {"cases": 0, "fixedPointCases": 0, "failedCases": 0, "ok": True}
     tail = {"summary": summary, "elapsedSeconds": None}
 
-    def cases():
-        # in full before the first case: perfbench's set-up mark is its end
+    def rows():
+        # in full before the first row: perfbench's set-up mark is its end
         inputs = list(_case_args(max_n))
         start = time.monotonic()
-        for case in _run_cases(inputs, opts, workers):
+        for row in _run_cases(inputs, opts, workers):
+            values, failures = row[2]
             summary["cases"] += 1
-            summary["fixedPointCases"] += case["fixedPoint"]
-            summary["failedCases"] += not case["ok"]
-            summary["ok"] = summary["ok"] and case["ok"]
-            yield case
+            summary["fixedPointCases"] += values[0]
+            summary["failedCases"] += bool(failures)
+            summary["ok"] = summary["ok"] and not failures
+            yield row
         tail["elapsedSeconds"] = time.monotonic() - start
 
-    return head, cases(), tail
+    return head, rows(), tail
 
 
 def sweep(
@@ -361,7 +376,7 @@ def sweep(
 ) -> dict:
     """Run the full verification sweep and return its report."""
     opts = SweepOptions(tuple(frobenius_primes), oracle_nonfixed, trunc, budget)
-    head, cases, tail = iter_sweep(max_n, opts, jobs)
-    report = {**head, "cases": list(cases)}
+    head, rows, tail = iter_sweep(max_n, opts, jobs)
+    report = {**head, "cases": [case_dict(*row) for row in rows]}
     report.update(tail)
     return report

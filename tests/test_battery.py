@@ -1,9 +1,9 @@
 """The sweep's two phases: phase A (`_w_table`) decides every case of w and
 checks each distinct cell ideal once, in any order of w and on any number
-of pool workers; phase B (`run_case`) only looks the case up and gives the
-results a fresh table gives, in any case order and for two truncation
-orders in one process, and every case still reports the verdict of its own
-ideal.  `hilbertOk` compares the two Hilbert series exactly, so no
+of pool workers; phase B (the sweep's rows, and `run_case` for one case)
+only looks the case up and gives the results a fresh table gives, in any
+case order and for two truncation orders in one process, and every case
+still reports the verdict of its own ideal.  `hilbertOk` compares the two Hilbert series exactly, so no
 truncation order changes it and no series is expanded."""
 
 import importlib
@@ -159,18 +159,18 @@ def test_a_pool_gives_the_serial_report():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_each_n_drops_its_tables_once_its_cases_are_out(jobs):
-    _, cases, _ = iter_sweep(4, SweepOptions(), jobs)
-    for case in cases:
-        assert {len(w) for w, _ in sweep_mod._TABLES} == {case["n"]}
+    _, rows, _ = iter_sweep(4, SweepOptions(), jobs)
+    for _, w, _ in rows:
+        assert {len(u) for u, _ in sweep_mod._TABLES} == {len(w)}
     assert sweep_mod._TABLES == {}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_each_n_has_all_its_tables_at_its_first_case(jobs):
-    _, cases, _ = iter_sweep(4, SweepOptions(), jobs)
+    _, rows, _ = iter_sweep(4, SweepOptions(), jobs)
     held = {}
-    for case in cases:
-        held.setdefault(case["n"], len(sweep_mod._TABLES))
+    for _, w, _ in rows:
+        held.setdefault(len(w), len(sweep_mod._TABLES))
     assert held == {1: 1, 2: 2, 3: 6, 4: 24}
 
 
@@ -359,6 +359,16 @@ def test_a_zeroed_generator_fails_exactly_the_ideals_that_hold_it(monkeypatch):
 def test_run_case_rejects_an_h_that_is_not_indecomposable_of_w_size(h, w):
     with pytest.raises(ValueError, match="not an indecomposable Hessenberg function"):
         run_case((h, w, SweepOptions()))
+
+
+@pytest.mark.parametrize("options", [{}, {"frobenius_primes": (2,)}])
+def test_run_case_gives_the_case_of_the_sweep(options):
+    report = sweep(4, **options)
+    opts = SweepOptions(**options)
+    sweep_mod._TABLES.clear()
+    assert len(report["cases"]) == 135
+    for case in report["cases"]:
+        assert run_case((tuple(case["h"]), tuple(case["w"]), opts)) == case
 
 
 def test_phase_b_does_no_per_case_work(monkeypatch):

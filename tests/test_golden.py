@@ -33,6 +33,7 @@ COMMANDS = {
     "paving": "paving --n 4 --h 3,3,4,4",
     "frobenius-check": "frobenius-check --n 4 --w 3421 --h 3,3,4,4 --p 3",
     "sweep-frobenius": "sweep --max-n 4 --frobenius 2,3",
+    "sweep": "sweep --max-n 4",
 }
 
 CASES = [(name, fmt) for name in COMMANDS for fmt in ("text", "json")]

@@ -1,7 +1,7 @@
-"""The streamed sweep report: the per-case JSON formatter and its memo,
-the CLI's report against `json.dumps` of `sweep()`, the order of
-case-list build and first case, phase A's schedule, and the pool's
-fallback and early close."""
+"""The streamed sweep report: the JSON writer of the sweep's rows and its
+memo, the CLI's report against `json.dumps` of `sweep()`, the order of
+case-list build and first table, phase A's schedule, the pool's fallback
+and early close, and the exit code of an error raised mid-stream."""
 
 import concurrent.futures
 import contextlib
@@ -16,18 +16,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesscells import all_permutations, enumerate_hessenberg
-from hesscells.cli import _case_json, _write_json_report, main
-from hesscells.sweep import SweepOptions, iter_sweep, run_case, sweep
+from hesscells.cli import _write_json_report, main
+from hesscells.sweep import SweepOptions, case_dict, iter_sweep, run_case, sweep
 
 sweep_mod = importlib.import_module("hesscells.sweep")
-cli_mod = importlib.import_module("hesscells.cli")
 
 _ELAPSED = re.compile(r'("elapsedSeconds": )[^\n,}]+')
 
+HEAD = {"maxN": 4, "options": {"frobeniusPrimes": [], "trunc": 30}}
+TAIL = {"summary": {"cases": 0, "ok": True}, "elapsedSeconds": 0.5}
 
-def reindented(case):
-    """The case as `json.dumps(report, indent=2)` writes it in the list."""
-    return "\n".join("    " + line for line in json.dumps(case, indent=2).split("\n"))
+
+def written(rows):
+    """The report `_write_json_report` writes for `rows`."""
+    out = io.StringIO()
+    _write_json_report(out, HEAD, iter(rows), TAIL)
+    return out.getvalue()
+
+
+def dumped(rows):
+    """`json.dumps` of the same report, each case `case_dict` of its row."""
+    report = {**HEAD, "cases": [case_dict(*row) for row in rows], **TAIL}
+    return json.dumps(report, indent=2) + "\n"
 
 
 def cli_out(*argv):
@@ -41,16 +51,28 @@ def masked(text):
     return _ELAPSED.sub(r'\1"<masked>"', text)
 
 
-FIXED = run_case(((3, 3, 4, 4), (3, 4, 2, 1), SweepOptions(frobenius_primes=(2,))))
-NONFIXED = run_case(((2, 3, 4, 4), (3, 4, 2, 1), SweepOptions()))
+def table_seam(monkeypatch, change):
+    """Route phase A through `change(w_images, table)`; the tables are
+    built here, for the tests that use it run with --jobs 1."""
+    w_table = sweep_mod._w_table
+    monkeypatch.setattr(sweep_mod, "_w_table",
+                        lambda w_images, opts: change(w_images, w_table(w_images, opts)))
+
+
+# rows (h, w, entry) as the sweep yields them
+FIXED = ((3, 3, 4, 4), (3, 4, 2, 1), ((True, 2, 3, True, True, True, True, True, True), ()))
+NONFIXED = ((2, 3, 4, 4), (3, 4, 2, 1), ((False, True, True), ()))
 
 
 class TestCaseFormatter:
     def test_both_key_layouts(self):
-        assert FIXED["fixedPoint"] and "frobeniusOk" in FIXED
-        assert not NONFIXED["fixedPoint"] and NONFIXED["emptyCertified"] is True
-        for case in (FIXED, NONFIXED):
-            assert _case_json(case) == reindented(case)
+        assert case_dict(*FIXED) == run_case(
+            FIXED[:2] + (SweepOptions(frobenius_primes=(2,)),))
+        assert case_dict(*NONFIXED) == run_case(NONFIXED[:2] + (SweepOptions(),))
+        assert "frobeniusOk" in case_dict(*FIXED)
+        assert case_dict(*NONFIXED)["emptyCertified"] is True
+        for rows in ([FIXED], [NONFIXED], [FIXED, NONFIXED, NONFIXED, FIXED]):
+            assert written(rows) == dumped(rows)
 
     @pytest.mark.parametrize("failures", [
         [],
@@ -59,44 +81,49 @@ class TestCaseFormatter:
          "control\n\tcharacters\x00"],
     ])
     def test_budget_exhausted_and_failure_strings(self, failures):
-        case = dict(NONFIXED, emptyCertified=None, failures=failures,
-                    ok=not failures)
-        assert _case_json(case) == reindented(case)
+        row = NONFIXED[:2] + (((False, True, None), tuple(failures)),)
+        assert case_dict(*row)["emptyCertified"] is None
+        assert case_dict(*row)["ok"] is (not failures)
+        assert written([row, NONFIXED, row]) == dumped([row, NONFIXED, row])
 
-    def test_memo_tells_equal_values_of_other_types_apart(self, monkeypatch):
-        # 1 == True == 1.0 and (1,) == (True,): an item memo keyed by the
-        # value alone would give each later value the bytes of the first
-        monkeypatch.setattr(cli_mod, "_ITEMS", {})
-        cases = [{"n": 4, "value": value, "ok": True}
-                 for value in (1, True, 1.0, [1], [True], [], ["1"])]
-        for case in cases + cases[3:4]:
-            assert _case_json(case) == reindented(case)
+    def test_memo_tells_equal_values_of_other_types_apart(self):
+        # 1 == True == 1.0 and (True, 1) == (1, True): a memo keyed by the
+        # entry alone would give each later entry the bytes of the first
+        h, w, _ = FIXED
+        entries = [((True, value, 3, True, True, True, True, True), ())
+                   for value in (1, True, 1.0)]
+        entries += [((fixed, False, None), ()) for fixed in (False, 0, 0.0)]
+        entries += [((False, value, None), ("1",)) for value in (0, False, None)]
+        entries += [((False, value, None), ()) for value in (0.0, -0.0, (1,), (True,))]
+        rows = [(h, w, entry) for entry in entries]
+        assert written(rows + rows[3:4]) == dumped(rows + rows[3:4])
 
     @settings(max_examples=200, deadline=None)
-    @given(st.dictionaries(
-        st.text(),
-        st.recursive(
-            st.none() | st.booleans() | st.integers() | st.text()
-            | st.floats(allow_nan=False),
-            lambda inner: st.lists(inner, max_size=3)
-            | st.dictionaries(st.text(), inner, max_size=3),
-            max_leaves=8,
-        ),
-        min_size=1, max_size=6,
+    @given(st.lists(
+        st.lists(st.integers(), min_size=1, max_size=4).flatmap(lambda h: st.tuples(
+            st.just(tuple(h)),
+            st.lists(st.integers(), min_size=len(h), max_size=len(h)).map(tuple),
+            st.tuples(
+                st.tuples(st.booleans(), st.lists(st.recursive(
+                    st.none() | st.booleans() | st.integers() | st.text() | st.floats(),
+                    lambda inner: st.lists(inner, max_size=3).map(tuple),
+                    max_leaves=4,
+                ), max_size=9)).map(lambda fv: (fv[0], *fv[1])),
+                st.lists(st.text(), max_size=3).map(tuple),
+            ),
+        )),
+        max_size=6,
     ))
-    def test_any_json_value(self, case):
-        # types the sweep never emits go through the json.dumps fallback
-        assert _case_json(case) == reindented(case)
+    def test_any_json_value(self, rows):
+        # any hashable value, repeated or not: equal values such as 0 and
+        # -0.0, or (1,) and (True,), must keep their own bytes; types the
+        # sweep never emits go through the json.dumps fallback
+        assert written(rows + rows) == dumped(rows + rows)
 
 
 @pytest.mark.parametrize("cases", [[], [FIXED], [FIXED, NONFIXED]])
 def test_report_writer_for_any_number_of_cases(cases):
-    head = {"maxN": 4, "options": {"frobeniusPrimes": [], "trunc": 30}}
-    tail = {"summary": {"cases": len(cases), "ok": True}, "elapsedSeconds": 0.5}
-    out = io.StringIO()
-    _write_json_report(out, head, iter(cases), tail)
-    report = {**head, "cases": cases, **tail}
-    assert out.getvalue() == json.dumps(report, indent=2) + "\n"
+    assert written(cases) == dumped(cases)
 
 
 class TestStreamedReport:
@@ -121,14 +148,12 @@ class TestStreamedReport:
         assert masked(text) == masked(json.dumps(report, indent=2) + "\n")
 
     def test_failures_in_text_and_json(self, monkeypatch):
-        def failing(args):
-            case = run_case(args)
-            if case["w"][0] == 2:
-                case["failures"] = ['made to "fail"']
-                case["ok"] = False
-            return case
+        def failing(w_images, table):
+            if w_images[0] != 2:
+                return table
+            return tuple((values, ('made to "fail"',)) for values, _ in table)
 
-        monkeypatch.setattr(sweep_mod, "run_case", failing)
+        table_seam(monkeypatch, failing)
         code, text = cli_out("sweep", "--max-n", "4", "--jobs", "1")
         json_code, json_text = cli_out("sweep", "--max-n", "4", "--jobs", "1",
                                        "--format", "json")
@@ -145,26 +170,37 @@ class TestStreamedReport:
         assert text == "\n".join(lines) + "\n"
         assert masked(json_text) == masked(json.dumps(report, indent=2) + "\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_the_cli_makes_no_run_case_call(self, fmt, monkeypatch):
+        def refuse(args):
+            raise AssertionError("the sweep called run_case")
+
+        expected = cli_out("sweep", "--max-n", "4", "--format", fmt)
+        monkeypatch.setattr(sweep_mod, "run_case", refuse)
+        code, text = cli_out("sweep", "--max-n", "4", "--format", fmt)
+        assert code == expected[0] == 0
+        assert masked(text) == masked(expected[1])
+
 
 class TestCaseIterator:
     def test_case_list_is_built_before_the_first_case(self, monkeypatch):
         events = []
-        build, run = sweep_mod._case_args, sweep_mod.run_case
+        build = sweep_mod._case_args
 
         def marked(*args):
             yield from build(*args)
             events.append("built")
 
-        def running(args):
-            events.append("case")
-            return run(args)
+        def building(w_images, table):
+            events.append("table")
+            return table
 
         monkeypatch.setattr(sweep_mod, "_case_args", marked)
-        monkeypatch.setattr(sweep_mod, "run_case", running)
+        table_seam(monkeypatch, building)
         code, _ = cli_out("sweep", "--max-n", "4", "--jobs", "1", "--format", "json")
         assert code == 0
-        assert events == ["built"] + ["case"] * (len(events) - 1)
-        assert len(events) == 1 + 135
+        assert events == ["built"] + ["table"] * (len(events) - 1)
+        assert len(events) == 1 + 1 + 2 + 6 + 24
 
     def test_case_list_shares_each_n_permutation_tuples(self):
         inputs = list(sweep_mod._case_args(4))
@@ -203,9 +239,9 @@ class TestCaseIterator:
                 super().shutdown(wait, cancel_futures=cancel_futures)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        _, cases, tail = iter_sweep(5, SweepOptions(), jobs=2)
-        first = next(cases)
-        cases.close()
+        _, rows, tail = iter_sweep(5, SweepOptions(), jobs=2)
+        first = case_dict(*next(rows))
+        rows.close()
         assert (first["n"], first["h"], first["w"]) == (1, [1], [1])
         assert shutdowns == [True]
         assert tail["summary"]["cases"] == 1
@@ -265,12 +301,33 @@ class TestBadJobsAndInternalErrors:
             sweep(3, jobs=jobs)
 
     def test_internal_error_exits_1(self, monkeypatch, capsys):
-        def broken(args):
+        def broken(w_images, table):
             raise AssertionError("broken invariant")
 
-        monkeypatch.setattr(sweep_mod, "run_case", broken)
+        table_seam(monkeypatch, broken)
         code = main(["sweep", "--max-n", "3", "--jobs", "1", "--format", "json"])
         out, err = capsys.readouterr()
         assert code == 1
         assert err.startswith("error: internal error")
         assert out.startswith("{") and not out.rstrip().endswith("}")
+
+    def test_value_error_mid_stream_is_internal_but_bad_arguments_are_usage(
+            self, monkeypatch, capsys):
+        def broken(w_images, table):
+            if len(w_images) == 3:
+                raise ValueError("no table for n = 3")
+            return table
+
+        table_seam(monkeypatch, broken)
+        code = main(["sweep", "--max-n", "3", "--jobs", "1", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == "error: internal error: no table for n = 3\n"
+        # the cases of n <= 2 are out, and the report is not terminated
+        assert out.startswith("{") and '"w": [\n        2,\n        1\n      ]' in out
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+        code = main(["sweep", "--max-n", "0", "--jobs", "1", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: max_n must be between 1 and 7\n"
