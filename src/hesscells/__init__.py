@@ -46,6 +46,7 @@ from .cells import (
 )
 from .groebner import (
     BudgetExceededError,
+    InternalError,
     MonomialOrder,
     TriangularReport,
     buchberger_check,
@@ -106,6 +107,7 @@ __all__ = [
     "random_point_check",
     "solve_cell_point",
     "BudgetExceededError",
+    "InternalError",
     "MonomialOrder",
     "TriangularReport",
     "buchberger_check",

@@ -41,13 +41,22 @@ from .grading_hilbert import (
 )
 from .groebner import (
     BudgetExceededError,
+    InternalError,
     buchberger_check,
     order_n_w,
     reduced_gb_oracle,
     triangular_analysis,
 )
 from .polyring import Monomial, Polynomial
-from .sweep import SWEEP_CEILING, SweepOptions, case_dict, iter_sweep
+from .sweep import (
+    FROBENIUS_CEILINGS,
+    FROBENIUS_DEFAULT_CEILING,
+    SWEEP_CEILING,
+    SweepOptions,
+    case_dict,
+    frobenius_ceiling,
+    iter_sweep,
+)
 from .sweep import sweep  # bound for perfbench's sweep.sweep span
 
 
@@ -278,9 +287,14 @@ def _random_poly(ctx, rng, max_terms=5):
 
 
 def cmd_frobenius_check(args) -> int:
+    ceiling = frobenius_ceiling((args.p,))
+    if not 1 <= args.n <= ceiling:
+        raise ValueError(
+            f"n must be between 1 and {ceiling} for Frobenius checks at p = {args.p}")
     w = _parse_perm(args)
     h = _parse_h(args)
-    if not is_fixed_point(w, h):  # before the splitting, which can take minutes
+    # before the splitting and its spot checks, whose cost the ceiling bounds
+    if not is_fixed_point(w, h):
         raise ValueError(f"w={w} is not a fixed point for h={h}")
     ctx = make_splitting_context(w, args.p)
     report = compatibility_check(ctx, h)
@@ -383,8 +397,15 @@ def cmd_sweep(args) -> int:
             print(f"{summary['cases']} cases, {summary['fixedPointCases']} fixed "
                   f"points, {summary['failedCases']} failures")
     except ValueError as exc:  # the arguments are checked: a broken invariant
-        raise AssertionError(exc) from exc
+        raise InternalError(exc) from exc
     return 0 if summary["ok"] else 1
+
+
+def _ceilings_help(flag: str) -> str:
+    """The per-prime ceilings of Frobenius checks, said of `flag`."""
+    ceilings = ", ".join(f"{n} at p = {p}" for p, n in FROBENIUS_CEILINGS.items())
+    return (f"{flag} is at most {ceilings} and {FROBENIUS_DEFAULT_CEILING} "
+            "at any other prime")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--h", required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=int, required=True,
+                   help="a prime; " + _ceilings_help("--n"))
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized spot checks")
     p.set_defaults(func=cmd_frobenius_check)
@@ -468,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full verification sweep up to max-n")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--frobenius", default=None,
-                   help="comma separated primes, e.g. 2,3")
+                   help="comma separated primes, e.g. 2,3; "
+                   + _ceilings_help("--max-n"))
     p.add_argument("--oracle-nonfixed", action="store_true",
                    dest="oracle_nonfixed",
                    help="run the unit-ideal oracle at every n, not just n <= 4")
@@ -493,9 +516,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, IndexError) as exc:
-        # the package has no assert statements, and no argument reaches an
-        # index bounds check: this is a broken invariant
+    except (InternalError, AssertionError, IndexError) as exc:
+        # InternalError is how the package reports a broken invariant; it
+        # has no assert statements and no argument reaches an index bounds
+        # check, so an AssertionError or IndexError is a broken one too
         print(f"error: internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,17 +12,23 @@ generators of I_{w,h^}, so phi maps it into itself (Knutson's lemma),
 checked generator by generator via Groebner reduction mod p (valid since
 every leading coefficient is a unit mod p).
 
-G, F and F^{p-1} are multiplied out on packed monomials (the `_Packing`
-encoding of `groebner`), with fields wide enough for the exponent bound
+G and F are multiplied out on packed monomials (the `_Packing` encoding
+of `groebner`), with fields wide enough for the exponent bound
 (p-1)(1 + sum of each generator's top exponent), so no product overflows.
-phi(f) never expands F^{p-1} * f.  A product of monomials s survives the
-trace only when every exponent of s is p-1 mod p, so the terms of F^{p-1}
-are bucketed by their exponent vector mod p, and a term of f whose
-exponents are r mod p meets only the bucket (p-1-r) mod p.  Each product
-from that bucket survives, and with ONES the code holding a 1 in every
-field its image is the integer (s + ONES) // p - ONES: every field of
-s + ONES is a multiple of p, so the division is exact field by field.
-Tr itself is the same kernel with 1 in place of F^{p-1}.
+F^{p-1} is never formed.  phi(f) = Tr(F^a * (F^b * f)) with
+a = ceil((p-1)/2) and b = p-1-a, so b is 0 at p = 2 and a otherwise.  A
+product of monomials s survives the trace only when every exponent of s
+is p-1 mod p.  So the kernel keeps the terms of F^a bucketed by their
+residue code (the exponent vector mod p) and the terms of F^b each with
+its residue code.  phi(f) walks the terms of F^b * f, one per pair of a
+term of f and a term of F^b, and the residue code of such a term is the
+field-wise sum mod p of its factors' residue codes (`_Packing.residue_sum`,
+a few integer operations, where `residues` reads every field).  A term of
+residue r meets only the bucket (p-1-r) mod p of F^a, and each pair from
+that bucket survives: with ONES the code holding a 1 in every field, its
+image is the integer (s + ONES) // p - ONES, for every field of s + ONES
+is a multiple of p, so the division is exact field by field.  Tr itself
+is the same kernel with 1 in place of F^a and F^b.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .combinat import (
     least_hessenberg,
 )
 from .groebner import (
+    InternalError,
     MonomialOrder,
     _multiply,
     _power,
@@ -72,8 +79,8 @@ class SplittingContext:
     G: Polynomial
     F: Polynomial
     _top: int  # bound on the exponents of F^(p-1)
-    # (field width, twisted by F^(p-1)?) -> the trace kernel's packed data;
-    # the entry at the base width is the only stored copy of F^(p-1)
+    # (field width, twisted by F^(p-1)?) -> the trace kernel at that width,
+    # built on first use by `_kernel`
     _kernels: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
     # (k, l) -> phi(g_{k,l}), and None -> phi(1): neither depends on h
@@ -82,13 +89,9 @@ class SplittingContext:
 
     @property
     def F_pow(self) -> Polynomial:
-        """F^(p-1), decoded on request from the trace kernel's buckets."""
-        packing, buckets = self._kernels[_kernel_bits(self._top, 0), True]
-        ones = packing.ones
-        return packing.decode(
-            {t - ones: c for bucket in buckets.values() for t, c in bucket},
-            self.p,
-        )
+        """F^(p-1), computed on request; no kernel needs or keeps it."""
+        packing = self.order._packing(_kernel_bits(self._top, 0))
+        return packing.decode(_power(packing.encode(self.F), self.p - 1, self.p), self.p)
 
 
 def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
@@ -106,8 +109,7 @@ def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
     gens = [(k, l, g.reduce_mod(p)) for k, l, g in pres.generators if not g.is_zero]
     # every exponent of G, F and F^{p-1} is at most top
     top = (p - 1) * (1 + sum(_top_exponent(g) for _, _, g in gens))
-    bits = _kernel_bits(top, 0)
-    packing = order._packing(bits)
+    packing = order._packing(_kernel_bits(top, 0))
     G = {0: 1}
     for _, _, g in gens:
         G = _multiply(G, packing.encode(g), p)
@@ -115,17 +117,16 @@ def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
     Z = Monomial({v: 1 for v in variables})
     c, m = initial_term(G_poly, order)
     if any(e != 1 for _, e in m.exps) or not m.divides(Z):
-        raise AssertionError(
+        raise InternalError(
             f"initial monomial of the generator product is not squarefree "
             f"dividing Z: {m!r}"
         )
     z_over_m = packing.ones - max(G)
-    F = {code + z_over_m: coeff for code, coeff in G.items()}
-    F_poly = packing.decode(F, p)
+    F_poly = packing.decode({code + z_over_m: coeff for code, coeff in G.items()}, p)
     cf, mf = initial_term(F_poly, order)
     if mf != Z or cf != c:
-        raise AssertionError(f"initial term of F is {cf}*{mf!r}, not +-Z")
-    ctx = SplittingContext(
+        raise InternalError(f"initial term of F is {cf}*{mf!r}, not +-Z")
+    return SplittingContext(
         p=p,
         w=w,
         variables=variables,
@@ -136,8 +137,6 @@ def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
         F=F_poly,
         _top=top,
     )
-    ctx._kernels[bits, True] = (packing, _buckets(_power(F, p - 1, p), packing, p))
-    return ctx
 
 
 def _top_exponent(f: Polynomial) -> int:
@@ -146,43 +145,54 @@ def _top_exponent(f: Polynomial) -> int:
 
 
 def _kernel_bits(top: int, top_f: int) -> int:
-    """Field width for Tr(A * f) when A's exponents are at most `top` and
-    f's at most `top_f`: every field of a product plus ONES fits below the
-    guard bit.  Any f with top_f <= top shares the width of top_f = 0."""
+    """Field width for Tr(A * B * f) when the exponents of A * B are at most
+    `top` >= p - 1 and f's at most `top_f`: every field of a product plus
+    ONES, and of a sum of two residue codes, fits below the guard bit.  Any
+    f with top_f <= top shares the width of top_f = 0."""
     return (top + max(top, top_f) + 1).bit_length() + 1
 
 
-def _buckets(terms: dict, packing, p: int) -> dict:
-    """Packed terms (code + ONES, coefficient) keyed by residue code."""
+def _kernel(packing, F: dict, p: int, twisted: bool) -> tuple:
+    """The trace kernel for A = F^a and B = F^b when `twisted` (see the
+    module docstring; b is a or 0), else A = B = 1: (packing, A's terms
+    (code + ONES, coefficient) keyed by residue code, B's terms (code,
+    residue code, coefficient))."""
+    A = _power(F, p // 2, p) if twisted else {0: 1}
     ones = packing.ones
-    out = {}
-    for code, coeff in terms.items():
-        out.setdefault(packing.residues(code, p), []).append((code + ones, coeff))
-    return out
+    terms = tuple((code, packing.residues(code, p), coeff) for code, coeff in A.items())
+    buckets = {}
+    for code, r, coeff in terms:
+        buckets.setdefault(r, []).append((code + ones, coeff))
+    return packing, buckets, terms if twisted and p % 2 else ((0, 0, 1),)
 
 
 def _twisted_trace(f: Polynomial, ctx: SplittingContext, twisted: bool):
-    """Tr(A * f) for A = F^{p-1} when `twisted`, else A = 1, computing
-    only the products that survive the trace (see the module docstring)."""
+    """Tr(A * B * f) for A * B = F^{p-1} when `twisted`, else A = B = 1,
+    joining each term of B * f with the one bucket of A it can survive
+    with (see the module docstring)."""
     if f.char != ctx.p:
         raise ValueError(f"polynomial is not over F_{ctx.p}")
     p = ctx.p
-    bits = _kernel_bits(ctx._top if twisted else 0, _top_exponent(f))
+    bits = _kernel_bits(ctx._top if twisted else p - 1, _top_exponent(f))
     kernel = ctx._kernels.get((bits, twisted))
     if kernel is None:
         packing = ctx.order._packing(bits)
-        terms = packing.encode(ctx.F_pow) if twisted else {0: 1}
-        kernel = ctx._kernels[bits, twisted] = (packing, _buckets(terms, packing, p))
-    packing, buckets = kernel
+        kernel = ctx._kernels[bits, twisted] = _kernel(
+            packing, packing.encode(ctx.F), p, twisted)
+    packing, buckets, B = kernel
+    residue_sum = packing.residue_sum
     ones = packing.ones
     want = (p - 1) * ones
     out = {}
     get = out.get
     for code, coeff in packing.encode(f).items():
-        for t, tc in buckets.get(want - packing.residues(code, p), ()):
-            s = (code + t) // p - ones
-            out[s] = get(s, 0) + coeff * tc
-    return packing.decode({s: c % p for s, c in out.items() if c % p}, p)
+        r = packing.residues(code, p)
+        for b, rb, bc in B:  # the term s of B * f, residue code r + rb
+            s, c = code + b, coeff * bc
+            for t, tc in buckets.get(want - residue_sum(r, rb, p), ()):
+                u = (s + t) // p - ones
+                out[u] = get(u, 0) + c * tc
+    return packing.decode({u: c % p for u, c in out.items() if c % p}, p)
 
 
 def trace(f: Polynomial, ctx: SplittingContext) -> Polynomial:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .cells import cell_degrees
 from .combinat import HessenbergFunction, Permutation, is_fixed_point, v_of_w
-from .groebner import TriangularReport
+from .groebner import InternalError, TriangularReport
 from .polyring import Polynomial, z_universe
 
 
@@ -36,7 +36,7 @@ def weights_for(w: Permutation) -> dict:
         action = wi[j - 1] - i
         pullback = (n + 1 - vi[j - 1]) - i
         if action != pullback or action < 1:
-            raise AssertionError(
+            raise InternalError(
                 f"weight formulas at {var.name} give {action} and {pullback}, "
                 "not one positive weight"
             )

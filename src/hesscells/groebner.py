@@ -55,6 +55,10 @@ class BudgetExceededError(RuntimeError):
     """Raised when the completion oracle exceeds its reduction budget."""
 
 
+class InternalError(RuntimeError):
+    """A broken internal invariant: a bug, never a consequence of input."""
+
+
 class MonomialOrder:
     """Lexicographic order given by a priority list of variables.
 
@@ -153,6 +157,20 @@ class _Packing:
         """The code whose every field is the matching field of `code` mod p."""
         mask = self._mask
         return sum((((code >> s) & mask) % p) << s for _, s in self._fields)
+
+    def residue_sum(self, a: int, b: int, p: int) -> int:
+        """The field-wise (a + b) mod p of two residue codes (every field
+        below p), for fields that hold 2p - 2.
+
+        As in `lcm`, a field of (a + b) | guard minus p keeps its guard bit
+        exactly when the field's sum is at least p; p is subtracted from
+        those fields only.
+        """
+        s = a + b
+        pones = p * self.ones
+        over = ((s | self.guard) - pones) & self.guard
+        over -= over >> self._low
+        return s - (pones & over)
 
     def decode(self, terms: dict, char: int) -> Polynomial:
         """The polynomial of encoded terms, in their insertion order."""

@@ -73,7 +73,10 @@ from .groebner import (
 from .polyring import Polynomial, zvar
 
 ORACLE_NONFIXED_CEILING = 4
-FROBENIUS_CEILING = 4
+# The largest n of a Frobenius check at p, per prime as measured; every
+# other prime has the default until it is measured.
+FROBENIUS_CEILINGS = {2: 6, 3: 6, 5: 5}
+FROBENIUS_DEFAULT_CEILING = 4
 SWEEP_CEILING = 7
 MAX_JOBS = 64
 
@@ -98,6 +101,11 @@ _KEYS = {
 # `_run_cases` holds one n's tables at a time, all stored before n's first
 # case, and `run_case` fills it on a miss for a direct caller.
 _TABLES = {}
+
+
+def frobenius_ceiling(primes) -> int:
+    """The largest n of a Frobenius check at every prime of `primes`."""
+    return min(FROBENIUS_CEILINGS.get(p, FROBENIUS_DEFAULT_CEILING) for p in primes)
 
 
 def _mask(n: int, positions) -> int:
@@ -326,11 +334,12 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
     has started is not one of the arguments."""
     check_exact_trunc(max_n, opts.trunc)
     primes = opts.frobenius_primes
-    ceiling = FROBENIUS_CEILING if primes else SWEEP_CEILING
+    ceiling = frobenius_ceiling(primes) if primes else SWEEP_CEILING
     if not 1 <= max_n <= ceiling:
         raise ValueError(
             f"max_n must be between 1 and {ceiling}"
-            + (" when Frobenius checks are enabled" if primes else "")
+            + (f" for Frobenius checks at p = {','.join(map(str, primes))}"
+               if primes else "")
         )
     if jobs is not None and not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be between 1 and {MAX_JOBS}")

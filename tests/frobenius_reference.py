@@ -1,11 +1,11 @@
 """Reference Frobenius splitting on `Polynomial` dicts.
 
-This is the route `hesscells.frobenius` took before its packed,
-residue-bucketed kernel: G, F and F^(p-1) are `Polynomial` products, the
-trace walks every term of its argument and keeps those whose exponents
-are all p - 1 mod p, and phi(f) expands the whole product F^(p-1) * f
-before tracing it.  It is slow but reads like the definitions, so the
-packed kernel is tested against it.
+This is the plain route that `hesscells.frobenius` replaced with a packed
+kernel, which never forms F^(p-1): G, F and F^(p-1) are `Polynomial`
+products, the trace walks every term of its argument and keeps those
+whose exponents are all p - 1 mod p, and phi(f) expands the whole product
+F^(p-1) * f before tracing it.  It is slow but reads like the
+definitions, so the packed kernel is tested against it.
 """
 
 from hesscells import Monomial, Polynomial, initial_term
@@ -44,8 +44,12 @@ def reference_trace(f: Polynomial, ctx) -> Polynomial:
     return Polynomial(out, p)
 
 
-def reference_splitting_apply(f: Polynomial, ctx) -> Polynomial:
-    """phi(f) = Tr(F^(p-1) * f), expanding the product first."""
+def reference_splitting_apply(f: Polynomial, ctx, F_pow=None) -> Polynomial:
+    """phi(f) = Tr(F^(p-1) * f), expanding the product first.  `F_pow`,
+    when given, is F^(p-1) from `reference_products`, so that a caller
+    applying phi many times forms it once."""
     if f.char == 0:
         f = f.reduce_mod(ctx.p)
-    return reference_trace(ctx.F ** (ctx.p - 1) * f, ctx)
+    if F_pow is None:
+        F_pow = ctx.F ** (ctx.p - 1)
+    return reference_trace(F_pow * f, ctx)

@@ -175,7 +175,41 @@ class TestExitCodes:
 
     def test_usage_error_on_sweep_ceiling(self, capsys):
         assert main(["sweep", "--max-n", "8"]) == 2
-        assert main(["sweep", "--max-n", "5", "--frobenius", "2"]) == 2
+        assert capsys.readouterr().err == "error: max_n must be between 1 and 7\n"
+        # one above each per-prime Frobenius ceiling; the least one applies
+        for max_n, primes in (("7", "2"), ("6", "5"), ("5", "7"), ("5", "2,7")):
+            argv = ["sweep", "--max-n", max_n, "--frobenius", primes,
+                    "--format", "json"]
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"error: max_n must be between 1 and {int(max_n) - 1} "
+                           f"for Frobenius checks at p = {primes}\n")
+
+    def test_usage_error_on_frobenius_check_ceiling(self, capsys, monkeypatch):
+        # the ceiling is checked before any splitting context is built
+        def refuse(w, p):
+            raise AssertionError("a splitting context was built")
+
+        cli = importlib.import_module("hesscells.cli")
+        monkeypatch.setattr(cli, "make_splitting_context", refuse)
+        for n, w, p in ((7, "1234567", 2), (6, "123456", 5), (5, "12345", 7)):
+            argv = ["frobenius-check", "--n", str(n), "--w", w,
+                    "--h", ",".join([str(n)] * n), "--p", str(p), "--format", "json"]
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"error: n must be between 1 and {n - 1} "
+                           f"for Frobenius checks at p = {p}\n")
+
+    def test_frobenius_check_at_the_ceiling(self, capsys):
+        for n, p in ((6, 3), (5, 5), (4, 7)):
+            w = "".join(map(str, range(1, n + 1)))
+            h = ",".join(map(str, list(range(2, n + 1)) + [n]))
+            argv = ["frobenius-check", "--n", str(n), "--w", w, "--h", h,
+                    "--p", str(p)]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.endswith("\ncompatible\n")
 
     def test_usage_error_above_ceiling_for_permutation_walks(self, capsys):
         assert main(["fixed-points", "--n", "8", "--h", "8,8,8,8,8,8,8,8"]) == 2

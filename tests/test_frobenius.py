@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import itertools
 import random
 import types
 from functools import lru_cache
@@ -272,10 +274,81 @@ class TestPackedKernel:
             for w in all_permutations(n):
                 for p in (2, 3):
                     ctx = make_splitting_context(w, p)
-                    G, F, F_pow = reference_products(ctx)
+                    G, F, _ = reference_products(ctx)
                     assert ctx.G == G
                     assert ctx.F == F
-                    assert ctx.F_pow == F_pow
+
+    @pytest.mark.parametrize("p,max_n", [(2, 5), (3, 5), (5, 4)])
+    def test_phi_of_one_and_every_generator_matches_reference(self, p, max_n):
+        values = 0
+        for n in range(1, max_n + 1):
+            for w in all_permutations(n):
+                ctx = make_splitting_context(w, p)
+                F_pow = reference_products(ctx)[2]
+                for f in [Polynomial.one(p)] + [g for _, _, g in ctx.generators]:
+                    assert splitting_apply(f, ctx).terms == \
+                        reference_splitting_apply(f, ctx, F_pow).terms, (w, f)
+                    values += 1
+        # phi(1) and phi(g) for each of the n <= max_n contexts' generators
+        assert values == {4: 46, 5: 283}[max_n]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_residue_sum_is_the_field_wise_sum_mod_p(self, p):
+        variables = (zvar(1, 1), zvar(1, 2), zvar(2, 1))
+        order = groebner.MonomialOrder(variables)
+        exps = sorted({0, 1, p // 2, p - 2, p - 1})
+        monos = [Monomial(dict(zip(variables, e)))
+                 for e in itertools.product(exps, repeat=3)]
+        # the narrowest fields that hold 2p - 2, and wide ones
+        for bits in ((2 * p - 2).bit_length() + 1, 24):
+            packing = order._packing(bits)
+
+            def code(m):
+                return next(iter(packing.encode(Polynomial({m: 1}))))
+
+            for a in monos:
+                for b in monos:
+                    want = Monomial({v: (a.exponent(v) + b.exponent(v)) % p
+                                     for v in variables})
+                    assert packing.residue_sum(code(a), code(b), p) == code(want)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_no_stored_kernel_holds_the_full_power(self, p):
+        # the kernels keep A = F^a and B = F^b, a = ceil((p - 1) / 2) and
+        # b = p - 1 - a, at each field width phi was evaluated at (A = B = 1
+        # for Tr); F^(p-1) is formed only on request and is not kept
+        ctx = make_splitting_context(Permutation.longest_element(4), p)
+        z = Polynomial.variable(ctx.variables[0], p)
+        for f in (Polynomial.one(p), z**200, z ** (p * 2**15 - 1)):
+            splitting_apply(f, ctx)
+            trace(f, ctx)
+        _, F, F_pow = reference_products(ctx)
+        a = p // 2
+        kernels = list(stored_kernels(ctx))
+        assert sorted(twisted for twisted, _, _ in kernels) == [False] * 3 + [True] * 3
+        for twisted, A, B in kernels:
+            one = Polynomial.one(p)
+            assert A == (F**a if twisted else one)
+            assert B == (F ** (p - 1 - a) if twisted else one)
+        if p > 2:  # at p = 2, F^(p-1) is F itself
+            stored = [getattr(ctx, f.name) for f in dataclasses.fields(ctx)]
+            stored += [poly for _, A, B in kernels for poly in (A, B)]
+            assert F_pow not in stored
+        assert ctx.F_pow == F_pow
+        assert list(stored_kernels(ctx)) == kernels
+
+
+def stored_kernels(ctx):
+    """(twisted, A, B) for each trace kernel the context keeps, with each
+    stored residue code checked against its monomial."""
+    p = ctx.p
+    for (_, twisted), (packing, buckets, B) in ctx._kernels.items():
+        ones = packing.ones
+        A = {t - ones: c for bucket in buckets.values() for t, c in bucket}
+        assert all(packing.residues(t - ones, p) == r
+                   for r, bucket in buckets.items() for t, _ in bucket)
+        assert all(packing.residues(code, p) == r for code, r, _ in B)
+        yield twisted, packing.decode(A, p), packing.decode({b: c for b, _, c in B}, p)
 
 
 def fixing(w):
@@ -385,13 +458,14 @@ class TestFedder:
             for w in all_permutations(n):
                 for p in (2, 3, 5):
                     ctx = make_splitting_context(w, p)
+                    F_pow = reference_products(ctx)[2]
                     standard = Polynomial({ctx.Z: 1}, p) ** (p - 1)
                     for h in fixing(w):
                         gens = ideal_mod_p(w, h, p)
                         for g in gens:
                             checks += 1
                             passed += self.in_frobenius_power(
-                                ctx.F_pow * g, gens, ctx.order, p)
+                                F_pow * g, gens, ctx.order, p)
                             standard_passed += self.in_frobenius_power(
                                 standard * g, gens, ctx.order, p)
         # the standard splitting F = Z fails every one of them

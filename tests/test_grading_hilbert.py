@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hesscells import (
     HessenbergFunction,
     HilbertSeries,
+    InternalError,
     Permutation,
     Polynomial,
     all_permutations,
@@ -70,6 +73,18 @@ class TestWeights:
                     assert wt[var] == w(var.col) - var.row
                     assert wt[var] == (n + 1 - v(var.col)) - var.row
                     assert wt[var] >= 1
+
+    def test_disagreeing_formulas_are_an_internal_error(self, monkeypatch):
+        # a wrong v = w0 w makes the pullback formula disagree; that is a bug
+        # in the package, not a usage error
+        grading_hilbert = importlib.import_module("hesscells.grading_hilbert")
+        monkeypatch.setattr(grading_hilbert, "v_of_w", lambda w: w)
+        weights_for.cache_clear()
+        try:
+            with pytest.raises(InternalError, match="weight formulas at z_1_1"):
+                weights_for(W3421)
+        finally:
+            weights_for.cache_clear()
 
 
 class TestIsHomogeneous:
