@@ -22,9 +22,14 @@ from hesscells import (
 w = Permutation.parse("3421")
 
 ctx = make_splitting_context(w, 2)
+# The context keeps only F = (Z / m) * G, m the initial monomial of G.
+Z = Monomial({v: 1 for v in ctx.variables})
+G = Polynomial.one(2)
+for _, _, g in ctx.generators:
+    G = G * g
 print("p = 2, cell of w = 3421")
-print("Z =", repr(ctx.Z))
-print("G = product of generators =", ctx.G.to_text())
+print("Z =", repr(Z))
+print("G = product of generators =", G.to_text())
 print("F =", ctx.F.to_text())
 print()
 

@@ -15,15 +15,17 @@ every leading coefficient is a unit mod p).
 G and F are multiplied out on packed monomials (the `_Packing` encoding
 of `groebner`), with fields wide enough for the exponent bound
 (p-1)(1 + sum of each generator's top exponent), so no product overflows.
-F^{p-1} is never formed.  phi(f) = Tr(F^a * (F^b * f)) with
-a = ceil((p-1)/2) and b = p-1-a, so b is 0 at p = 2 and a otherwise.  A
-product of monomials s survives the trace only when every exponent of s
-is p-1 mod p.  So the kernel keeps the terms of F^a bucketed by their
-residue code (the exponent vector mod p) and the terms of F^b each with
-its residue code.  phi(f) walks the terms of F^b * f, one per pair of a
-term of f and a term of F^b, and the residue code of such a term is the
-field-wise sum mod p of its factors' residue codes (`_Packing.residue_sum`,
-a few integer operations, where `residues` reads every field).  A term of
+The context stores only F, as packed terms at that width: G's codes plus
+the one code of Z/m.  G, Z and the decoded F are not kept, and F^{p-1} is
+never formed.  phi(f) = Tr(F^a * (F^b * f)) with a = ceil((p-1)/2) and
+b = p-1-a, so b is 0 at p = 2 and a otherwise.  A product of monomials s
+survives the trace only when every exponent of s is p-1 mod p.  So the
+kernel keeps the terms of F^a bucketed by their residue code (the
+exponent vector mod p) and the terms of F^b each with its residue code.
+phi(f) walks the terms of F^b * f, one per pair of a term of f and a
+term of F^b, and the residue code of such a term is the field-wise sum
+mod p of its factors' residue codes (`_Packing.residue_sum`, a few
+integer operations, where `residues` reads every field).  A term of
 residue r meets only the bucket (p-1-r) mod p of F^a, and each pair from
 that bucket survives: with ONES the code holding a 1 in every field, its
 image is the integer (s + ONES) // p - ONES, for every field of s + ONES
@@ -34,6 +36,7 @@ is the same kernel with 1 in place of F^a and F^b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .cells import build_ideal, ideal_positions
 from .combinat import (
@@ -56,28 +59,23 @@ from .polyring import Monomial, Polynomial, z_universe
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 @dataclass
 class SplittingContext:
-    """Everything needed to evaluate the splitting of the cell of w mod p."""
+    """Everything needed to evaluate the splitting of the cell of w mod p.
+
+    The splitting element F is stored only as its packed terms `_F`, at the
+    context's width `_kernel_bits(_top, 0)`; the properties `F` and `F_pow`
+    decode F and F^(p-1) on request, and no kernel reads them."""
 
     p: int
     w: Permutation
     variables: tuple
     order: MonomialOrder
     generators: list  # (k, l, Polynomial mod p), the nonzero ones of I_{w,h^}
-    Z: Monomial
-    G: Polynomial
-    F: Polynomial
+    _F: dict = field(repr=False)  # code -> coefficient of F, as above
     _top: int  # bound on the exponents of F^(p-1)
     # (field width, twisted by F^(p-1)?) -> the trace kernel at that width,
     # built on first use by `_kernel`
@@ -88,16 +86,23 @@ class SplittingContext:
                        compare=False)
 
     @property
+    def F(self) -> Polynomial:
+        """F, decoded on request."""
+        return self.order._packing(_kernel_bits(self._top, 0)).decode(self._F, self.p)
+
+    @property
     def F_pow(self) -> Polynomial:
         """F^(p-1), computed on request; no kernel needs or keeps it."""
         packing = self.order._packing(_kernel_bits(self._top, 0))
-        return packing.decode(_power(packing.encode(self.F), self.p - 1, self.p), self.p)
+        return packing.decode(_power(self._F, self.p - 1, self.p), self.p)
 
 
 def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
     """Build and validate the splitting of the cell of w mod p, from the
     generators of I_{w,h^} for h^(j) = max(h_w(j), min(j + 1, n)), the
-    least indecomposable Hessenberg function fixing w."""
+    least indecomposable Hessenberg function fixing w.  Checked without
+    decoding G: the product c*m of the generators' initial terms is
+    squarefree, so in(F) = c*Z, and it is the packed G's largest term."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     h_hat = HessenbergFunction(
@@ -110,33 +115,26 @@ def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
     # every exponent of G, F and F^{p-1} is at most top
     top = (p - 1) * (1 + sum(_top_exponent(g) for _, _, g in gens))
     packing = order._packing(_kernel_bits(top, 0))
-    G = {0: 1}
+    G, c, m = {0: 1}, 1, Monomial()
     for _, _, g in gens:
         G = _multiply(G, packing.encode(g), p)
-    G_poly = packing.decode(G, p)
-    Z = Monomial({v: 1 for v in variables})
-    c, m = initial_term(G_poly, order)
-    if any(e != 1 for _, e in m.exps) or not m.divides(Z):
+        cg, mg = initial_term(g, order)
+        c, m = c * cg % p, m * mg
+    if any(e != 1 for _, e in m.exps) or not m.divides(Monomial({v: 1 for v in variables})):
         raise InternalError(
             f"initial monomial of the generator product is not squarefree "
             f"dividing Z: {m!r}"
         )
-    z_over_m = packing.ones - max(G)
-    F_poly = packing.decode({code + z_over_m: coeff for code, coeff in G.items()}, p)
-    cf, mf = initial_term(F_poly, order)
-    if mf != Z or cf != c:
-        raise InternalError(f"initial term of F is {cf}*{mf!r}, not +-Z")
-    return SplittingContext(
-        p=p,
-        w=w,
-        variables=variables,
-        order=order,
-        generators=gens,
-        Z=Z,
-        G=G_poly,
-        F=F_poly,
-        _top=top,
-    )
+    lead = max(G)
+    got = packing.decode({lead: G[lead]}, p)
+    if got != Polynomial({m: c}, p):
+        raise InternalError(
+            f"packed initial term of the generator product is {got.to_text()}, "
+            f"not the product {c}*{m!r} of the generators' initial terms"
+        )
+    z_over_m = packing.ones - lead  # F = (Z / m) * G
+    return SplittingContext(p, w, variables, order, gens,
+                            {code + z_over_m: coeff for code, coeff in G.items()}, top)
 
 
 def _top_exponent(f: Polynomial) -> int:
@@ -152,24 +150,25 @@ def _kernel_bits(top: int, top_f: int) -> int:
     return (top + max(top, top_f) + 1).bit_length() + 1
 
 
-def _kernel(packing, F: dict, p: int, twisted: bool) -> tuple:
-    """The trace kernel for A = F^a and B = F^b when `twisted` (see the
-    module docstring; b is a or 0), else A = B = 1: (packing, A's terms
-    (code + ONES, coefficient) keyed by residue code, B's terms (code,
-    residue code, coefficient))."""
-    A = _power(F, p // 2, p) if twisted else {0: 1}
+def _kernel(packing, F, p: int) -> tuple:
+    """The trace kernel for A = F^a and B = F^b, from F's codes at the
+    packing's width (see the module docstring; b is a or 0), else, for F
+    None, A = B = 1: (packing, A's terms (code + ONES, coefficient) keyed by
+    residue code, B's terms (code, residue code, coefficient))."""
+    A = {0: 1} if F is None else _power(F, p // 2, p)
     ones = packing.ones
     terms = tuple((code, packing.residues(code, p), coeff) for code, coeff in A.items())
     buckets = {}
     for code, r, coeff in terms:
         buckets.setdefault(r, []).append((code + ones, coeff))
-    return packing, buckets, terms if twisted and p % 2 else ((0, 0, 1),)
+    return packing, buckets, terms if F is not None and p % 2 else ((0, 0, 1),)
 
 
 def _twisted_trace(f: Polynomial, ctx: SplittingContext, twisted: bool):
     """Tr(A * B * f) for A * B = F^{p-1} when `twisted`, else A = B = 1,
     joining each term of B * f with the one bucket of A it can survive
-    with (see the module docstring)."""
+    with (see the module docstring).  The twisted kernel reads the stored
+    codes of F, re-encoding F only when f needs wider fields."""
     if f.char != ctx.p:
         raise ValueError(f"polynomial is not over F_{ctx.p}")
     p = ctx.p
@@ -177,8 +176,10 @@ def _twisted_trace(f: Polynomial, ctx: SplittingContext, twisted: bool):
     kernel = ctx._kernels.get((bits, twisted))
     if kernel is None:
         packing = ctx.order._packing(bits)
-        kernel = ctx._kernels[bits, twisted] = _kernel(
-            packing, packing.encode(ctx.F), p, twisted)
+        F = None
+        if twisted:
+            F = ctx._F if bits == _kernel_bits(ctx._top, 0) else packing.encode(ctx.F)
+        kernel = ctx._kernels[bits, twisted] = _kernel(packing, F, p)
     packing, buckets, B = kernel
     residue_sum = packing.residue_sum
     ones = packing.ones
@@ -224,7 +225,10 @@ class CompatibilityReport:
     h: HessenbergFunction
     splits_one: bool
     entries: list  # (k, l, remainder Polynomial mod p)
-    all_compatible: bool
+
+    @property
+    def all_compatible(self) -> bool:
+        return self.splits_one and all(r.is_zero for _, _, r in self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -273,12 +277,4 @@ def compatibility_check(
         (k, l, reduce(_phi(ctx, (k, l), g), gen_polys, ctx.order)[1])
         for k, l, g in gens
     ]
-    all_ok = splits_one and all(r.is_zero for _, _, r in entries)
-    return CompatibilityReport(
-        p=ctx.p,
-        w=ctx.w,
-        h=h,
-        splits_one=splits_one,
-        entries=entries,
-        all_compatible=all_ok,
-    )
+    return CompatibilityReport(ctx.p, ctx.w, h, splits_one, entries)

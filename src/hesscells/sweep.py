@@ -73,10 +73,9 @@ from .groebner import (
 from .polyring import Polynomial, zvar
 
 ORACLE_NONFIXED_CEILING = 4
-# The largest n of a Frobenius check at p, per prime as measured; every
-# other prime has the default until it is measured.
-FROBENIUS_CEILINGS = {2: 6, 3: 6, 5: 5}
-FROBENIUS_DEFAULT_CEILING = 4
+# The largest n of a Frobenius check at p, per prime as measured; no other
+# prime is accepted, for the cost grows steeply with p (README).
+FROBENIUS_CEILINGS = {2: 6, 3: 6, 5: 5, 7: 4, 11: 4, 13: 4, 17: 4, 19: 4}
 SWEEP_CEILING = 7
 MAX_JOBS = 64
 
@@ -104,8 +103,17 @@ _TABLES = {}
 
 
 def frobenius_ceiling(primes) -> int:
-    """The largest n of a Frobenius check at every prime of `primes`."""
-    return min(FROBENIUS_CEILINGS.get(p, FROBENIUS_DEFAULT_CEILING) for p in primes)
+    """The largest n of a Frobenius check at every prime of `primes`;
+    ValueError for a number that is not prime, then for a prime that has
+    no ceiling."""
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    for p in primes:
+        if p not in FROBENIUS_CEILINGS:
+            raise ValueError(f"p = {p} has no Frobenius ceiling; the primes are "
+                             + ", ".join(map(str, FROBENIUS_CEILINGS)))
+    return min(FROBENIUS_CEILINGS[p] for p in primes)
 
 
 def _mask(n: int, positions) -> int:
@@ -343,9 +351,6 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
         )
     if jobs is not None and not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be between 1 and {MAX_JOBS}")
-    for p in primes:  # before any case is written
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
     head = {
         "maxN": max_n,
         "options": {

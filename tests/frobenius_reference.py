@@ -11,6 +11,11 @@ definitions, so the packed kernel is tested against it.
 from hesscells import Monomial, Polynomial, initial_term
 
 
+def variable_product(ctx):
+    """Z, the product of all variables of a splitting context's cell."""
+    return Monomial({v: 1 for v in ctx.variables})
+
+
 def reference_products(ctx):
     """(G, F, F^(p-1)) of a splitting context, by `Polynomial` products."""
     p = ctx.p
@@ -18,7 +23,7 @@ def reference_products(ctx):
     for _, _, g in ctx.generators:
         G = G * g
     _, m = initial_term(G, ctx.order)
-    F = Polynomial({ctx.Z / m: 1}, p) * G
+    F = Polynomial({variable_product(ctx) / m: 1}, p) * G
     return G, F, F ** (p - 1)
 
 

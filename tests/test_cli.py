@@ -3,6 +3,7 @@ import json
 
 from hesscells import HessenbergFunction, Monomial, Permutation, poly_from_json, zvar
 from hesscells.cli import main
+from hesscells.frobenius import is_prime
 
 
 def run(capsys, *argv):
@@ -202,6 +203,50 @@ class TestExitCodes:
             assert err == (f"error: n must be between 1 and {n - 1} "
                            f"for Frobenius checks at p = {p}\n")
 
+    def test_usage_error_on_prime_without_ceiling(self, capsys, monkeypatch):
+        # checked before any splitting context is built, after primality
+        def refuse(w, p):
+            raise AssertionError("a splitting context was built")
+
+        cli = importlib.import_module("hesscells.cli")
+        monkeypatch.setattr(cli, "make_splitting_context", refuse)
+        primes = "2, 3, 5, 7, 11, 13, 17, 19"
+        for argv, bad in (
+            (["frobenius-check", "--n", "4", "--w", "4321", "--h", "2,3,4,4",
+              "--p", "23"], "23"),
+            (["frobenius-check", "--n", "1", "--w", "1", "--h", "1",
+              "--p", "101"], "101"),
+            (["sweep", "--max-n", "3", "--frobenius", "2,23"], "23"),
+            (["sweep", "--max-n", "1", "--frobenius", "29,3", "--jobs", "2"], "29"),
+        ):
+            assert main(argv + ["--format", "json"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"error: p = {bad} has no Frobenius ceiling; "
+                           f"the primes are {primes}\n")
+        # a number that is not prime keeps its message, wherever it is listed
+        for argv in (["sweep", "--max-n", "3", "--frobenius", "23,6"],
+                     ["frobenius-check", "--n", "4", "--w", "4321",
+                      "--h", "2,3,4,4", "--p", "6"]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: 6 is not prime\n"
+
+    def test_every_accepted_prime_is_prime_and_has_a_ceiling(self):
+        sweep_mod = importlib.import_module("hesscells.sweep")
+        primes = list(sweep_mod.FROBENIUS_CEILINGS)
+        assert primes == [p for p in range(2, primes[-1] + 1) if is_prime(p)]
+        assert sweep_mod.frobenius_ceiling(primes) == 4
+        assert not hasattr(sweep_mod, "FROBENIUS_DEFAULT_CEILING")
+
+    def test_frobenius_check_at_the_largest_prime(self, capsys):
+        p = max(importlib.import_module("hesscells.sweep").FROBENIUS_CEILINGS)
+        argv = ["frobenius-check", "--n", "4", "--w", "4321", "--h", "2,3,4,4",
+                "--p", str(p)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("\ncompatible\n")
+
     def test_frobenius_check_at_the_ceiling(self, capsys):
         for n, p in ((6, 3), (5, 5), (4, 7)):
             w = "".join(map(str, range(1, n + 1)))
@@ -272,6 +317,25 @@ class TestExitCodes:
         assert captured.err.startswith(
             "error: internal error: initial monomial of the generator product"
         )
+
+    def test_packed_initial_term_mismatch_exits_one(self, capsys, monkeypatch):
+        # initial terms whose product is 1 pass the first invariant, but
+        # the packed generator product's largest term is not 1: the second
+        # invariant of make_splitting_context
+        frobenius = importlib.import_module("hesscells.frobenius")
+        monkeypatch.setattr(frobenius, "initial_term",
+                            lambda poly, order: (1, Monomial()))
+        code = main([
+            "frobenius-check", "--n", "4", "--w", "3421",
+            "--h", "3,3,4,4", "--p", "3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal error: packed initial term of the generator "
+            "product is z_1_1*z_1_3, not the product 1*1 of the generators' "
+            "initial terms\n")
 
     def test_index_error_exits_one(self, capsys, monkeypatch):
         # only the bounds checks of Permutation and HessenbergFunction raise

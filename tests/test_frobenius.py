@@ -10,6 +10,7 @@ from frobenius_reference import (
     reference_products,
     reference_splitting_apply,
     reference_trace,
+    variable_product,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,14 +118,27 @@ class TestSplittingContext:
             for w in all_permutations(n):
                 for p in (2, 3):
                     ctx = make_splitting_context(w, p)
+                    G, _, _ = reference_products(ctx)
                     coeff, mono = initial_term(ctx.F, ctx.order)
-                    assert mono == ctx.Z
+                    assert mono == variable_product(ctx)
                     assert coeff in (1, p - 1)
-                    assert coeff == initial_term(ctx.G, ctx.order)[0]
+                    assert coeff == initial_term(G, ctx.order)[0]
 
     def test_no_generators_makes_F_the_variable_product(self):
         ctx = two_variable_context(3)
-        assert ctx.F == Polynomial({ctx.Z: 1}, 3)
+        assert ctx.F == Polynomial({variable_product(ctx): 1}, 3)
+
+    def test_no_field_holds_a_polynomial(self):
+        # F is kept once, as packed codes; G, Z and the decoded F are not
+        # stored, and the properties F and F_pow decode on request
+        for w in (W3421, Permutation.longest_element(4), Permutation([2, 3, 1])):
+            for p in (2, 3):
+                ctx = make_splitting_context(w, p)
+                compatibility_check(ctx, fixing(w)[0])
+                for f in dataclasses.fields(ctx):
+                    assert not isinstance(getattr(ctx, f.name), Polynomial), f.name
+                assert isinstance(ctx.F, Polynomial)
+                assert isinstance(ctx.F_pow, Polynomial)
 
 
 class TestSplittingAxioms:
@@ -274,9 +288,12 @@ class TestPackedKernel:
             for w in all_permutations(n):
                 for p in (2, 3):
                     ctx = make_splitting_context(w, p)
-                    G, F, _ = reference_products(ctx)
-                    assert ctx.G == G
+                    G, F, F_pow = reference_products(ctx)
+                    # F is the product G of the generators shifted by Z/in(G)
+                    _, m = initial_term(G, ctx.order)
+                    assert ctx.F == Polynomial({variable_product(ctx) / m: 1}, p) * G
                     assert ctx.F == F
+                    assert ctx.F_pow == F_pow
 
     @pytest.mark.parametrize("p,max_n", [(2, 5), (3, 5), (5, 4)])
     def test_phi_of_one_and_every_generator_matches_reference(self, p, max_n):
@@ -459,7 +476,7 @@ class TestFedder:
                 for p in (2, 3, 5):
                     ctx = make_splitting_context(w, p)
                     F_pow = reference_products(ctx)[2]
-                    standard = Polynomial({ctx.Z: 1}, p) ** (p - 1)
+                    standard = Polynomial({variable_product(ctx): 1}, p) ** (p - 1)
                     for h in fixing(w):
                         gens = ideal_mod_p(w, h, p)
                         for g in gens:
@@ -480,7 +497,8 @@ class TestFedder:
                 for p in (2, 3):
                     ctx = make_splitting_context(w, p)
                     standard = types.SimpleNamespace(
-                        p=p, variables=ctx.variables, F=Polynomial({ctx.Z: 1}, p)
+                        p=p, variables=ctx.variables,
+                        F=Polynomial({variable_product(ctx): 1}, p),
                     )
                     one = Polynomial.one(p)
                     assert reference_splitting_apply(one, standard) == one
