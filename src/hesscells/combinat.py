@@ -112,7 +112,7 @@ class Permutation:
         return ",".join(str(v) for v in self.images)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def v_of_w(w: Permutation) -> Permutation:
     """The complementary permutation w_0 * w, i.e. j -> n + 1 - w(j)."""
     return Permutation(w.n + 1 - v for v in w.images)
@@ -224,7 +224,7 @@ def enumerate_hessenberg(n: int, indecomposable_only: bool = False):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def least_hessenberg(w: Permutation) -> tuple:
     """The values of h_w, the least Hessenberg function fixing w:
     h_w(j) = max(j, w^{-1}(w(i) - 1) for i <= j), where the second term

@@ -152,16 +152,16 @@ def _kernel_bits(top: int, top_f: int) -> int:
 
 def _kernel(packing, F, p: int) -> tuple:
     """The trace kernel for A = F^a and B = F^b, from F's codes at the
-    packing's width (see the module docstring; b is a or 0), else, for F
-    None, A = B = 1: (packing, A's terms (code + ONES, coefficient) keyed by
+    packing's width (see the module docstring; b is a or 0), so F = 1 gives
+    A = B = 1: (packing, A's terms (code + ONES, coefficient) keyed by
     residue code, B's terms (code, residue code, coefficient))."""
-    A = {0: 1} if F is None else _power(F, p // 2, p)
+    A = _power(F, p // 2, p)
     ones = packing.ones
     terms = tuple((code, packing.residues(code, p), coeff) for code, coeff in A.items())
     buckets = {}
     for code, r, coeff in terms:
         buckets.setdefault(r, []).append((code + ones, coeff))
-    return packing, buckets, terms if F is not None and p % 2 else ((0, 0, 1),)
+    return packing, buckets, terms if p % 2 else ((0, 0, 1),)
 
 
 def _twisted_trace(f: Polynomial, ctx: SplittingContext, twisted: bool):
@@ -176,7 +176,7 @@ def _twisted_trace(f: Polynomial, ctx: SplittingContext, twisted: bool):
     kernel = ctx._kernels.get((bits, twisted))
     if kernel is None:
         packing = ctx.order._packing(bits)
-        F = None
+        F = {0: 1}  # 1 in place of F: the plain trace
         if twisted:
             F = ctx._F if bits == _kernel_bits(ctx._top, 0) else packing.encode(ctx.F)
         kernel = ctx._kernels[bits, twisted] = _kernel(packing, F, p)

@@ -463,10 +463,9 @@ def _packed_check(gens: list, packing: _Packing, char: int) -> bool:
 class TriangularReport:
     """Outcome of the triangular complete intersection analysis.
 
-    `ordered_generators` lists the nonzero generators sorted by strictly
-    decreasing initial term; `initial_terms` aligns with it.  Failures are
-    recorded in `notes`, never raised; the analysis passes exactly when
-    there is none.
+    `ordered_generators` lists the nonzero generators sorted by decreasing
+    initial term; `initial_terms` aligns with it.  Failures are recorded in
+    `notes`, never raised; the analysis passes exactly when there is none.
     """
 
     ordered_generators: list
@@ -476,15 +475,11 @@ class TriangularReport:
 
     @property
     def is_triangular(self) -> bool:
-        return not self.notes
-
-    @property
-    def squarefree_initial_ideal(self) -> bool:
-        """Distinct single-variable initial terms: a squarefree initial
+        """Distinct signed-variable initial terms.  Being pairwise coprime,
+        they make the generators a Groebner basis with a squarefree initial
         ideal, which certifies radicality and the sufficient condition for
         geometric vertex decomposability."""
-        init_vars = [var for _, var in self.initial_terms]
-        return None not in init_vars and len(set(init_vars)) == len(init_vars)
+        return not self.notes
 
     @property
     def height(self) -> int:
@@ -496,22 +491,25 @@ class TriangularReport:
 
 
 def triangular_analysis(pres, order: MonomialOrder) -> TriangularReport:
-    """Check the three triangularity conditions of an IdealPresentation
-    and report the quotient: the initial terms are signed variables, they
-    are distinct, and none divides a term of a later generator.  The last
-    is checked only when the first holds.
+    """Check the two triangularity conditions of an IdealPresentation and
+    report the quotient: the initial terms are signed variables, and they
+    are distinct.
 
-    When everything passes, the quotient by the ideal is a free
-    polynomial ring on `free_variables` and the ideal is prime of height
-    `height`.
+    That no initial variable x divides a term of a later generator follows
+    from these two, for the order is lex: a term containing x is at least
+    x, so a later generator containing x has initial monomial x, which is
+    a repeat of x or an initial term that is not a signed variable.
+
+    When both pass, the quotient by the ideal is a free polynomial ring on
+    `free_variables` and the ideal is prime of height `height`.
     """
     gens = []
     for k, l, g in pres.nonzero_generators():
         c, m = initial_term(g, order)
         gens.append((order.key(m), c, m, k, l, g))
     gens.sort(key=lambda info: info[0], reverse=True)
-    initial_terms, unsigned, repeats, later, seen = [], [], [], [], set()
-    for idx, (_, c, m, k, l, g) in enumerate(gens):
+    initial_terms, unsigned, repeats, seen = [], [], [], set()
+    for _, c, m, k, l, g in gens:
         if g.char:
             unit, sign = c in (1, g.char - 1), 1 if c == 1 else -1
         else:
@@ -525,14 +523,11 @@ def triangular_analysis(pres, order: MonomialOrder) -> TriangularReport:
         if var in seen:
             repeats.append(f"initial variable {var.name} repeats")
         seen.add(var)
-        later += [f"initial variable {var.name} appears in a later generator"
-                  for *_, g_later in gens[idx + 1:]
-                  if any(mono.exponent(var) for mono in g_later.terms)]
     return TriangularReport(
         ordered_generators=[(k, l, g) for *_, k, l, g in gens],
         initial_terms=initial_terms,
         free_variables=[v for v in pres.ambient_variables if v not in seen],
-        notes=unsigned + repeats + ([] if unsigned else later),
+        notes=unsigned + repeats,
     )
 
 

@@ -55,7 +55,7 @@ from .combinat import (
     least_hessenberg,
     v_of_w,
 )
-from .frobenius import compatibility_check, is_prime, make_splitting_context
+from .frobenius import compatibility_check, make_splitting_context
 from .grading_hilbert import (
     check_exact_trunc,
     hilbert_formula,
@@ -104,10 +104,11 @@ _TABLES = {}
 
 def frobenius_ceiling(primes) -> int:
     """The largest n of a Frobenius check at every prime of `primes`;
-    ValueError for a number that is not prime, then for a prime that has
-    no ceiling."""
+    ValueError for an unlisted number below the largest listed prime (not
+    prime, as every prime up to it is listed), then for any other unlisted
+    number, with no primality test, so a large number is refused at once."""
     for p in primes:
-        if not is_prime(p):
+        if p < max(FROBENIUS_CEILINGS) and p not in FROBENIUS_CEILINGS:
             raise ValueError(f"{p} is not prime")
     for p in primes:
         if p not in FROBENIUS_CEILINGS:

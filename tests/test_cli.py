@@ -1,5 +1,6 @@
 import importlib
 import json
+import time
 
 from hesscells import HessenbergFunction, Monomial, Permutation, poly_from_json, zvar
 from hesscells.cli import main
@@ -204,7 +205,8 @@ class TestExitCodes:
                            f"for Frobenius checks at p = {p}\n")
 
     def test_usage_error_on_prime_without_ceiling(self, capsys, monkeypatch):
-        # checked before any splitting context is built, after primality
+        # checked before any splitting context is built; a number above the
+        # largest listed prime is refused with no primality test
         def refuse(w, p):
             raise AssertionError("a splitting context was built")
 
@@ -218,6 +220,7 @@ class TestExitCodes:
               "--p", "101"], "101"),
             (["sweep", "--max-n", "3", "--frobenius", "2,23"], "23"),
             (["sweep", "--max-n", "1", "--frobenius", "29,3", "--jobs", "2"], "29"),
+            (["sweep", "--max-n", "3", "--frobenius", "25"], "25"),
         ):
             assert main(argv + ["--format", "json"]) == 2
             out, err = capsys.readouterr()
@@ -232,6 +235,20 @@ class TestExitCodes:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "error: 6 is not prime\n"
+
+    def test_large_prime_is_refused_at_once(self, capsys):
+        # 2^61 - 1 is prime; trial division up to its square root would hang
+        p = 2**61 - 1
+        for argv in (["sweep", "--max-n", "3", "--frobenius", str(p)],
+                     ["frobenius-check", "--n", "4", "--w", "4321",
+                      "--h", "2,3,4,4", "--p", str(p)]):
+            start = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - start < 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"error: p = {p} has no Frobenius ceiling; "
+                           "the primes are 2, 3, 5, 7, 11, 13, 17, 19\n")
 
     def test_every_accepted_prime_is_prime_and_has_a_ceiling(self):
         sweep_mod = importlib.import_module("hesscells.sweep")

@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 from division_reference import reference_reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from triangular_reference import later_divisions
 
 from hesscells import (
     BudgetExceededError,
@@ -12,12 +14,14 @@ from hesscells import (
     Monomial,
     Permutation,
     Polynomial,
+    all_permutations,
     build_ideal,
     buchberger_check,
     cell_generators,
     enumerate_hessenberg,
     fixed_points,
     initial_term,
+    is_fixed_point,
     order_n,
     order_n_w,
     patch_generators,
@@ -165,7 +169,6 @@ class TestTriangularAnalysis:
         assert rep.height == 2
         assert [v.name for v in rep.free_variables] == ["z_1_2", "z_2_1", "z_2_2"]
         assert rep.dimension == 3
-        assert rep.squarefree_initial_ideal
 
     def test_patch_ideal_w0_report(self):
         w0 = Permutation.longest_element(4)
@@ -192,19 +195,17 @@ class TestTriangularAnalysis:
             "generator (3,1) has initial term 1*1, not a signed variable"]
 
     def test_notes_name_each_failed_condition(self):
-        # a repeated initial variable also divides a later generator; that
-        # last condition is reported only when every initial term is a
-        # signed variable
+        # a repeated initial variable, then also an initial term that is
+        # not a signed variable
         def z(i, j):
             return Polynomial.variable(zvar(i, j))
 
         pres = build_ideal(W3421, H3344, "cell")
         pres.generators = [(4, 1, -z(1, 1) + z(2, 2)), (4, 2, -z(1, 1))]
         rep = triangular_analysis(pres, order_n_w(W3421))
-        assert rep.notes == ["initial variable z_1_1 repeats",
-                             "initial variable z_1_1 appears in a later generator"]
+        assert rep.notes == ["initial variable z_1_1 repeats"]
         assert (rep.height, rep.dimension) == (2, 4)
-        assert not rep.is_triangular and not rep.squarefree_initial_ideal
+        assert not rep.is_triangular
         pres.generators.append((3, 1, 2 * z(1, 2) ** 2 - z(2, 2)))
         rep = triangular_analysis(pres, order_n_w(W3421))
         assert rep.notes == [
@@ -212,6 +213,20 @@ class TestTriangularAnalysis:
             "initial variable z_1_1 repeats",
         ]
         assert rep.initial_terms[0] == (1, None)
+
+    def test_signs_over_a_prime_field(self):
+        # over F_p the units among the initial coefficients are 1 and p - 1
+        z11, z13, z22 = (Polynomial.variable(zvar(i, j)).reduce_mod(5)
+                         for i, j in ((1, 1), (1, 3), (2, 2)))
+        pres = build_ideal(W3421, H3344, "cell")
+        pres.generators = [(4, 1, 4 * z11 + z22), (4, 2, z13)]
+        rep = triangular_analysis(pres, order_n_w(W3421))
+        assert [(s, v.name) for s, v in rep.initial_terms] == [(-1, "z_1_1"), (1, "z_1_3")]
+        assert rep.is_triangular
+        pres.generators = [(4, 1, 2 * z11 + z22)]
+        rep = triangular_analysis(pres, order_n_w(W3421))
+        assert rep.notes == [
+            "generator (4,1) has initial term 2*z_1_1, not a signed variable"]
 
     def test_agreement_of_certifications_n4(self):
         for n in range(1, 5):
@@ -221,6 +236,69 @@ class TestTriangularAnalysis:
                     order = order_n_w(w)
                     assert triangular_analysis(pres, order).is_triangular
                     assert buchberger_check(pres.generator_polys(), order)
+
+
+def assert_two_conditions_suffice(rep, order):
+    """The verdict is the two conditions, and the dropped later-generator
+    scan (tests/triangular_reference.py) finds nothing they let pass: each
+    of its hits is a later generator whose initial monomial is x itself."""
+    init_vars = [var for _, var in rep.initial_terms]
+    assert rep.is_triangular == (
+        None not in init_vars and len(set(init_vars)) == len(init_vars))
+    hits = later_divisions(rep)
+    for var, j in hits:
+        assert initial_term(rep.ordered_generators[j][2], order)[1] == Monomial({var: 1})
+    if rep.is_triangular:
+        assert hits == []
+
+
+CELL_VARS = build_ideal(W3421, H3344, "cell").ambient_variables
+
+
+@st.composite
+def lex_presentations(draw):
+    """(presentation, order): a random lex order on the cell coordinates of
+    3421 and random generators over Q or F_p.  A generator is random, or a
+    signed variable x plus a random tail, or x plus a tail below x, so that
+    many lists of several generators pass both conditions."""
+    char = draw(st.sampled_from((0, 2, 3)))
+    order = MonomialOrder(draw(st.permutations(CELL_VARS)))
+    monomials = st.dictionaries(
+        st.sampled_from(CELL_VARS), st.integers(1, 2), max_size=2).map(Monomial)
+    gens = []
+    for k in range(draw(st.integers(1, 4))):
+        terms = draw(st.dictionaries(monomials, st.integers(-2, 2).filter(bool),
+                                     max_size=2))
+        kind = draw(st.sampled_from(("random", "tail", "lower tail")))
+        if kind != "random":
+            x = Monomial({draw(st.sampled_from(CELL_VARS)): 1})
+            if kind == "lower tail":
+                terms = {m: c for m, c in terms.items() if order.key(m) < order.key(x)}
+            terms[x] = terms.get(x, 0) + draw(st.sampled_from((1, -1)))
+        gens.append((k + 2, 1, Polynomial(terms, char)))
+    pres = replace(build_ideal(W3421, H3344, "cell"), generators=gens)
+    return pres, order
+
+
+class TestTwoConditions:
+    def test_every_cell_presentation_up_to_n5(self):
+        count = 0
+        for n in range(1, 6):
+            hs = list(enumerate_hessenberg(n, indecomposable_only=True))
+            for w in all_permutations(n):
+                order = order_n_w(w)
+                for h in hs:
+                    rep = triangular_analysis(build_ideal(w, h, "cell"), order)
+                    assert_two_conditions_suffice(rep, order)
+                    assert rep.is_triangular == is_fixed_point(w, h)
+                    count += 1
+        assert count == 1815
+
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_random_generators_under_random_lex_orders(self, data):
+        pres, order = data.draw(lex_presentations())
+        assert_two_conditions_suffice(triangular_analysis(pres, order), order)
 
 
 class TestReducedGbOracle:

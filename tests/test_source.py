@@ -97,3 +97,28 @@ def test_every_imported_name_is_used():
         unused += [f"{path.stem}.{name}" for name in sorted(imported - used)
                    if (path.stem, name) not in spans]
     assert unused == []
+
+
+def test_per_w_caches_hold_one_w():
+    # a cache keyed by a permutation fills one entry per w of a sweep, so it
+    # holds only the w in hand: every caller asks for one w at a time
+    per_w, unbounded = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.FunctionDef) or not node.args.args:
+                continue
+            first = node.args.args[0].annotation
+            if first is None or ast.unparse(first) != "Permutation":
+                continue
+            for dec in node.decorator_list:
+                call = dec.func if isinstance(dec, ast.Call) else dec
+                if ast.unparse(call).split(".")[-1] != "lru_cache":
+                    continue
+                per_w.append(f"{path.stem}.{node.name}")
+                maxsize = [kw.value for kw in getattr(dec, "keywords", ())
+                           if kw.arg == "maxsize"]
+                if not (len(maxsize) == 1 and isinstance(maxsize[0], ast.Constant)
+                        and maxsize[0].value == 1):
+                    unbounded.append(f"{path.stem}.{node.name}")
+    assert len(per_w) >= 7, per_w
+    assert unbounded == []
