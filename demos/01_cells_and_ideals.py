@@ -3,18 +3,15 @@
 # This walkthrough builds every object for the 4x4 example that the rest
 # of the demos reuse: the patch matrix at the longest permutation, the
 # Schubert cell matrix of w = 3421, the generator polynomials from
-# conjugating the nilpotent shift, the specialization map linking the two
-# coordinate systems, and the resulting ideals.
+# conjugating the nilpotent shift, and the resulting ideals.
 
 from hesscells import (
     HessenbergFunction,
     Permutation,
-    PsiMap,
     build_Omega,
     build_ideal,
     build_wM,
     cell_generators,
-    cell_generators_via_psi,
     patch_generators,
 )
 
@@ -42,20 +39,6 @@ show_matrix("(w0 M)^-1 N (w0 M)", patch_generators(w0))
 w = Permutation.parse("3421")
 show_matrix("Omega_w for w = 3421", build_Omega(w))
 show_matrix("Omega_w^-1 N Omega_w", cell_generators(w))
-
-# The two coordinate systems are linked by a specialization: certain
-# patch variables are set to zero and the rest are relabelled.
-psi = PsiMap(w)
-print("variables sent to zero:", sorted(v.name for v in psi.zeroed_vars))
-for var in sorted(psi.assignment):
-    img = psi.assignment[var]
-    print(f"   {var.name} -> {img.name if img else 0}")
-print()
-
-# Every cell generator is the image of a patch generator under psi.
-print("g_3_2 via psi:", cell_generators_via_psi(w, 3, 2).to_text())
-print("g_3_2 direct: ", cell_generators(w).entry(3, 2).to_text())
-print()
 
 # Selecting the entries (k, l) with k > h(l) presents the cell ideal for
 # a Hessenberg function h.  For h = (3,3,4,4) and w = 3421 there are two

@@ -33,16 +33,12 @@ from .polyring import (
 )
 from .cells import (
     IdealPresentation,
-    PsiMap,
     build_ideal,
     build_Omega,
     build_wM,
     cell_generators,
-    cell_generators_via_psi,
     patch_generators,
     paving,
-    random_point_check,
-    solve_cell_point,
 )
 from .groebner import (
     BudgetExceededError,
@@ -96,16 +92,12 @@ __all__ = [
     "z_universe",
     "zvar",
     "IdealPresentation",
-    "PsiMap",
     "build_ideal",
     "build_Omega",
     "build_wM",
     "cell_generators",
-    "cell_generators_via_psi",
     "patch_generators",
     "paving",
-    "random_point_check",
-    "solve_cell_point",
     "BudgetExceededError",
     "InternalError",
     "MonomialOrder",

