@@ -24,14 +24,14 @@ overflows.
 
 `buchberger_check` runs its whole S-pair loop on these codes: it encodes
 each generator once, takes the lcm of two leads as a field-wise maximum
-(`_Packing.lcm`), forms every S-polynomial as a code dict, divides it with
-`_divide` and only asks whether the remainder is empty, so nothing is
-decoded; an overflow restarts the whole check at double width.  It still
-forms and divides every pair from scratch and reads nothing of the
-generators' shape: Buchberger's coprime-lead criterion would pass every
-pair of the cell ideals unseen, since their initial terms are distinct
-variables, and the check would then only restate what
-`triangular_analysis` finds.
+(`_Packing.lcm`), forms every S-polynomial as a code dict and divides it
+with `_reduces_to_zero`, smallest dividing lead first, stopping at a term
+no lead divides, so nothing is decoded; an overflow restarts the whole
+check at double width.  It still forms and divides every pair from scratch
+and reads nothing of the generators' shape: Buchberger's coprime-lead
+criterion would pass every pair of the cell ideals unseen, since their
+initial terms are distinct variables, and the check would then only
+restate what `triangular_analysis` finds.
 """
 
 from __future__ import annotations
@@ -275,6 +275,40 @@ def _divide(rem: dict, divisors: list, guard: int, char: int):
     return [quot for *_, quot in work], out
 
 
+def _reduces_to_zero(rem: dict, divisors: list, guard: int, char: int) -> bool:
+    """`not _divide(rem, divisors, guard, char)[1]` with no quotients; consumes
+    `rem`.  False at the first term no lead divides, _FieldOverflow wherever
+    `_divide` raises it before.  A cancelled term stays, at 0, queued once."""
+    heap = [-m for m in rem]
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    get, pop = rem.get, rem.pop
+    while heap:
+        m = -heappop(heap)
+        c = pop(m)
+        if not c:
+            continue
+        mg = m | guard
+        for lm, mult, tail in divisors:
+            if (mg - lm) & guard != guard:
+                continue
+            qm = m - lm
+            qc = c * mult % char if char else c * mult
+            for t, tc in tail:
+                s = qm + t
+                if s & guard:
+                    raise _FieldOverflow
+                old = get(s)
+                if old is None:
+                    heappush(heap, -s)
+                    old = 0
+                rem[s] = (old - qc * tc) % char if char else old - qc * tc
+            break
+        else:
+            return False
+    return True
+
+
 def _multiply(a: dict, b: dict, p: int) -> dict:
     """The product of two encoded term dicts over F_p.
 
@@ -404,10 +438,16 @@ def buchberger_check(polys, order: MonomialOrder) -> bool:
     independent of `triangular_analysis`.  It runs on packed monomials:
     each generator is encoded once, the S-polynomial
     c_j (L / m_i) f_i - c_i (L / m_j) f_j, with (c, m) an initial term and L
-    the lcm of the two, is formed on codes, and `_divide` reduces it.  The
-    remainder is only tested for zero, so nothing is decoded.  Raises
-    ValueError for mixed coefficient domains, a variable outside the
-    order, or a division by a lead coefficient that is not a unit.
+    the lcm of the two, is formed on codes, and `_reduces_to_zero` reduces
+    each term by the generator with the smallest lead that divides it (the
+    divisors are sorted once by lead code, read as any division reads
+    them).  No rule moves the verdict: G is a Groebner basis iff every
+    S-polynomial reduces to 0 under some complete reduction by G
+    (Buchberger's criterion), so a basis leaves remainder 0 under every rule
+    and a non-basis leaves a nonzero one under every rule for some pair.
+    The remainder's emptiness is all that is read, so nothing is decoded.
+    Raises ValueError for mixed coefficient domains, a variable outside
+    the order, or a division by a lead coefficient that is not a unit.
 
     >>> from hesscells.polyring import xvar
     >>> x, y = Polynomial.variable(xvar(1, 1)), Polynomial.variable(xvar(1, 2))
@@ -453,8 +493,8 @@ def _packed_check(gens: list, packing: _Packing, char: int) -> bool:
             if not s:
                 continue
             if divisors is None:
-                divisors = _divisor_triples(encoded, char)
-            if _divide(s, divisors, guard, char)[1]:
+                divisors = sorted(_divisor_triples(encoded, char))
+            if not _reduces_to_zero(s, divisors, guard, char):
                 return False
     return True
 

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 from buchberger_reference import reference_buchberger_check
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hesscells import (
@@ -153,6 +153,95 @@ class TestHypothesis:
     def test_constructed_bases_pass(self, char, data):
         assert assert_same_outcome(data.draw(groebner_bases(char)), ORDER) is True
 
+    @pytest.mark.parametrize("char", [0, 2, 3, 7])
+    @given(data=st.data())
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    def test_outcome_is_the_same_in_every_input_order(self, char, data):
+        # the reference divides in list order, so each permutation is one
+        # more selection rule; by Buchberger's criterion no rule moves the
+        # verdict
+        polys = data.draw(st.one_of(generator_sets(char), groebner_bases(char)))
+        outcomes = {
+            outcome(check, list(perm), ORDER)
+            for perm in itertools.permutations(polys)
+            for check in (buchberger_check, reference_buchberger_check)
+        }
+        assert len(outcomes) == 1, outcomes
+
+
+@st.composite
+def kernel_problems(draw, char):
+    """(dividend, divisors) with unit leads: the divisors are a generator
+    set or a basis, the dividend a combination of them plus, in half the
+    draws, a random polynomial."""
+    gens = [
+        g for g in draw(st.one_of(generator_sets(char), groebner_bases(char)))
+        if not g.is_zero
+    ]
+    assume(gens and all(
+        char or groebner.initial_term(g, ORDER)[0] in (1, -1) for g in gens
+    ))
+    p = draw(prop_polys(char, 3, 0)) if draw(st.booleans()) else Polynomial.zero(char)
+    for g in gens:
+        p = p + draw(prop_polys(char, 2, 0)) * g
+    return p, gens
+
+
+def kernel_outcomes(p, gens, bits, shuffle=lambda divisors: divisors):
+    """What `_divide` and `_reduces_to_zero` say of p at `bits`-bit fields:
+    whether the remainder is empty, or _FieldOverflow."""
+    packing, char = ORDER._packing(bits), p.char
+    divisors = shuffle(groebner._divisor_triples(
+        groebner._encode_divisors(packing, gens, char), char
+    ))
+    out = []
+    for kernel in (
+        lambda *args: not groebner._divide(*args)[1], groebner._reduces_to_zero
+    ):
+        try:
+            out.append(kernel(packing.encode(p), divisors, packing.guard, char))
+        except groebner._FieldOverflow:
+            out.append(groebner._FieldOverflow)
+    return tuple(out)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("char", [0, 2, 3, 7])
+    @given(data=st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_divide_in_any_divisor_order(self, char, data):
+        p, gens = data.draw(kernel_problems(char))
+        top = max(
+            (e for f in (p, *gens) for m in f.terms for _, e in m.exps), default=1
+        )
+        # the tightest width that holds the inputs, or the one the check uses
+        bits = data.draw(st.sampled_from(
+            (top.bit_length() + 1, groebner._field_bits([p, *gens]))
+        ))
+        shuffle = data.draw(st.randoms()).sample
+        divided, checked = kernel_outcomes(
+            p, gens, bits, lambda divisors: shuffle(divisors, len(divisors))
+        )
+        # a term no lead divides ends the check before a later overflow
+        assert checked == divided or (
+            divided is groebner._FieldOverflow and checked is False
+        )
+
+    def test_each_outcome(self):
+        x, y, z = var(X), var(Y), var(Z)
+        # S(x^2, xy + 1) = -y, which no lead divides
+        assert kernel_outcomes(-y, [x**2, x * y + 1], 8) == (False, False)
+        # x (x - y^2) + y * y^3 by the basis x - y^2, y^3
+        assert kernel_outcomes(
+            x**2 - x * y**2 + y**4, [x - y**2, y**3], 8
+        ) == (True, True)
+        # x^99 y^100 by x - y^100 reaches y^600 at 10 bits (exponents to 511)
+        over = groebner._FieldOverflow
+        assert kernel_outcomes(x**99 * y**100, [x - y**100], 10) == (over, over)
+        # x is irreducible and comes first, so only _divide goes on to the
+        # overflow of y^99 by y - z^100
+        assert kernel_outcomes(x + y**99, [y - z**100], 10) == (over, False)
+
 
 def test_packed_lcm_is_the_field_wise_maximum():
     packing = ORDER._packing(8)  # exponents up to 127
@@ -196,12 +285,19 @@ class TestFieldOverflow:
         assert widths == [groebner._field_bits(gens), 2 * groebner._field_bits(gens)]
 
     def test_restart_then_reduces_to_zero(self, monkeypatch):
+        # The natural width leaves room for four times the largest input
+        # exponent, and a lead y^a that divides first keeps y's exponent
+        # below twice the largest, so the first width is forced down to 4
+        # bits (exponents up to 7): S(x - y^3, x^3) = -x^2 y^3 reduces by
+        # x to -x y^6, then to -y^9, which overflows; at 8 bits y^7
+        # divides it.
         x, y = var(X), var(Y)
-        gens = [x - y**100, x**100, y**200]
+        gens = [x - y**3, x**3, y**7]
         assert assert_same_outcome(gens, ORDER) is True
+        monkeypatch.setattr(groebner, "_field_bits", lambda polys: 4)
         widths = self.record_widths(monkeypatch)
         assert buchberger_check(gens, ORDER) is True
-        assert widths == [groebner._field_bits(gens), 2 * groebner._field_bits(gens)]
+        assert widths == [4, 8]
 
 
 class TestInvalidInput:
@@ -225,36 +321,51 @@ class TestInvalidInput:
 
 def test_work_matches_reference_at_every_fixed_point_up_to_n5(monkeypatch):
     """Divisions and their steps (quotient terms plus remainder terms) of
-    the packed check equal the reference's `reduce` calls and steps."""
+    the packed check equal the reference's `reduce` calls and steps, with
+    the reference's divisors listed by ascending initial term: the check
+    divides by every generator once, smallest lead first."""
     work = []
-
-    def counted(fn, steps):
-        def call(*args):
-            result = fn(*args)
-            work[-1][0] += 1
-            work[-1][1] += steps(*result)
-            return result
-        return call
-
-    divide = counted(
-        groebner._divide, lambda qs, r: sum(map(len, qs)) + len(r)
+    poly_reduce, divide, reduces_to_zero = (
+        groebner.reduce, groebner._divide, groebner._reduces_to_zero
     )
-    reduce = counted(
-        groebner.reduce,
-        lambda qs, r: sum(len(q.terms) for q in qs) + len(r.terms),
-    )
+
+    def count(steps):
+        work[-1][0] += 1
+        work[-1][1] += steps
+
+    def reduce(*args):
+        qs, r = result = poly_reduce(*args)
+        count(sum(len(q.terms) for q in qs) + len(r.terms))
+        return result
+
+    def kernel(rem, divisors, guard, char):
+        qs, r = divide(dict(rem), divisors, guard, char)
+        count(sum(map(len, qs)) + len(r))
+        assert guard == packing.guard
+        assert [lm for lm, _, _ in divisors] == leads
+        got = reduces_to_zero(rem, divisors, guard, char)
+        assert got == (not r)
+        return got
+
     total = [0, 0]
     for w, h, gens, order in cell_ideals(5):
         if not is_fixed_point(w, h):
             continue
+        gens = [g for g in gens if not g.is_zero]
+        gens.sort(key=lambda g: order.key(groebner.initial_term(g, order)[1]))
+        packing = order._packing(groebner._field_bits(gens))
+        leads = [
+            max(packing.encode(Polynomial({groebner.initial_term(g, order)[1]: 1})))
+            for g in gens
+        ]
         work.append([0, 0])
         with monkeypatch.context() as m:
             m.setattr(groebner, "reduce", reduce)
             assert reference_buchberger_check(gens, order)
         work.append([0, 0])
         with monkeypatch.context() as m:
-            m.setattr(groebner, "_divide", divide)
-            assert buchberger_check(gens, order)
+            m.setattr(groebner, "_reduces_to_zero", kernel)
+            assert buchberger_check(gens[::-1], order)
         assert work[-1] == work[-2], (w, h)
         total = [total[0] + work[-1][0], total[1] + work[-1][1]]
     assert total[0] > 0 and total[1] > total[0]
