@@ -63,10 +63,11 @@ FROBENIUS_CEILINGS = {2: 6, 3: 6, 5: 5, 7: 4, 11: 4, 13: 4, 17: 4, 19: 4}
 
 
 def frobenius_ceiling(primes) -> int:
-    """The largest n of a Frobenius check at every prime of `primes`;
-    ValueError for an unlisted number below the largest listed prime (not
-    prime, as every prime up to it is listed), then for any other unlisted
-    number, with no primality test, so a large number is refused at once."""
+    """The largest n of a Frobenius check at every prime of the sequence
+    `primes`; ValueError for an unlisted number below the largest listed
+    prime (not prime, as every prime up to it is listed), then for any
+    other unlisted number, with no primality test, so a large number is
+    refused at once, or a prime listed more than once."""
     for p in primes:
         if p < max(FROBENIUS_CEILINGS) and p not in FROBENIUS_CEILINGS:
             raise ValueError(f"{p} is not prime")
@@ -74,6 +75,8 @@ def frobenius_ceiling(primes) -> int:
         if p not in FROBENIUS_CEILINGS:
             raise ValueError(f"p = {p} has no Frobenius ceiling; the primes are "
                              + ", ".join(map(str, FROBENIUS_CEILINGS)))
+        if primes.count(p) > 1:
+            raise ValueError(f"p = {p} is listed more than once")
     return min(FROBENIUS_CEILINGS[p] for p in primes)
 
 

@@ -605,8 +605,10 @@ def reduced_gb_oracle(generators, order: MonomialOrder, max_steps: int = 100_000
     converted back to primitive integer polynomials with positive leading
     coefficients, sorted by decreasing leading monomial.  Returns [1]
     exactly when the ideal is the unit ideal.  Raises BudgetExceededError
-    after `max_steps` reduction steps.
+    after `max_steps` reduction steps, and ValueError for a negative one.
     """
+    if max_steps < 0:
+        raise ValueError(f"budget must be at least 0, not {max_steps}")
     steps = 0
 
     def charge():

@@ -334,6 +334,8 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
         )
     if jobs is not None and not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be between 1 and {MAX_JOBS}")
+    if opts.budget < 0:
+        raise ValueError(f"budget must be at least 0, not {opts.budget}")
     head = {
         "maxN": max_n,
         "options": {

@@ -8,7 +8,8 @@ permutation to cell coordinates only renames variables or sets them to 0,
 and carries patch generators to cell generators.  `random_point_check`
 solves the triangular generator system at random integer points and
 re-checks exact vanishing of the conjugated shift there.  Tests compare
-the package against both.
+the package against both, and the paving's cell dimensions against the
+product formula `q_integer_product`.
 """
 
 import random
@@ -152,3 +153,15 @@ def random_point_check(w, h, trials: int = 10, seed: int = 0) -> bool:
             if g.evaluate(point) != 0:
                 return False
     return True
+
+
+def q_integer_product(sizes):
+    """Coefficients of the product of the q-integers [s]_q = 1 + ... + q^(s-1)."""
+    coeffs = [1]
+    for s in sizes:
+        out = [0] * (len(coeffs) + s - 1)
+        for d, c in enumerate(coeffs):
+            for e in range(s):
+                out[d + e] += c
+        coeffs = out
+    return coeffs

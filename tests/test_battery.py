@@ -11,6 +11,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from cells_reference import q_integer_product
 
 from hesscells import (
     HessenbergFunction,
@@ -28,7 +29,7 @@ from hesscells import (
     z_universe,
 )
 from hesscells.combinat import is_fixed_point, v_of_w
-from hesscells.sweep import SweepOptions, iter_sweep, run_case, sweep
+from hesscells.sweep import SweepOptions, case_dict, iter_sweep, run_case, sweep
 
 sweep_mod = importlib.import_module("hesscells.sweep")
 cells_mod = importlib.import_module("hesscells.cells")
@@ -172,6 +173,25 @@ def test_each_n_has_all_its_tables_at_its_first_case(jobs):
     for _, w, _ in rows:
         held.setdefault(len(w), len(sweep_mod._TABLES))
     assert held == {1: 1, 2: 2, 3: 6, 4: 24}
+
+
+def test_each_h_of_the_sweep_has_the_paving_generating_function():
+    # Anderson-Tymoczko: the sum of t^dim over the fixed points of h is the
+    # product of the t-integers [h(j) - j + 1]_t (at t = 1, the number of
+    # fixed points), so each row must carry its own case's entry
+    dims = {}
+    _, rows, _ = iter_sweep(6, SweepOptions())
+    for row in rows:
+        case = case_dict(*row)
+        ds = dims.setdefault(row[0], [])
+        if case["fixedPoint"]:
+            ds.append(case["dim"])
+    assert len(dims) == 1 + 1 + 2 + 5 + 14 + 42  # Catalan(n - 1) h per n
+    for h, ds in dims.items():
+        coeffs = [0] * (max(ds) + 1)
+        for d in ds:
+            coeffs[d] += 1
+        assert coeffs == q_integer_product([b - j for j, b in enumerate(h)]), h
 
 
 def test_a_failing_verdict_reaches_every_case_of_the_ideal(monkeypatch):

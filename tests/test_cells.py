@@ -4,6 +4,7 @@ import pytest
 from cells_reference import (
     PsiMap,
     cell_generators_via_psi,
+    q_integer_product,
     random_point_check,
     solve_cell_point,
 )
@@ -396,18 +397,6 @@ class TestNonEmptinessDichotomy:
                         assert not pres.certifies_empty, (w, h)
                     else:
                         assert pres.certifies_empty, (w, h)
-
-
-def q_integer_product(sizes):
-    """Coefficients of the product of the q-integers [s]_q = 1 + ... + q^(s-1)."""
-    coeffs = [1]
-    for s in sizes:
-        out = [0] * (len(coeffs) + s - 1)
-        for d, c in enumerate(coeffs):
-            for e in range(s):
-                out[d + e] += c
-        coeffs = out
-    return coeffs
 
 
 class TestPaving:

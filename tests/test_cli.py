@@ -1,11 +1,17 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from frobenius_reference import is_prime
 
 from hesscells import HessenbergFunction, Monomial, Permutation, poly_from_json, zvar
 from hesscells.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -107,7 +113,8 @@ class TestJsonCommands:
         )
         assert code == 0
         assert doc["allCompatible"] is True
-        assert doc["axiomSpotChecks"] is True
+        assert "axiomSpotChecks" not in doc
+        assert doc["ok"] == doc["allCompatible"]
 
     def test_sweep_json(self, capsys):
         code, doc = run_json(
@@ -303,6 +310,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: w=3421 is not a fixed point for h=2,3,4,4\n"
 
+    def test_frobenius_check_has_no_seed(self, capsys):
+        argv = ["frobenius-check", "--n", "4", "--w", "3421", "--h", "3,3,4,4",
+                "--p", "3", "--seed", "1", "--format", "json"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --seed 1" in err
+
+    def test_usage_error_on_negative_budget(self, capsys):
+        for argv in (["sweep", "--max-n", "4", "--budget", "-5"],
+                     ["gb-check", "--n", "3", "--w", "321", "--h", "2,3,3",
+                      "--oracle", "--budget", "-1"]):
+            assert main(argv + ["--format", "json"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "argument --budget: must be at least 0, not -" in err
+        argv = ["gb-check", "--n", "3", "--w", "321", "--h", "2,3,3", "--oracle"]
+        assert main(argv + ["--budget", "x"]) == 2
+        assert "argument --budget: invalid step_count value: 'x'" in \
+            capsys.readouterr().err
+        assert main(argv + ["--budget", "0"]) == 3  # no step allowed
+
     def test_math_failure_exit_one(self, capsys):
         code = main(["gb-check", "--n", "4", "--w", "3421", "--h", "2,3,4,4"])
         assert code == 1
@@ -371,3 +400,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == (
             "error: internal error: index 5 out of range 1..4\n")
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # the `hesscells` script's path; in-process `main` does not catch it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hesscells.cli",
+         "sweep", "--max-n", "5", "--format", "json", "--jobs", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""  # no Traceback

@@ -313,6 +313,13 @@ class TestReducedGbOracle:
         basis = reduced_gb_oracle(pres.generator_polys(), order_n_w(W3421))
         assert basis == [Polynomial.one()]
 
+    def test_negative_budget_is_refused(self):
+        gens = build_ideal(W3421, H3344, "cell").generator_polys()
+        with pytest.raises(ValueError, match="^budget must be at least 0, not -1$"):
+            reduced_gb_oracle(gens, order_n_w(W3421), -1)
+        with pytest.raises(BudgetExceededError):
+            reduced_gb_oracle(gens, order_n_w(W3421), 0)
+
     def test_hidden_unit_ideal(self):
         # x*(xy + 1) - y*x^2 = x, so 1 = (xy + 1) - y*x lies in the ideal
         x = xvar(1, 1)

@@ -300,6 +300,19 @@ class TestBadJobsAndInternalErrors:
         with pytest.raises(ValueError, match="jobs must be between 1 and 64"):
             sweep(3, jobs=jobs)
 
+    def test_negative_budget_is_refused_before_any_row(self):
+        with pytest.raises(ValueError, match="^budget must be at least 0, not -1$"):
+            iter_sweep(3, SweepOptions(budget=-1))
+        _, rows, _ = iter_sweep(3, SweepOptions(budget=0))
+        assert next(rows)
+
+    def test_repeated_prime_is_refused_alike(self, capsys):
+        argv = ["sweep", "--max-n", "3", "--frobenius", "2,3,2", "--format", "json"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: p = 2 is listed more than once\n")
+        with pytest.raises(ValueError, match="^p = 3 is listed more than once$"):
+            sweep(3, frobenius_primes=(3, 3))
+
     def test_internal_error_exits_1(self, monkeypatch, capsys):
         def broken(w_images, table):
             raise AssertionError("broken invariant")
