@@ -36,6 +36,7 @@ from .frobenius import (
     make_splitting_context,
 )
 from .grading_hilbert import (
+    TRUNC_CEILING,
     check_exact_trunc,
     hilbert_formula,
     hilbert_oracle,
@@ -391,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     trunc = argparse.ArgumentParser(add_help=False)
     trunc.add_argument("--trunc", type=int, default=30,
                        help="order of the series coefficients printed (hilbert) "
-                       "and reported (sweep); at least max(1, n - 1)")
+                       "and reported (sweep); at least max(1, n - 1), at most "
+                       f"{TRUNC_CEILING}")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=step_count, default=100_000,
                         help="reduction-step budget for the completion oracle")

@@ -17,6 +17,8 @@ from .combinat import HessenbergFunction, Permutation, is_fixed_point, v_of_w
 from .groebner import InternalError, TriangularReport
 from .polyring import Polynomial, z_universe
 
+TRUNC_CEILING = 10**6
+
 
 @lru_cache(maxsize=1)
 def weights_for(w: Permutation) -> dict:
@@ -135,7 +137,9 @@ class HilbertSeries:
 
 
 def check_exact_trunc(n: int, trunc: int) -> None:
-    """Raise ValueError unless trunc >= max(1, n - 1).  Hilbert series of
+    """Raise ValueError unless max(1, n - 1) <= trunc <= TRUNC_CEILING.
+    The ceiling bounds the trunc + 1 coefficients `hilbert` expands and
+    prints (29 MB of JSON at w0, n = 7).  Hilbert series of
     an n x n cell that agree up to t^(n-1) are equal: cross-multiplied by
     their denominators, both sides are products of factors (1 - t^e) with
     e <= n - 1, and such a product is fixed by its coefficients up to
@@ -145,6 +149,8 @@ def check_exact_trunc(n: int, trunc: int) -> None:
     changes either."""
     if trunc < max(1, n - 1):
         raise ValueError(f"trunc must be at least {max(1, n - 1)} for n = {n}")
+    if trunc > TRUNC_CEILING:
+        raise ValueError(f"trunc must be at most {TRUNC_CEILING}")
 
 
 def hilbert_formula(w: Permutation, h: HessenbergFunction) -> HilbertSeries:

@@ -22,16 +22,19 @@ width, so the result is exact for any input.  `_multiply`, `_square` and
 there the caller sizes the fields from an exponent bound, so nothing
 overflows.
 
-`buchberger_check` runs its whole S-pair loop on these codes: it encodes
-each generator once, takes the lcm of two leads as a field-wise maximum
-(`_Packing.lcm`), forms every S-polynomial as a code dict and divides it
-with `_reduces_to_zero`, smallest dividing lead first, stopping at a term
-no lead divides, so nothing is decoded; an overflow restarts the whole
-check at double width.  It still forms and divides every pair from scratch
-and reads nothing of the generators' shape: Buchberger's coprime-lead
-criterion would pass every pair of the cell ideals unseen, since their
-initial terms are distinct variables, and the check would then only
-restate what `triangular_analysis` finds.
+`_divide` is the one division loop.  It records each division step as
+(lead, quotient monomial, coefficient); `reduce` sorts the steps into its
+per-divisor quotients, and `buchberger_check` reads only whether the
+remainder is empty.  The check runs its whole S-pair loop on these codes:
+it encodes each generator once, takes the lcm of two leads as a field-wise
+maximum (`_Packing.lcm`), forms every S-polynomial as a code dict and
+divides it by the generators sorted by lead, smallest dividing lead first,
+so nothing is decoded; an overflow restarts the whole check at double
+width.  It still forms and divides every pair from scratch and reads
+nothing of the generators' shape: Buchberger's coprime-lead criterion
+would pass every pair of the cell ideals unseen, since their initial
+terms are distinct variables, and the check would then only restate what
+`triangular_analysis` finds.
 """
 
 from __future__ import annotations
@@ -230,59 +233,23 @@ def _divide(rem: dict, divisors: list, guard: int, char: int):
     """The division loop on encoded terms; consumes `rem`.
 
     `divisors` holds (lead, multiplier, tail terms) triples, where the
-    multiplier turns a coefficient into its quotient coefficient.  The
-    running remainder is the dict `rem` with a max-heap of its monomials;
-    heap entries whose term has cancelled are skipped when popped.
-    Returns (quotient term dicts, remainder term dict), both filled in
-    decreasing monomial order.  Raises _FieldOverflow when a product
-    monomial outgrows its field.
+    multiplier turns a coefficient into its quotient coefficient; each term
+    of the running remainder is reduced by the first divisor whose lead
+    divides it.  The running remainder is the dict `rem` with a max-heap of
+    its monomials.  A term that cancels stays in `rem` at 0, so each
+    monomial is queued once: a popped monomial never comes back, since
+    every product lies below the term it reduces.  Returns (steps,
+    remainder term dict): one (lead, quotient monomial, quotient
+    coefficient) per division step, both in decreasing order of the term
+    reduced or kept.  Raises _FieldOverflow when a product monomial
+    outgrows its field.
     """
     heap = [-m for m in rem]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     get, pop = rem.get, rem.pop
-    work = [(lm, mult, tail, {}) for lm, mult, tail in divisors]
-    out = {}
-    while heap:
-        m = -heappop(heap)
-        c = pop(m, 0)
-        if not c:
-            continue
-        for lm, mult, tail, quot in work:
-            if ((m | guard) - lm) & guard != guard:
-                continue
-            qm = m - lm
-            qc = c * mult % char if char else c * mult
-            quot[qm] = qc
-            for t, tc in tail:
-                s = qm + t
-                if s & guard:
-                    raise _FieldOverflow
-                old = get(s)
-                if old is None:
-                    heappush(heap, -s)
-                    old = 0
-                v = old - qc * tc
-                if char:
-                    v %= char
-                if v:
-                    rem[s] = v
-                else:
-                    pop(s, None)
-            break
-        else:
-            out[m] = c
-    return [quot for *_, quot in work], out
-
-
-def _reduces_to_zero(rem: dict, divisors: list, guard: int, char: int) -> bool:
-    """`not _divide(rem, divisors, guard, char)[1]` with no quotients; consumes
-    `rem`.  False at the first term no lead divides, _FieldOverflow wherever
-    `_divide` raises it before.  A cancelled term stays, at 0, queued once."""
-    heap = [-m for m in rem]
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    get, pop = rem.get, rem.pop
+    steps, out = [], {}
+    step = steps.append
     while heap:
         m = -heappop(heap)
         c = pop(m)
@@ -294,6 +261,7 @@ def _reduces_to_zero(rem: dict, divisors: list, guard: int, char: int) -> bool:
                 continue
             qm = m - lm
             qc = c * mult % char if char else c * mult
+            step((lm, qm, qc))
             for t, tc in tail:
                 s = qm + t
                 if s & guard:
@@ -305,8 +273,8 @@ def _reduces_to_zero(rem: dict, divisors: list, guard: int, char: int) -> bool:
                 rem[s] = (old - qc * tc) % char if char else old - qc * tc
             break
         else:
-            return False
-    return True
+            out[m] = c
+    return steps, out
 
 
 def _multiply(a: dict, b: dict, p: int) -> dict:
@@ -405,12 +373,16 @@ def reduce(p: Polynomial, divisors, order: MonomialOrder):
         packing = order._packing(bits)
         packed = _divisor_triples(_encode_divisors(packing, divisors, char), char)
         try:
-            quotients, remainder = _divide(
-                packing.encode(p), packed, packing.guard, char
-            )
+            steps, remainder = _divide(packing.encode(p), packed, packing.guard, char)
         except _FieldOverflow:
             bits *= 2
             continue
+        first = {}  # a lead shared by two divisors divides for the first
+        for k, (lm, _, _) in enumerate(packed):
+            first.setdefault(lm, k)
+        quotients = [{} for _ in packed]
+        for lm, qm, qc in steps:
+            quotients[first[lm]][qm] = qc
         return (
             [packing.decode(q, char) for q in quotients],
             packing.decode(remainder, char),
@@ -438,14 +410,15 @@ def buchberger_check(polys, order: MonomialOrder) -> bool:
     independent of `triangular_analysis`.  It runs on packed monomials:
     each generator is encoded once, the S-polynomial
     c_j (L / m_i) f_i - c_i (L / m_j) f_j, with (c, m) an initial term and L
-    the lcm of the two, is formed on codes, and `_reduces_to_zero` reduces
-    each term by the generator with the smallest lead that divides it (the
-    divisors are sorted once by lead code, read as any division reads
-    them).  No rule moves the verdict: G is a Groebner basis iff every
-    S-polynomial reduces to 0 under some complete reduction by G
-    (Buchberger's criterion), so a basis leaves remainder 0 under every rule
-    and a non-basis leaves a nonzero one under every rule for some pair.
-    The remainder's emptiness is all that is read, so nothing is decoded.
+    the lcm of the two, is formed on codes, and `_divide` reduces each
+    term by the generator with the smallest lead that divides it (the
+    divisors are sorted once by lead code).  No rule moves the verdict: G
+    is a Groebner basis iff every S-polynomial reduces to 0 under some
+    complete reduction by G (Buchberger's criterion), so a basis leaves
+    remainder 0 under every rule and a non-basis leaves a nonzero one under
+    every rule for some pair.  The remainder's emptiness is all that is
+    read, so nothing is decoded; a failing pair is divided to its full
+    remainder, as `reduce` divides it.
     Raises ValueError for mixed coefficient domains, a variable outside
     the order, or a division by a lead coefficient that is not a unit.
 
@@ -494,7 +467,7 @@ def _packed_check(gens: list, packing: _Packing, char: int) -> bool:
                 continue
             if divisors is None:
                 divisors = sorted(_divisor_triples(encoded, char))
-            if not _reduces_to_zero(s, divisors, guard, char):
+            if _divide(s, divisors, guard, char)[1]:
                 return False
     return True
 

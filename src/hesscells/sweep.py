@@ -84,6 +84,10 @@ class SweepOptions:
     trunc: int = 30
     budget: int = 100_000
 
+    def __post_init__(self):
+        # a tuple, so that the options can key `_TABLES`
+        object.__setattr__(self, "frobenius_primes", tuple(self.frobenius_primes))
+
 
 # Case keys from fixedPoint on, in report order, by fixedPoint.  An entry
 # stops short of the keys it did not check: frobeniusOk without primes,
@@ -374,7 +378,7 @@ def sweep(
     jobs: int | None = 1,
 ) -> dict:
     """Run the full verification sweep and return its report."""
-    opts = SweepOptions(tuple(frobenius_primes), oracle_nonfixed, trunc, budget)
+    opts = SweepOptions(frobenius_primes, oracle_nonfixed, trunc, budget)
     head, rows, tail = iter_sweep(max_n, opts, jobs)
     report = {**head, "cases": [case_dict(*row) for row in rows]}
     report.update(tail)

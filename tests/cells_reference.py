@@ -8,8 +8,9 @@ permutation to cell coordinates only renames variables or sets them to 0,
 and carries patch generators to cell generators.  `random_point_check`
 solves the triangular generator system at random integer points and
 re-checks exact vanishing of the conjugated shift there.  Tests compare
-the package against both, and the paving's cell dimensions against the
-product formula `q_integer_product`.
+the package against both, the paving's cell dimensions against the
+product formula `q_integer_product`, and each case of the sweep against
+its flag dual (`dual_h`, `dual_w`).
 """
 
 import random
@@ -165,3 +166,19 @@ def q_integer_product(sizes):
                 out[d + e] += c
         coeffs = out
     return coeffs
+
+
+def dual_h(h):
+    """h's region {(i, j) : i <= h(j)} reflected in the antidiagonal:
+    h^T(j) = max{i : h(n + 1 - i) >= n + 1 - j}, for h as a tuple of values."""
+    n = len(h)
+    return tuple(
+        max(i for i in range(1, n + 1) if h[n - i] >= n + 1 - j)
+        for j in range(1, n + 1)
+    )
+
+
+def dual_w(w):
+    """w0 w w0, for w as a tuple of images: (w0 w w0)(j) = n + 1 - w(n + 1 - j)."""
+    n = len(w)
+    return tuple(n + 1 - w[n - j] for j in range(1, n + 1))

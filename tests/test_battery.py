@@ -11,7 +11,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from cells_reference import q_integer_product
+from cells_reference import dual_h, dual_w, q_integer_product
 
 from hesscells import (
     HessenbergFunction,
@@ -178,20 +178,29 @@ def test_each_n_has_all_its_tables_at_its_first_case(jobs):
 def test_each_h_of_the_sweep_has_the_paving_generating_function():
     # Anderson-Tymoczko: the sum of t^dim over the fixed points of h is the
     # product of the t-integers [h(j) - j + 1]_t (at t = 1, the number of
-    # fixed points), so each row must carry its own case's entry
-    dims = {}
+    # fixed points), so each row must carry its own case's entry.
+    # Flag duality: V_i -> V_{n-i}^perp, for the form with Gram matrix w0,
+    # maps the Schubert cell of w onto that of w0 w w0 and, as
+    # w0 N^T w0 = N, Hess(N, h) onto Hess(N, h^T); so (h, w) and
+    # (h^T, w0 w w0) have the same entry, from separate polynomial work.
+    dims, entries = {}, {}
     _, rows, _ = iter_sweep(6, SweepOptions())
     for row in rows:
         case = case_dict(*row)
         ds = dims.setdefault(row[0], [])
         if case["fixedPoint"]:
             ds.append(case["dim"])
+        entries[row[:2]] = row[2]
     assert len(dims) == 1 + 1 + 2 + 5 + 14 + 42  # Catalan(n - 1) h per n
     for h, ds in dims.items():
         coeffs = [0] * (max(ds) + 1)
         for d in ds:
             coeffs[d] += 1
         assert coeffs == q_integer_product([b - j for j, b in enumerate(h)]), h
+        assert dual_h(dual_h(h)) == h
+    assert len(entries) == 32_055
+    for (h, w), entry in entries.items():
+        assert entries[dual_h(h), dual_w(w)] == entry, (h, w)
 
 
 def test_a_failing_verdict_reaches_every_case_of_the_ideal(monkeypatch):

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 from buchberger_reference import reference_buchberger_check
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesscells import (
@@ -169,78 +169,32 @@ class TestHypothesis:
         assert len(outcomes) == 1, outcomes
 
 
-@st.composite
-def kernel_problems(draw, char):
-    """(dividend, divisors) with unit leads: the divisors are a generator
-    set or a basis, the dividend a combination of them plus, in half the
-    draws, a random polynomial."""
-    gens = [
-        g for g in draw(st.one_of(generator_sets(char), groebner_bases(char)))
-        if not g.is_zero
-    ]
-    assume(gens and all(
-        char or groebner.initial_term(g, ORDER)[0] in (1, -1) for g in gens
-    ))
-    p = draw(prop_polys(char, 3, 0)) if draw(st.booleans()) else Polynomial.zero(char)
-    for g in gens:
-        p = p + draw(prop_polys(char, 2, 0)) * g
-    return p, gens
-
-
-def kernel_outcomes(p, gens, bits, shuffle=lambda divisors: divisors):
-    """What `_divide` and `_reduces_to_zero` say of p at `bits`-bit fields:
-    whether the remainder is empty, or _FieldOverflow."""
+def divide_outcome(p, gens, bits):
+    """Whether `_divide` leaves p an empty remainder at `bits`-bit fields,
+    or _FieldOverflow."""
     packing, char = ORDER._packing(bits), p.char
-    divisors = shuffle(groebner._divisor_triples(
+    divisors = groebner._divisor_triples(
         groebner._encode_divisors(packing, gens, char), char
-    ))
-    out = []
-    for kernel in (
-        lambda *args: not groebner._divide(*args)[1], groebner._reduces_to_zero
-    ):
-        try:
-            out.append(kernel(packing.encode(p), divisors, packing.guard, char))
-        except groebner._FieldOverflow:
-            out.append(groebner._FieldOverflow)
-    return tuple(out)
+    )
+    try:
+        return not groebner._divide(packing.encode(p), divisors, packing.guard, char)[1]
+    except groebner._FieldOverflow:
+        return groebner._FieldOverflow
 
 
 class TestKernel:
-    @pytest.mark.parametrize("char", [0, 2, 3, 7])
-    @given(data=st.data())
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    def test_matches_divide_in_any_divisor_order(self, char, data):
-        p, gens = data.draw(kernel_problems(char))
-        top = max(
-            (e for f in (p, *gens) for m in f.terms for _, e in m.exps), default=1
-        )
-        # the tightest width that holds the inputs, or the one the check uses
-        bits = data.draw(st.sampled_from(
-            (top.bit_length() + 1, groebner._field_bits([p, *gens]))
-        ))
-        shuffle = data.draw(st.randoms()).sample
-        divided, checked = kernel_outcomes(
-            p, gens, bits, lambda divisors: shuffle(divisors, len(divisors))
-        )
-        # a term no lead divides ends the check before a later overflow
-        assert checked == divided or (
-            divided is groebner._FieldOverflow and checked is False
-        )
-
     def test_each_outcome(self):
         x, y, z = var(X), var(Y), var(Z)
         # S(x^2, xy + 1) = -y, which no lead divides
-        assert kernel_outcomes(-y, [x**2, x * y + 1], 8) == (False, False)
+        assert divide_outcome(-y, [x**2, x * y + 1], 8) is False
         # x (x - y^2) + y * y^3 by the basis x - y^2, y^3
-        assert kernel_outcomes(
-            x**2 - x * y**2 + y**4, [x - y**2, y**3], 8
-        ) == (True, True)
+        assert divide_outcome(x**2 - x * y**2 + y**4, [x - y**2, y**3], 8) is True
         # x^99 y^100 by x - y^100 reaches y^600 at 10 bits (exponents to 511)
         over = groebner._FieldOverflow
-        assert kernel_outcomes(x**99 * y**100, [x - y**100], 10) == (over, over)
-        # x is irreducible and comes first, so only _divide goes on to the
+        assert divide_outcome(x**99 * y**100, [x - y**100], 10) is over
+        # x is irreducible and comes first; the division goes on to the
         # overflow of y^99 by y - z^100
-        assert kernel_outcomes(x + y**99, [y - z**100], 10) == (over, False)
+        assert divide_outcome(x + y**99, [y - z**100], 10) is over
 
 
 def test_packed_lcm_is_the_field_wise_maximum():
@@ -299,6 +253,18 @@ class TestFieldOverflow:
         assert buchberger_check(gens, ORDER) is True
         assert widths == [4, 8]
 
+    def test_an_irreducible_term_does_not_stop_the_division(self, monkeypatch):
+        # S(y - z^3, xy + y^3) = -x z^3 - y^3: no lead divides x z^3, which
+        # comes first; y^3 then reduces by y to -z^9, which overflows 4 bits
+        # (exponents up to 7), so the check restarts and fails at 8 bits
+        x, y, z = var(X), var(Y), var(Z)
+        gens = [y - z**3, x * y + y**3]
+        assert assert_same_outcome(gens, ORDER) is False
+        monkeypatch.setattr(groebner, "_field_bits", lambda polys: 4)
+        widths = self.record_widths(monkeypatch)
+        assert buchberger_check(gens, ORDER) is False
+        assert widths == [4, 8]
+
 
 class TestInvalidInput:
     def test_mixed_coefficient_domains(self):
@@ -325,9 +291,7 @@ def test_work_matches_reference_at_every_fixed_point_up_to_n5(monkeypatch):
     the reference's divisors listed by ascending initial term: the check
     divides by every generator once, smallest lead first."""
     work = []
-    poly_reduce, divide, reduces_to_zero = (
-        groebner.reduce, groebner._divide, groebner._reduces_to_zero
-    )
+    poly_reduce, divide = groebner.reduce, groebner._divide
 
     def count(steps):
         work[-1][0] += 1
@@ -339,13 +303,11 @@ def test_work_matches_reference_at_every_fixed_point_up_to_n5(monkeypatch):
         return result
 
     def kernel(rem, divisors, guard, char):
-        qs, r = divide(dict(rem), divisors, guard, char)
-        count(sum(map(len, qs)) + len(r))
+        steps, r = result = divide(rem, divisors, guard, char)
+        count(len(steps) + len(r))
         assert guard == packing.guard
         assert [lm for lm, _, _ in divisors] == leads
-        got = reduces_to_zero(rem, divisors, guard, char)
-        assert got == (not r)
-        return got
+        return result
 
     total = [0, 0]
     for w, h, gens, order in cell_ideals(5):
@@ -364,7 +326,7 @@ def test_work_matches_reference_at_every_fixed_point_up_to_n5(monkeypatch):
             assert reference_buchberger_check(gens, order)
         work.append([0, 0])
         with monkeypatch.context() as m:
-            m.setattr(groebner, "_reduces_to_zero", kernel)
+            m.setattr(groebner, "_divide", kernel)
             assert buchberger_check(gens[::-1], order)
         assert work[-1] == work[-2], (w, h)
         total = [total[0] + work[-1][0], total[1] + work[-1][1]]

@@ -6,10 +6,13 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from frobenius_reference import is_prime
 
 from hesscells import HessenbergFunction, Monomial, Permutation, poly_from_json, zvar
 from hesscells.cli import main
+from hesscells.grading_hilbert import TRUNC_CEILING, check_exact_trunc
+from hesscells.sweep import SweepOptions, iter_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -296,6 +299,18 @@ class TestExitCodes:
         argv = ["hilbert", "--n", "4", "--w", "3421", "--h", "3,3,4,4"]
         assert main(argv + ["--trunc", "1"]) == 2
         assert main(argv + ["--trunc", "3"]) == 0
+
+    def test_usage_error_on_trunc_above_the_ceiling(self, capsys):
+        for argv in (["hilbert", "--n", "4", "--w", "3421", "--h", "3,3,4,4"],
+                     ["sweep", "--max-n", "2"]):
+            for trunc in (TRUNC_CEILING + 1, 10**100):
+                assert main(argv + ["--trunc", str(trunc), "--format", "json"]) == 2
+                assert capsys.readouterr() == (
+                    "", f"error: trunc must be at most {TRUNC_CEILING}\n")
+        assert main(["sweep", "--max-n", "2", "--trunc", str(TRUNC_CEILING)]) == 0
+        check_exact_trunc(4, TRUNC_CEILING)
+        with pytest.raises(ValueError, match="^trunc must be at most 1000000$"):
+            iter_sweep(2, SweepOptions(trunc=TRUNC_CEILING + 1))
 
     def test_usage_error_on_flag_of_another_command(self, capsys):
         assert main(["paving", "--n", "4", "--h", "3,3,4,4", "--jobs", "2"]) == 2

@@ -306,6 +306,12 @@ class TestBadJobsAndInternalErrors:
         _, rows, _ = iter_sweep(3, SweepOptions(budget=0))
         assert next(rows)
 
+    def test_a_list_of_primes_acts_as_a_tuple(self):
+        listed, paired = SweepOptions(frobenius_primes=[2]), SweepOptions(frobenius_primes=(2,))
+        assert listed == paired and hash(listed) == hash(paired)
+        assert list(iter_sweep(3, listed)[1]) == list(iter_sweep(3, paired)[1])
+        assert run_case(FIXED[:2] + (listed,)) == run_case(FIXED[:2] + (paired,))
+
     def test_repeated_prime_is_refused_alike(self, capsys):
         argv = ["sweep", "--max-n", "3", "--frobenius", "2,3,2", "--format", "json"]
         assert main(argv) == 2
