@@ -22,32 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinat import HessenbergFunction, Permutation, fixed_points, v_of_w
-from .polyring import Polynomial, PolyMatrix, xvar, z_universe, zvar
+from .polyring import ONE, Monomial, Polynomial, PolyMatrix, xvar, z_universe, zvar
 
 
-def build_wM(w: Permutation) -> PolyMatrix:
-    """Generic point of the patch through w: entry (i,j) is 1 when
-    i = w(j), 0 when j > w^{-1}(i), and the variable x_{i,j} otherwise."""
-    winv = w.inverse()
-    n = w.n
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == w(j):
-                row.append(Polynomial.one())
-            elif j > winv(i):
-                row.append(Polynomial.zero())
-            else:
-                row.append(Polynomial.variable(xvar(i, j)))
-        rows.append(row)
-    return PolyMatrix(rows)
-
-
-def build_Omega(w: Permutation) -> PolyMatrix:
-    """Generic point of the Schubert cell of w: entry (i,j) is 1 when
-    i = w(j), 0 below or to the right of the pivots, and z_{i,j}
-    otherwise.  The number of variables equals the length of w."""
+def _generic_point(w: Permutation, var, below: bool) -> PolyMatrix:
+    """Entry (i,j) is 1 when i = w(j), 0 when j > w^{-1}(i) or (`below`)
+    i > w(j), and the variable var(i, j) otherwise; each entry is built
+    raw, already normalized, and the matrix is not validated again."""
     wi, winv = w.images, w.inverse().images
     n = w.n
     rows = []
@@ -55,13 +36,27 @@ def build_Omega(w: Permutation) -> PolyMatrix:
         row = []
         for j in range(1, n + 1):
             if i == wi[j - 1]:
-                row.append(Polynomial.one())
-            elif i > wi[j - 1] or j > winv[i - 1]:
-                row.append(Polynomial.zero())
+                terms = {ONE: 1}
+            elif j > winv[i - 1] or below and i > wi[j - 1]:
+                terms = {}
             else:
-                row.append(Polynomial.variable(zvar(i, j)))
-        rows.append(row)
-    return PolyMatrix(rows)
+                terms = {Monomial._raw(((var(i, j), 1),)): 1}
+            row.append(Polynomial._raw(terms, 0))
+        rows.append(tuple(row))
+    return PolyMatrix._raw(tuple(rows), 0)
+
+
+def build_wM(w: Permutation) -> PolyMatrix:
+    """Generic point of the patch through w: entry (i,j) is 1 when
+    i = w(j), 0 when j > w^{-1}(i), and the variable x_{i,j} otherwise."""
+    return _generic_point(w, xvar, False)
+
+
+def build_Omega(w: Permutation) -> PolyMatrix:
+    """Generic point of the Schubert cell of w: entry (i,j) is 1 when
+    i = w(j), 0 below or to the right of the pivots, and z_{i,j}
+    otherwise.  The number of variables equals the length of w."""
+    return _generic_point(w, zvar, True)
 
 
 def _conjugate_shift(w: Permutation, m: PolyMatrix) -> PolyMatrix:
@@ -69,18 +64,29 @@ def _conjugate_shift(w: Permutation, m: PolyMatrix) -> PolyMatrix:
 
     X solves L X = w^{-1} N m, by forward substitution: row i of L is row
     w(i) of m, and row i of w^{-1} N m is row w(i)+1 of m, or zero when
-    w(i) = n.  L has 1 on its diagonal, so no division occurs.
+    w(i) = n.  L has 1 on its diagonal, so no division occurs.  Each row
+    of X is solved on term dicts, each product c * b taken off its term
+    dict in place, in the order `Polynomial` subtraction would add them.
     """
-    n, rows = m.n, m.rows
-    zero = Polynomial.zero(m.char)
+    n, char, rows = m.n, m.char, m.rows
     x = []
     for i, wi in enumerate(w.images):
-        acc = list(rows[wi]) if wi < n else [zero] * n
+        acc = [dict(e.terms) for e in rows[wi]] if wi < n else [{} for _ in range(n)]
         for k, c in enumerate(rows[wi - 1][:i]):
-            if c:
-                acc = [a - c * b if b else a for a, b in zip(acc, x[k])]
-        x.append(acc)
-    return PolyMatrix(x, m.char)
+            if not c:
+                continue
+            for a, b in zip(acc, x[k]):
+                if b:
+                    for key, v in (c * b).terms.items():  # a -= c * b
+                        v = a.get(key, 0) - v
+                        if char:
+                            v %= char
+                        if v:
+                            a[key] = v
+                        else:
+                            a.pop(key, None)
+        x.append(tuple(Polynomial._raw(t, char) for t in acc))
+    return PolyMatrix._raw(tuple(x), char)
 
 
 @lru_cache(maxsize=1)

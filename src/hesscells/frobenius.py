@@ -10,7 +10,13 @@ is a p-th power and to 0 otherwise, and phi = Tr(F^{p-1} * -) is a
 Frobenius splitting.  Each I_{w,h} with h fixing w is generated by some
 generators of I_{w,h^}, so phi maps it into itself (Knutson's lemma),
 checked generator by generator via Groebner reduction mod p (valid since
-every leading coefficient is a unit mod p).
+every leading coefficient is a unit mod p); a zero phi(g) is its own
+remainder and is not divided.
+
+Only G and the packed check of its initial term depend on p.  The rest is
+one splitting base per w (`_splitting_base`): h^ and its ideal, Z, the
+nonzero generators with their initial terms over the integers, and the
+squarefree check of their product m, shared by every prime.
 
 G and F are multiplied out on packed monomials (the `_Packing` encoding
 of `groebner`), with fields wide enough for the exponent bound
@@ -24,8 +30,8 @@ kernel keeps the terms of F^a bucketed by their residue code (the
 exponent vector mod p) and the terms of F^b each with its residue code.
 phi(f) walks the terms of F^b * f, one per pair of a term of f and a
 term of F^b, and the residue code of such a term is the field-wise sum
-mod p of its factors' residue codes (`_Packing.residue_sum`, a few
-integer operations, where `residues` reads every field).  A term of
+mod p of its factors' residue codes (a few integer operations in the
+join, where `residues` may read every field).  A term of
 residue r meets only the bucket (p-1-r) mod p of F^a, and each pair from
 that bucket survives: with ONES the code holding a 1 in every field, its
 image is the integer (s + ONES) // p - ONES, for every field of s + ONES
@@ -36,6 +42,7 @@ is the same kernel with 1 in place of F^a and F^b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .cells import build_ideal, ideal_positions
 from .combinat import (
@@ -115,6 +122,35 @@ class SplittingContext:
         return packing.decode(_power(self._F, self.p - 1, self.p), self.p)
 
 
+@lru_cache(maxsize=1)
+def _splitting_base(w: Permutation) -> tuple:
+    """What the splitting of the cell of w takes at every prime: (Z's
+    variables, the order, each nonzero generator of I_{w,h^} over the
+    integers with its initial term, as (k, l, g, (c, m)), the product c*m
+    of those initial terms, the sum of the generators' top exponents).
+    Raises InternalError unless that m is squarefree dividing Z."""
+    h_hat = HessenbergFunction(
+        max(b, min(j + 1, w.n)) for j, b in enumerate(least_hessenberg(w), start=1)
+    )
+    variables = z_universe(w)
+    order = order_n_w(w)
+    gens = [(k, l, g, initial_term(g, order))
+            for k, l, g in build_ideal(w, h_hat, "cell").nonzero_generators()]
+    c, m = 1, Monomial()
+    for *_, (cg, mg) in gens:
+        c, m = c * cg, m * mg
+    _check_squarefree(m, variables)
+    return variables, order, gens, (c, m), sum(_top_exponent(g) for _, _, g, _ in gens)
+
+
+def _check_squarefree(m: Monomial, variables) -> None:
+    if any(e != 1 for _, e in m.exps) or not m.divides(Monomial({v: 1 for v in variables})):
+        raise InternalError(
+            f"initial monomial of the generator product is not squarefree "
+            f"dividing Z: {m!r}"
+        )
+
+
 def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
     """Build and validate the splitting of the cell of w mod p, from the
     generators of I_{w,h^} for h^(j) = max(h_w(j), min(j + 1, n)), the
@@ -122,28 +158,27 @@ def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
     Frobenius ceiling is refused first, as `frobenius_ceiling` refuses it.
     Checked without decoding G: the product c*m of the generators' initial
     terms is squarefree, so in(F) = c*Z, and it is the packed G's largest
-    term."""
+    term.  All but G and that last check come from w's `_splitting_base`,
+    whose c*m is checked once per w; where an initial coefficient vanishes
+    mod p, the initial terms mod p are found, and checked, here."""
     frobenius_ceiling((p,))
-    h_hat = HessenbergFunction(
-        max(b, min(j + 1, w.n)) for j, b in enumerate(least_hessenberg(w), start=1)
-    )
-    variables = z_universe(w)
-    order = order_n_w(w)
-    pres = build_ideal(w, h_hat, "cell")
-    gens = [(k, l, g.reduce_mod(p)) for k, l, g in pres.generators if not g.is_zero]
-    # every exponent of G, F and F^{p-1} is at most top
-    top = (p - 1) * (1 + sum(_top_exponent(g) for _, _, g in gens))
+    variables, order, base_gens, (c, m), top_sum = _splitting_base(w)
+    # every exponent of G, F and F^{p-1} is at most top, since g mod p has
+    # no exponent above g's
+    top = (p - 1) * (1 + top_sum)
     packing = order._packing(_kernel_bits(top, 0))
-    G, c, m = {0: 1}, 1, Monomial()
-    for _, _, g in gens:
+    gens, G = [], {0: 1}
+    for k, l, g, _ in base_gens:
+        g = g.reduce_mod(p)
+        gens.append((k, l, g))
         G = _multiply(G, packing.encode(g), p)
-        cg, mg = initial_term(g, order)
-        c, m = c * cg % p, m * mg
-    if any(e != 1 for _, e in m.exps) or not m.divides(Monomial({v: 1 for v in variables})):
-        raise InternalError(
-            f"initial monomial of the generator product is not squarefree "
-            f"dividing Z: {m!r}"
-        )
+    c %= p
+    if not all(cg % p for *_, (cg, _) in base_gens):
+        c, m = 1, Monomial()
+        for _, _, g in gens:
+            cg, mg = initial_term(g, order)
+            c, m = c * cg % p, m * mg
+        _check_squarefree(m, variables)
     lead = max(G)
     got = packing.decode({lead: G[lead]}, p)
     if got != Polynomial({m: c}, p):
@@ -200,16 +235,24 @@ def _twisted_trace(f: Polynomial, ctx: SplittingContext, twisted: bool):
             F = ctx._F if bits == _kernel_bits(ctx._top, 0) else packing.encode(ctx.F)
         kernel = ctx._kernels[bits, twisted] = _kernel(packing, F, p)
     packing, buckets, B = kernel
-    residue_sum = packing.residue_sum
-    ones = packing.ones
-    want = (p - 1) * ones
+    ones, guard, low = packing.ones, packing.guard, packing._low
+    pones = p * ones
+    want = pones - ones
     out = {}
     get = out.get
     for code, coeff in packing.encode(f).items():
         r = packing.residues(code, p)
-        for b, rb, bc in B:  # the term s of B * f, residue code r + rb
+        for b, rb, bc in B:  # the term s of B * f
+            # s's residue code, r + rb field-wise mod p: as in `_Packing.lcm`,
+            # a field of (r + rb) | guard minus p keeps its guard bit exactly
+            # when the field's sum is at least p, and p comes off those only
+            rs = r + rb
+            over = ((rs | guard) - pones) & guard
+            bucket = buckets.get(want - rs + (pones & (over - (over >> low))))
+            if bucket is None:
+                continue
             s, c = code + b, coeff * bc
-            for t, tc in buckets.get(want - residue_sum(r, rb, p), ()):
+            for t, tc in bucket:
                 u = (s + t) // p - ones
                 out[u] = get(u, 0) + c * tc
     return packing.decode({u: c % p for u, c in out.items() if c % p}, p)
@@ -288,12 +331,13 @@ def compatibility_check(
         raise ValueError(f"w={ctx.w} is not a fixed point for h={h}")
     if not h.is_indecomposable:
         raise ValueError(f"Hessenberg function {h} is decomposable")
-    splits_one = _phi(ctx, None, Polynomial.one(ctx.p)) == Polynomial.one(ctx.p)
+    one = Polynomial.one(ctx.p)
+    splits_one = _phi(ctx, None, one) == one
     positions = set(ideal_positions(h))
     gens = [(k, l, g) for k, l, g in ctx.generators if (k, l) in positions]
     gen_polys = [g for _, _, g in gens]
-    entries = [
-        (k, l, reduce(_phi(ctx, (k, l), g), gen_polys, ctx.order)[1])
-        for k, l, g in gens
-    ]
+    entries = []
+    for k, l, g in gens:
+        phi = _phi(ctx, (k, l), g)  # a zero phi(g) is its own remainder
+        entries.append((k, l, reduce(phi, gen_polys, ctx.order)[1] if phi else phi))
     return CompatibilityReport(ctx.p, ctx.w, h, splits_one, entries)

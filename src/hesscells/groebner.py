@@ -157,23 +157,21 @@ class _Packing:
         return (a & keep) | (b & ~keep)
 
     def residues(self, code: int, p: int) -> int:
-        """The code whose every field is the matching field of `code` mod p."""
+        """The code whose every field is the matching field of `code` mod p.
+
+        At p = 2 that is each field's low bit.  A code whose every field is
+        below p is its own residue code: as in `lcm`, a field of
+        (code | guard) minus p keeps its guard bit exactly when the field
+        is at least p.  Fields too narrow to hold p are all below it, and
+        any guard bit the test then leaves only sends the code to the
+        field-by-field loop.
+        """
+        if p == 2:
+            return code & self.ones
+        if not ((code | self.guard) - p * self.ones) & self.guard:
+            return code
         mask = self._mask
         return sum((((code >> s) & mask) % p) << s for _, s in self._fields)
-
-    def residue_sum(self, a: int, b: int, p: int) -> int:
-        """The field-wise (a + b) mod p of two residue codes (every field
-        below p), for fields that hold 2p - 2.
-
-        As in `lcm`, a field of (a + b) | guard minus p keeps its guard bit
-        exactly when the field's sum is at least p; p is subtracted from
-        those fields only.
-        """
-        s = a + b
-        pones = p * self.ones
-        over = ((s | self.guard) - pones) & self.guard
-        over -= over >> self._low
-        return s - (pones & over)
 
     def decode(self, terms: dict, char: int) -> Polynomial:
         """The polynomial of encoded terms, in their insertion order."""
@@ -503,6 +501,45 @@ class TriangularReport:
         return len(self.free_variables)
 
 
+def generator_lead(g: Polynomial, order: MonomialOrder) -> tuple:
+    """The per-generator step of `triangular_analysis`: (order key, c, m,
+    sign, var) for the initial term c*m of a nonzero g, where var is the
+    variable of a signed-variable initial term sign*var, and None for any
+    other initial term.  It reads g alone, so a caller that meets one
+    generator in many ideals takes it once."""
+    c, m = initial_term(g, order)
+    if g.char:
+        unit, sign = c in (1, g.char - 1), 1 if c == 1 else -1
+    else:
+        unit, sign = c in (1, -1), 1 if c > 0 else -1
+    var = m.exps[0][0] if unit and len(m.exps) == 1 and m.exps[0][1] == 1 else None
+    return order.key(m), c, m, sign, var
+
+
+def triangular_report(pres, leads) -> TriangularReport:
+    """The per-ideal step of `triangular_analysis`: its report on pres
+    from `leads`, the `generator_lead` of each nonzero generator of pres
+    in their order."""
+    gens = [(lead, k, l, g) for lead, (k, l, g) in zip(leads, pres.nonzero_generators())]
+    gens.sort(key=lambda info: info[0][0], reverse=True)
+    initial_terms, unsigned, repeats, seen = [], [], [], set()
+    for (_, c, m, sign, var), k, l, _ in gens:
+        initial_terms.append((sign, var))
+        if var is None:
+            unsigned.append(f"generator ({k},{l}) has initial term {c}*{m!r}, "
+                            "not a signed variable")
+            continue
+        if var in seen:
+            repeats.append(f"initial variable {var.name} repeats")
+        seen.add(var)
+    return TriangularReport(
+        ordered_generators=[(k, l, g) for _, k, l, g in gens],
+        initial_terms=initial_terms,
+        free_variables=[v for v in pres.ambient_variables if v not in seen],
+        notes=unsigned + repeats,
+    )
+
+
 def triangular_analysis(pres, order: MonomialOrder) -> TriangularReport:
     """Check the two triangularity conditions of an IdealPresentation and
     report the quotient: the initial terms are signed variables, and they
@@ -514,34 +551,11 @@ def triangular_analysis(pres, order: MonomialOrder) -> TriangularReport:
     a repeat of x or an initial term that is not a signed variable.
 
     When both pass, the quotient by the ideal is a free polynomial ring on
-    `free_variables` and the ideal is prime of height `height`.
+    `free_variables` and the ideal is prime of height `height`.  It is
+    `triangular_report` over the `generator_lead` of each generator.
     """
-    gens = []
-    for k, l, g in pres.nonzero_generators():
-        c, m = initial_term(g, order)
-        gens.append((order.key(m), c, m, k, l, g))
-    gens.sort(key=lambda info: info[0], reverse=True)
-    initial_terms, unsigned, repeats, seen = [], [], [], set()
-    for _, c, m, k, l, g in gens:
-        if g.char:
-            unit, sign = c in (1, g.char - 1), 1 if c == 1 else -1
-        else:
-            unit, sign = c in (1, -1), 1 if c > 0 else -1
-        var = m.exps[0][0] if unit and len(m.exps) == 1 and m.exps[0][1] == 1 else None
-        initial_terms.append((sign, var))
-        if var is None:
-            unsigned.append(f"generator ({k},{l}) has initial term {c}*{m!r}, "
-                            "not a signed variable")
-            continue
-        if var in seen:
-            repeats.append(f"initial variable {var.name} repeats")
-        seen.add(var)
-    return TriangularReport(
-        ordered_generators=[(k, l, g) for *_, k, l, g in gens],
-        initial_terms=initial_terms,
-        free_variables=[v for v in pres.ambient_variables if v not in seen],
-        notes=unsigned + repeats,
-    )
+    return triangular_report(
+        pres, [generator_lead(g, order) for _, _, g in pres.nonzero_generators()])
 
 
 # ----------------------------------------------------------------------

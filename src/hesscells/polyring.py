@@ -521,6 +521,13 @@ class PolyMatrix:
         self.char = char
         self.rows = tuple(out)
 
+    @classmethod
+    def _raw(cls, rows: tuple, char: int) -> "PolyMatrix":
+        """Internal: wrap square rows, tuples of Polynomials over `char`."""
+        m = cls.__new__(cls)
+        m.n, m.char, m.rows = len(rows), char, rows
+        return m
+
     def entry(self, i: int, j: int) -> Polynomial:
         """1-based access."""
         return self.rows[i - 1][j - 1]

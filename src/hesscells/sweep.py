@@ -18,7 +18,13 @@ matrix, so the sweep runs in two phases.  Phase A (`_w_table`, once per w)
 decides every case of w: it reads masks off that matrix (and off
 `cells.index_filter`), each position (k, l) one bit, runs each check that
 reads only the ideal once per distinct I_{w,h}, and returns one entry
-(values, failures) per h.  Phase B reads each case's entry off w's table.
+(values, failures) per h.  What no h changes it takes once per w
+(`_WFacts`): ℓ(w), v, the weights, the index filter's degrees, and per
+generator position the initial term and weighted degree of g_{k,l}; the
+Frobenius contexts of w share one splitting base.  Every check that reads
+the ideal (the triangular report, the from-scratch Buchberger check, the
+Hilbert series) still runs per ideal.  Phase B reads each case's entry
+off w's table.
 A pool runs phase A only, so each ideal is checked once.  Phase A runs
 w-major, so the per-w caches under it (`cell_generators`, `order_n_w`,
 ...) hold only the w it checks.
@@ -66,9 +72,11 @@ from .grading_hilbert import (
 from .groebner import (
     BudgetExceededError,
     buchberger_check,
+    generator_lead,
     order_n_w,
     reduced_gb_oracle,
-    triangular_analysis,
+    triangular_analysis,  # bound for perfbench's groebner.triangular_analysis span
+    triangular_report,
 )
 from .polyring import Polynomial, zvar
 
@@ -123,34 +131,61 @@ def _h_facts(n: int) -> dict:
     return facts
 
 
-def _run_battery(pres, order) -> tuple:
+class _WFacts:
+    """The facts of w that phase A reads for every ideal of w, each taken
+    once per w: the order, ℓ(w), the weights, and the index filter's
+    degree v(k) - v(l) - 1 of each position (k, l) below the diagonal that
+    passes it; and per generator position, on first use, the facts of
+    g_{k,l} (`generator`)."""
+
+    def __init__(self, w: Permutation):
+        n = w.n
+        self.order, self.length, self.weights = order_n_w(w), w.length(), weights_for(w)
+        below = [(k, l) for k in range(2, n + 1) for l in range(1, k)]
+        self.degrees = {(k, l): d for k, l, d in index_filter(w, below)}
+        v = v_of_w(w)
+        self._v, self._v_inv = v.images, v.inverse().images  # _v[k - 1] = v(k)
+        self._generators = {}
+
+    def generator(self, k: int, l: int, g: Polynomial) -> tuple:
+        """(`generator_lead` of g = g_{k,l}, whether its initial term is
+        -z_{n+1-v(k), v^{-1}(v(l))}, g's weighted degree or None as
+        `is_homogeneous` gives it), kept per position (k, l)."""
+        got = self._generators.get((k, l))
+        if got is None:
+            lead, v = generator_lead(g, self.order), self._v
+            formula = zvar(len(v) + 1 - v[k - 1], self._v_inv[v[l - 1]])
+            got = self._generators[k, l] = (lead, lead[3] == -1 and lead[4] == formula,
+                                            is_homogeneous(g, self.weights))
+        return got
+
+
+def _run_battery(pres, facts: _WFacts) -> tuple:
     """The checks of a fixed point that read only the ideal: the values
-    of Lambda through hilbertOk and the failure messages, in report order."""
-    w, n = pres.w, pres.w.n
-    dim = w.length() - pres.height
+    of Lambda through hilbertOk and the failure messages, in report order.
+    The per-generator facts come from w's `facts`; the triangular report,
+    the Buchberger check and the Hilbert series are taken per ideal."""
+    w = pres.w
+    dim = facts.length - pres.height
     failures = []
-    rep = triangular_analysis(pres, order)
+    gens = pres.nonzero_generators()
+    per_gen = [facts.generator(k, l, g) for k, l, g in gens]
+    rep = triangular_report(pres, [lead for lead, _, _ in per_gen])
     if rep.height != pres.height:
         failures.append("nonzero generator count disagrees with the index filter")
     if rep.is_triangular and rep.dimension != dim:
         failures.append("free variable count disagrees with length minus height")
 
-    v = v_of_w(w)
-    vi, v_inv = v.images, v.inverse().images  # vi[k - 1] = v(k)
-    init_ok = all(
-        sign == -1 and var == zvar(n + 1 - vi[k - 1], v_inv[vi[l - 1]])
-        for (k, l, _), (sign, var) in zip(rep.ordered_generators, rep.initial_terms)
-    )
-    gb_ok = buchberger_check(pres.generator_polys(), order)
-    wt = weights_for(w)
-    gens = pres.nonzero_generators()
-    degrees = {(k, l): d for k, l, d in index_filter(w, [(k, l) for k, l, _ in gens])}
+    init_ok = all(init for _, init, _ in per_gen)
+    gb_ok = buchberger_check(pres.generator_polys(), facts.order)
+    degrees = facts.degrees
     # a generator outside the filter has no degree: it fails, whatever
     # is_homogeneous says (None for a generator that is not homogeneous)
-    hom_ok = all((k, l) in degrees and is_homogeneous(g, wt) == degrees[k, l]
-                 for k, l, g in gens)
+    hom_ok = all((k, l) in degrees and hom == degrees[k, l]
+                 for (k, l, _), (_, _, hom) in zip(gens, per_gen))
     hilbert_ok = rep.is_triangular and (  # exact: see HilbertSeries.canonical
-        hilbert_formula(w, pres.h).canonical() == hilbert_oracle(rep, wt).canonical()
+        hilbert_formula(w, pres.h).canonical()
+        == hilbert_oracle(rep, facts.weights).canonical()
     )
     if pres.certifies_empty:
         failures.append("constant generator at a fixed point")
@@ -165,16 +200,18 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
     of w, one per h of `_h_facts(n)` in that order.  The h with an
     equal key share one entry, so each check that reads only the ideal runs
     once per distinct I_{w,h}: the battery and the Frobenius check (it reads
-    only the generators) for the h fixing w, the oracle for the others."""
+    only the generators) for the h fixing w, the oracle for the others.
+    The facts of w that no h changes are taken once, in `_WFacts`."""
     w = Permutation(w_images)
     n, rows = w.n, cell_generators(w).rows
     below = [(k, l, rows[k - 1][l - 1]) for k in range(2, n + 1) for l in range(1, k)]
+    facts = _WFacts(w)
     # the entries below the diagonal that are nonzero, nonzero constants, and
     # in the index filter
     nonzero = _mask(n, [(k, l) for k, l, g in below if not g.is_zero])
     constant = _mask(n, [(k, l) for k, l, g in below if not g.is_zero and g.is_constant])
-    filtered = _mask(n, index_filter(w, [(k, l) for k, l, _ in below]))
-    order, hw = order_n_w(w), least_hessenberg(w)
+    filtered = _mask(n, facts.degrees)
+    hw = least_hessenberg(w)
     contexts = [make_splitting_context(w, p) for p in opts.frobenius_primes]
     oracle = n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed
     entries, table = {}, []
@@ -187,7 +224,7 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
             key = fixed, miscount, has_constant, nonzero & positions if oracle else None
         if key not in entries:
             if fixed:
-                values, failures = _run_battery(build_ideal(w, h), order)
+                values, failures = _run_battery(build_ideal(w, h), facts)
                 if contexts:
                     ok = all(compatibility_check(c, h).all_compatible for c in contexts)
                     values += (ok,)
@@ -199,7 +236,8 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
                 if oracle:
                     polys = build_ideal(w, h).generator_polys()
                     try:  # None: the oracle ran out of budget
-                        unit = reduced_gb_oracle(polys, order, opts.budget) == [Polynomial.one()]
+                        unit = reduced_gb_oracle(polys, facts.order, opts.budget) == [
+                            Polynomial.one()]
                     except BudgetExceededError:
                         unit = None
                     values += (unit,)
@@ -225,15 +263,21 @@ def case_dict(h_values: tuple, w_images: tuple, entry: tuple) -> dict:
 
 def run_case(args):
     """Look one (h, w) pair up in w's table, built here on a miss; returns
-    its `case_dict`.  Raises ValueError unless h is an indecomposable
-    Hessenberg function of w's size."""
+    its `case_dict`.  On a miss the options and w's size n are checked
+    first, as `iter_sweep` checks them for max_n = n; then, as on a hit,
+    ValueError unless h is an indecomposable Hessenberg function of size
+    n."""
     h_values, w_images, opts = args
-    facts = _h_facts(len(w_images)).get(h_values)
+    n = len(w_images)
+    table = _TABLES.get((w_images, opts))
+    if table is None:
+        _check_args("n", n, opts, 1)
+    facts = _h_facts(n).get(h_values)
     if facts is None:
         raise ValueError(f"h = {h_values!r} is not an indecomposable Hessenberg "
-                         f"function of size {len(w_images)}")
-    table = _TABLES.get((w_images, opts)) or _TABLES.setdefault(
-        (w_images, opts), _w_table(w_images, opts))
+                         f"function of size {n}")
+    if table is None:
+        table = _TABLES[w_images, opts] = _w_table(w_images, opts)
     return case_dict(h_values, w_images, table[facts[0]])
 
 
@@ -314,6 +358,27 @@ def _run_cases(inputs: list, opts: SweepOptions, jobs: int):
             pool.shutdown(cancel_futures=True)
 
 
+def _check_args(name: str, n: int, opts: SweepOptions, jobs: int | None) -> None:
+    """Raise ValueError unless a sweep up to size n may run under `opts`
+    with `jobs` workers: trunc as `check_exact_trunc` accepts it, n (called
+    `name`) at most the ceiling of the options' primes, jobs (None: one
+    per CPU) at most MAX_JOBS and budget at least 0.  Nothing here grows
+    with n, so a refused n costs nothing."""
+    check_exact_trunc(n, opts.trunc)
+    primes = opts.frobenius_primes
+    ceiling = frobenius_ceiling(primes) if primes else SWEEP_CEILING
+    if not 1 <= n <= ceiling:
+        raise ValueError(
+            f"{name} must be between 1 and {ceiling}"
+            + (f" for Frobenius checks at p = {','.join(map(str, primes))}"
+               if primes else "")
+        )
+    if jobs is not None and not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be between 1 and {MAX_JOBS}")
+    if opts.budget < 0:
+        raise ValueError(f"budget must be at least 0, not {opts.budget}")
+
+
 def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
     """Check the arguments; return (head, rows, tail) of the report
     {**head, "cases": [...], **tail}.  `rows` yields the row (h values,
@@ -327,19 +392,8 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
     work and raises no peak, for n's first h reads every w's table, so all
     are held by the end of that h either way.  An error raised once `rows`
     has started is not one of the arguments."""
-    check_exact_trunc(max_n, opts.trunc)
+    _check_args("max_n", max_n, opts, jobs)
     primes = opts.frobenius_primes
-    ceiling = frobenius_ceiling(primes) if primes else SWEEP_CEILING
-    if not 1 <= max_n <= ceiling:
-        raise ValueError(
-            f"max_n must be between 1 and {ceiling}"
-            + (f" for Frobenius checks at p = {','.join(map(str, primes))}"
-               if primes else "")
-        )
-    if jobs is not None and not 1 <= jobs <= MAX_JOBS:
-        raise ValueError(f"jobs must be between 1 and {MAX_JOBS}")
-    if opts.budget < 0:
-        raise ValueError(f"budget must be at least 0, not {opts.budget}")
     head = {
         "maxN": max_n,
         "options": {

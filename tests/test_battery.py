@@ -99,7 +99,7 @@ def test_memo_hits_equal_fresh_runs_in_shuffled_order():
 
 def test_phase_b_matches_the_per_case_build(monkeypatch):
     # phase A with a stub battery: one entry per h, shared by the h of one ideal
-    monkeypatch.setattr(sweep_mod, "_run_battery", lambda pres, order: ((), ()))
+    monkeypatch.setattr(sweep_mod, "_run_battery", lambda pres, facts: ((), ()))
     for n in range(1, 7):
         hs = list(enumerate_hessenberg(n, indecomposable_only=True))
         for w in all_permutations(n):
@@ -220,8 +220,9 @@ def test_a_generator_outside_the_index_filter_fails_homogeneity(homogeneous, mon
     # the filter loses the first nonzero generator, which is also made
     # non-homogeneous: a degree lookup giving None would then pass it
     w, h = Permutation((3, 4, 2, 1)), HessenbergFunction((3, 3, 4, 4))
-    pres, order = build_ideal(w, h), order_n_w(w)
-    assert sweep_mod._run_battery(pres, order) == ((2, 3, True, True, True, True, True), ())
+    pres = build_ideal(w, h)
+    assert sweep_mod._run_battery(pres, sweep_mod._WFacts(w)) == (
+        (2, 3, True, True, True, True, True), ())
     (k0, l0, g0), *rest = pres.nonzero_generators()
     assert rest
     index_filter, is_homogeneous = sweep_mod.index_filter, sweep_mod.is_homogeneous
@@ -230,7 +231,8 @@ def test_a_generator_outside_the_index_filter_fails_homogeneity(homogeneous, mon
     if not homogeneous:
         monkeypatch.setattr(sweep_mod, "is_homogeneous", lambda g, wt:
                             None if g is g0 else is_homogeneous(g, wt))
-    values, failures = sweep_mod._run_battery(pres, order)
+    # w's facts are taken once per w: take them afresh under the tampering
+    values, failures = sweep_mod._run_battery(pres, sweep_mod._WFacts(w))
     assert values[5] is False
     assert failures == ("homogeneousOk failed",)
 
@@ -400,6 +402,23 @@ def test_run_case_gives_the_case_of_the_sweep(options):
         assert run_case((tuple(case["h"]), tuple(case["w"]), opts)) == case
 
 
+@pytest.mark.parametrize("opts, message", [
+    (SweepOptions(frobenius_primes=(19,)),
+     "^n must be between 1 and 4 for Frobenius checks at p = 19$"),
+    (SweepOptions(), "^n must be between 1 and 7$"),
+    (SweepOptions(trunc=7), "^trunc must be at least 8 for n = 9$"),
+])
+def test_run_case_checks_its_arguments_before_any_work(opts, message):
+    # as iter_sweep checks them for max_n = n, before `_h_facts(n)`, which
+    # at n = 9 alone would walk all Catalan(8) = 1430 h
+    misses = sweep_mod._h_facts.cache_info().misses
+    with pytest.raises(ValueError, match=message):
+        run_case(((2, 3, 4, 5, 6, 7, 8, 9, 9), tuple(range(9, 0, -1)), opts))
+    assert sweep_mod._h_facts.cache_info().misses == misses
+    with pytest.raises(ValueError, match="^budget must be at least 0, not -1$"):
+        run_case(((2, 3, 3), (3, 2, 1), SweepOptions(budget=-1)))
+
+
 def test_phase_b_does_no_per_case_work(monkeypatch):
     args = [(h.values, w.images, SweepOptions()) for h, w in cases_up_to(5)]
     filled = [run_case(a) for a in args]
@@ -409,7 +428,7 @@ def test_phase_b_does_no_per_case_work(monkeypatch):
         raise AssertionError("phase B did per-case work")
 
     for name in ("least_hessenberg", "build_ideal", "cell_generators", "_run_battery",
-                 "_w_table"):
+                 "_w_table", "_WFacts"):
         monkeypatch.setattr(sweep_mod, name, refuse)
     assert [run_case(a) for a in args] == filled
     # phase B reads h's place from the per-n facts and computes none of them

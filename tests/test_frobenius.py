@@ -35,7 +35,7 @@ from hesscells import (
     zvar,
 )
 from hesscells import groebner
-from hesscells.frobenius import FROBENIUS_CEILINGS
+from hesscells.frobenius import FROBENIUS_CEILINGS, SplittingContext, _kernel_bits
 
 W3421 = Permutation([3, 4, 2, 1])
 H3344 = HessenbergFunction([3, 3, 4, 4])
@@ -199,6 +199,25 @@ class TestCompatibility:
         _, r = poly_reduce(phi, gens, ctx.order)
         assert r.is_zero
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_a_nonzero_image_gets_its_remainder(self, p):
+        # With F tampered to Z * g for the first generator g, F^(p-1) * g is
+        # Z^(p-1) * g^p, so phi(g) = g: nonzero, and in the ideal.  The
+        # check must still divide it, and report reduce's remainder 0.
+        ctx = make_splitting_context(W3421, p)
+        g0 = ctx.generators[0][2]
+        packing = ctx.order._packing(_kernel_bits(ctx._top, 0))
+        tampered = dataclasses.replace(ctx, _F=packing.encode(
+            Polynomial({variable_product(ctx): 1}, p) * g0))
+        assert splitting_apply(g0, tampered) == g0
+        report = compatibility_check(tampered, H3344)
+        gens = [g for _, _, g in ctx.generators]
+        assert [(k, l) for k, l, _ in report.entries] == [(k, l) for k, l, _ in ctx.generators]
+        for k, l, r in report.entries:
+            g = next(g for kk, ll, g in ctx.generators if (kk, ll) == (k, l))
+            assert r == groebner.reduce(splitting_apply(g, tampered), gens, ctx.order)[1]
+        assert report.entries[0][2].is_zero
+
     def test_vacuous_with_no_generators(self):
         w = Permutation([2, 3, 1])
         ctx = make_splitting_context(w, 3)
@@ -325,23 +344,65 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_residue_sum_is_the_field_wise_sum_mod_p(self, p):
+        # The join of `_twisted_trace` sums the residue codes of a term a of
+        # f and a term b of B field-wise mod p, and reads the one bucket of
+        # A that the pair can survive with: p - 1 minus that sum.  Here B
+        # holds every b with exponents in `exps`, its index i in a field of
+        # residue 0, and A one term per residue code c, its index j in a
+        # field of residue p - 1, so that a pair survives with c exactly.
+        # phi(a) then holds, per b, the monomial of exponents
+        # floor((a + b) / p), i and j: j names the bucket the join read.
         variables = (zvar(1, 1), zvar(1, 2), zvar(2, 1))
-        order = groebner.MonomialOrder(variables)
+        order = groebner.MonomialOrder(variables + (zvar(3, 1), zvar(3, 2)))
         exps = sorted({0, 1, p // 2, p - 2, p - 1})
-        monos = [Monomial(dict(zip(variables, e)))
-                 for e in itertools.product(exps, repeat=3)]
-        # the narrowest fields that hold 2p - 2, and wide ones
-        for bits in ((2 * p - 2).bit_length() + 1, 24):
-            packing = order._packing(bits)
+        cubes = list(itertools.product(exps, repeat=3))
+        residues = list(itertools.product(range(p), repeat=3))
+        ctx = SplittingContext(p, None, order.priority, order, [], {0: 1}, 8 * p**4)
+        bits = _kernel_bits(ctx._top, 0)
+        packing = order._packing(bits)
 
-            def code(m):
-                return next(iter(packing.encode(Polynomial({m: 1}))))
+        def code(e):
+            return next(iter(packing.encode(Polynomial({monomial(e): 1}))))
 
-            for a in monos:
-                for b in monos:
-                    want = Monomial({v: (a.exponent(v) + b.exponent(v)) % p
-                                     for v in variables})
-                    assert packing.residue_sum(code(a), code(b), p) == code(want)
+        def monomial(e):
+            return Monomial(dict(zip(order.priority, e)))
+
+        B = tuple((code(b + (p * i, 0)), code(tuple(e % p for e in b) + (0, 0)), 1)
+                  for i, b in enumerate(cubes))
+        buckets = {code(c + (p - 1, p - 1)): [(code(c + (p - 1, p - 1 + p * j))
+                                               + packing.ones, 1)]
+                   for j, c in enumerate(residues)}
+        ctx._kernels[bits, True] = packing, buckets, B
+        for a in cubes:
+            want = {}
+            for i, b in enumerate(cubes):
+                c = tuple((p - 1 - x - y) % p for x, y in zip(a, b))
+                want[monomial(tuple((x + y) // p for x, y in zip(a, b))
+                              + (i, residues.index(c)))] = 1
+            assert splitting_apply(Polynomial({monomial(a): 1}, p), ctx) == \
+                Polynomial(want, p), a
+
+    @pytest.mark.parametrize("p", list(FROBENIUS_CEILINGS))
+    def test_residues_is_the_field_wise_residue(self, p):
+        # random codes whose fields are below, at and above p, at widths
+        # whose fields hold p and at widths whose fields do not; the
+        # per-field definition is read off the decoded monomial
+        variables = (zvar(1, 1), zvar(1, 2), zvar(2, 1), zvar(2, 2))
+        order = groebner.MonomialOrder(variables)
+        rng = random.Random(p)
+        own = set()
+        for bits in range(2, 12):
+            packing, top = order._packing(bits), (1 << (bits - 1)) - 1
+            values = [v for v in (0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, top)
+                      if v <= top]
+            for _ in range(200):
+                mono = Monomial({v: rng.choice(values) for v in variables})
+                code = next(iter(packing.encode(Polynomial({mono: 1}))))
+                want = Monomial({v: e % p for v, e in mono.exps})
+                got = packing.residues(code, p)
+                assert packing.decode({got: 1}, 0) == Polynomial({want: 1}), (bits, mono)
+                own.add(want == mono)
+        assert own == {True, False}  # codes that are their own residue, and others
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_no_stored_kernel_holds_the_full_power(self, p):
