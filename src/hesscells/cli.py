@@ -32,7 +32,6 @@ from .combinat import (
 from .frobenius import (
     FROBENIUS_CEILINGS,
     compatibility_check,
-    frobenius_ceiling,
     make_splitting_context,
 )
 from .grading_hilbert import (
@@ -51,7 +50,7 @@ from .groebner import (
     triangular_analysis,
 )
 from .polyring import Polynomial
-from .sweep import SWEEP_CEILING, SweepOptions, case_dict, iter_sweep
+from .sweep import SweepOptions, case_dict, check_size, iter_sweep
 from .sweep import sweep  # bound for perfbench's sweep.sweep span
 
 
@@ -67,11 +66,6 @@ def _parse_h(args) -> HessenbergFunction:
     if h.n != args.n:
         raise ValueError(f"Hessenberg function {args.h!r} does not have size {args.n}")
     return h
-
-
-def _check_ceiling(args) -> None:  # for commands that walk all n! permutations
-    if not 1 <= args.n <= SWEEP_CEILING:
-        raise ValueError(f"n must be between 1 and {SWEEP_CEILING}")
 
 
 def _emit(args, lines, doc) -> None:
@@ -160,7 +154,7 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
-    _check_ceiling(args)
+    check_size("n", args.n)
     h = _parse_h(args)
     points = fixed_points(h)
     lines = [str(w) for w in points]
@@ -253,7 +247,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_paving(args) -> int:
-    _check_ceiling(args)
+    check_size("n", args.n)
     h = _parse_h(args)
     table = paving(h)
     lines = [
@@ -273,10 +267,7 @@ def cmd_paving(args) -> int:
 
 
 def cmd_frobenius_check(args) -> int:
-    ceiling = frobenius_ceiling((args.p,))
-    if not 1 <= args.n <= ceiling:
-        raise ValueError(
-            f"n must be between 1 and {ceiling} for Frobenius checks at p = {args.p}")
+    check_size("n", args.n, (args.p,))
     w = _parse_perm(args)
     h = _parse_h(args)
     # before the splitting context, whose cost the ceiling bounds
@@ -397,63 +388,49 @@ def build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=step_count, default=100_000,
                         help="reduction-step budget for the completion oracle")
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--n", type=int, required=True)
+    perm = argparse.ArgumentParser(add_help=False)
+    perm.add_argument("--w", required=True)
+    hess = argparse.ArgumentParser(add_help=False)
+    hess.add_argument("--h", required=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("patch-gens", parents=[common],
+    p = sub.add_parser("patch-gens", parents=[common, size, perm],
                        help="patch generator matrix at w")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True)
     p.set_defaults(func=cmd_generators)
 
-    p = sub.add_parser("cell-gens", parents=[common],
+    p = sub.add_parser("cell-gens", parents=[common, size, perm],
                        help="cell generator matrix at w")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True)
     p.add_argument("--h", default=None)
     p.set_defaults(func=cmd_generators)
 
-    p = sub.add_parser("ideal", parents=[common],
+    p = sub.add_parser("ideal", parents=[common, size, perm, hess],
                        help="ordered ideal presentation for (w, h)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--h", required=True)
     p.add_argument("--kind", choices=("patch", "cell"), required=True)
     p.set_defaults(func=cmd_ideal)
 
-    p = sub.add_parser("fixed-points", parents=[common],
+    p = sub.add_parser("fixed-points", parents=[common, size, hess],
                        help="torus fixed points of the Hessenberg variety")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", required=True)
     p.set_defaults(func=cmd_fixed_points)
 
-    p = sub.add_parser("gb-check", parents=[common, budget],
+    p = sub.add_parser("gb-check", parents=[common, budget, size, perm, hess],
                        help="Groebner and triangularity certification")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--h", required=True)
     p.add_argument("--oracle", action="store_true",
                    help="also run the rational completion oracle")
     p.set_defaults(func=cmd_gb_check)
 
-    p = sub.add_parser("hilbert", parents=[common, trunc],
+    p = sub.add_parser("hilbert", parents=[common, trunc, size, perm, hess],
                        help="Hilbert series, closed form vs counting oracle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--h", required=True)
     p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("paving", parents=[common],
+    p = sub.add_parser("paving", parents=[common, size, hess],
                        help="affine paving cell dimensions for h")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", required=True)
     p.set_defaults(func=cmd_paving)
 
-    p = sub.add_parser("frobenius-check", parents=[common],
+    p = sub.add_parser("frobenius-check", parents=[common, size, perm, hess],
                        help="Frobenius splitting compatibility mod p")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--h", required=True)
     p.add_argument("--p", type=int, required=True,
                    help="a prime; " + _ceilings_help("--n"))
     p.set_defaults(func=cmd_frobenius_check)

@@ -6,17 +6,22 @@ function fixing w: F = (Z / m) * G where Z is the product of all
 variables and m is the monomial of the initial term of G, which is
 squarefree because the initial terms of the generators are distinct
 variables.  The trace map Tr sends a monomial m to (mZ)^{1/p} / Z when mZ
-is a p-th power and to 0 otherwise, and phi = Tr(F^{p-1} * -) is a
-Frobenius splitting.  Each I_{w,h} with h fixing w is generated by some
-generators of I_{w,h^}, so phi maps it into itself (Knutson's lemma),
-checked generator by generator via Groebner reduction mod p (valid since
-every leading coefficient is a unit mod p); a zero phi(g) is its own
-remainder and is not divided.
-
-Only G and the packed check of its initial term depend on p.  The rest is
-one splitting base per w (`_splitting_base`): h^ and its ideal, Z, the
-nonzero generators with their initial terms over the integers, and the
-squarefree check of their product m, shared by every prime.
+is a p-th power and to 0 otherwise, and phi = Tr(F^{p-1} * -).  Each
+I_{w,h} with h fixing w is generated by some generators g of I_{w,h^},
+and phi is a splitting compatible with it, by the argument of Knutson
+("Frobenius splitting, point-counting, and degeneration", 2009):
+- g divides F and Tr(a^p * b) = a * Tr(b), so phi(g) = g * Tr((F/g)^{p-1})
+  lies in (g);
+- a term of F^{p-1} survives Tr only if each exponent is p-1 mod p, so it
+  is a multiple of Z^{p-1}.  Every weight of `weights_for(w)` is at least
+  1, and each g is homogeneous of the weight of its initial term, a
+  variable with coefficient +-1, so F has Z's weight: the one surviving
+  term is Z^{p-1}, with coefficient c^{p-1} = 1, and phi(1) = 1.
+The check computes phi(1) and reduces each nonzero phi(g) mod p by the
+generators (a Groebner basis mod p, as their leading coefficients are
+units), so it tests the trace kernel, not the theorem; the tests check
+the argument's hypotheses at every w with n <= 6.  Only G and the packed
+check of its initial term depend on p; the rest is w's `_splitting_base`.
 
 G and F are multiplied out on packed monomials (the `_Packing` encoding
 of `groebner`), with fields wide enough for the exponent bound
@@ -57,6 +62,7 @@ from .groebner import (
     MonomialOrder,
     _multiply,
     _power,
+    _top_exponent,
     initial_term,
     order_n_w,
     reduce,
@@ -126,41 +132,30 @@ class SplittingContext:
 def _splitting_base(w: Permutation) -> tuple:
     """What the splitting of the cell of w takes at every prime: (Z's
     variables, the order, each nonzero generator of I_{w,h^} over the
-    integers with its initial term, as (k, l, g, (c, m)), the product c*m
-    of those initial terms, the sum of the generators' top exponents).
-    Raises InternalError unless that m is squarefree dividing Z."""
+    integers, as (k, l, g), the product c*m of their initial terms, the
+    sum of the generators' top exponents).  Raises InternalError unless
+    that m is squarefree dividing Z."""
     h_hat = HessenbergFunction(
         max(b, min(j + 1, w.n)) for j, b in enumerate(least_hessenberg(w), start=1)
     )
-    variables = z_universe(w)
-    order = order_n_w(w)
-    gens = [(k, l, g, initial_term(g, order))
-            for k, l, g in build_ideal(w, h_hat, "cell").nonzero_generators()]
+    variables, order = z_universe(w), order_n_w(w)
+    gens = build_ideal(w, h_hat, "cell").nonzero_generators()
     c, m = 1, Monomial()
-    for *_, (cg, mg) in gens:
+    for _, _, g in gens:
+        cg, mg = initial_term(g, order)
         c, m = c * cg, m * mg
-    _check_squarefree(m, variables)
-    return variables, order, gens, (c, m), sum(_top_exponent(g) for _, _, g, _ in gens)
-
-
-def _check_squarefree(m: Monomial, variables) -> None:
     if any(e != 1 for _, e in m.exps) or not m.divides(Monomial({v: 1 for v in variables})):
-        raise InternalError(
-            f"initial monomial of the generator product is not squarefree "
-            f"dividing Z: {m!r}"
-        )
+        raise InternalError("initial monomial of the generator product is not "
+                            f"squarefree dividing Z: {m!r}")
+    return variables, order, gens, (c, m), sum(_top_exponent(g) for _, _, g in gens)
 
 
 def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
-    """Build and validate the splitting of the cell of w mod p, from the
-    generators of I_{w,h^} for h^(j) = max(h_w(j), min(j + 1, n)), the
-    least indecomposable Hessenberg function fixing w.  A p without a
-    Frobenius ceiling is refused first, as `frobenius_ceiling` refuses it.
-    Checked without decoding G: the product c*m of the generators' initial
-    terms is squarefree, so in(F) = c*Z, and it is the packed G's largest
-    term.  All but G and that last check come from w's `_splitting_base`,
-    whose c*m is checked once per w; where an initial coefficient vanishes
-    mod p, the initial terms mod p are found, and checked, here."""
+    """Build and validate the splitting of the cell of w mod p from w's
+    `_splitting_base`, refusing first a p without a Frobenius ceiling, as
+    `frobenius_ceiling` refuses it.  Checked without decoding G: the
+    product c*m of the generators' initial terms is squarefree (once per
+    w), so in(F) = c*Z, and it is the packed G's largest term."""
     frobenius_ceiling((p,))
     variables, order, base_gens, (c, m), top_sum = _splitting_base(w)
     # every exponent of G, F and F^{p-1} is at most top, since g mod p has
@@ -168,17 +163,11 @@ def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
     top = (p - 1) * (1 + top_sum)
     packing = order._packing(_kernel_bits(top, 0))
     gens, G = [], {0: 1}
-    for k, l, g, _ in base_gens:
+    for k, l, g in base_gens:
         g = g.reduce_mod(p)
         gens.append((k, l, g))
         G = _multiply(G, packing.encode(g), p)
     c %= p
-    if not all(cg % p for *_, (cg, _) in base_gens):
-        c, m = 1, Monomial()
-        for _, _, g in gens:
-            cg, mg = initial_term(g, order)
-            c, m = c * cg % p, m * mg
-        _check_squarefree(m, variables)
     lead = max(G)
     got = packing.decode({lead: G[lead]}, p)
     if got != Polynomial({m: c}, p):
@@ -189,11 +178,6 @@ def make_splitting_context(w: Permutation, p: int) -> SplittingContext:
     z_over_m = packing.ones - lead  # F = (Z / m) * G
     return SplittingContext(p, w, variables, order, gens,
                             {code + z_over_m: coeff for code, coeff in G.items()}, top)
-
-
-def _top_exponent(f: Polynomial) -> int:
-    """The largest exponent of any variable in f; 0 for a constant."""
-    return max((e for mono in f.terms for _, e in mono.exps), default=0)
 
 
 def _kernel_bits(top: int, top_f: int) -> int:

@@ -215,16 +215,18 @@ def initial_term(p: Polynomial, order: MonomialOrder):
     return p.terms[best], best
 
 
+def _top_exponent(f: Polynomial) -> int:
+    """The largest exponent of any variable in f; 0 for a constant."""
+    return max((e for mono in f.terms for _, e in mono.exps), default=0)
+
+
 def _field_bits(polys) -> int:
     """Packed field width for dividing these polynomials, guard included.
 
     Leaves room for four times the largest input exponent, and at least
     seven exponent bits, so that a restart at double width is rare.
     """
-    top = max(
-        (e for p in polys for mono in p.terms for _, e in mono.exps), default=0
-    )
-    return max(8, top.bit_length() + 3)
+    return max(8, max(map(_top_exponent, polys), default=0).bit_length() + 3)
 
 
 def _divide(rem: dict, divisors: list, guard: int, char: int):

@@ -358,14 +358,9 @@ def _run_cases(inputs: list, opts: SweepOptions, jobs: int):
             pool.shutdown(cancel_futures=True)
 
 
-def _check_args(name: str, n: int, opts: SweepOptions, jobs: int | None) -> None:
-    """Raise ValueError unless a sweep up to size n may run under `opts`
-    with `jobs` workers: trunc as `check_exact_trunc` accepts it, n (called
-    `name`) at most the ceiling of the options' primes, jobs (None: one
-    per CPU) at most MAX_JOBS and budget at least 0.  Nothing here grows
-    with n, so a refused n costs nothing."""
-    check_exact_trunc(n, opts.trunc)
-    primes = opts.frobenius_primes
+def check_size(name: str, n: int, primes: tuple = ()) -> None:
+    """Raise ValueError unless 1 <= n (called `name`) <= the least
+    `frobenius_ceiling` of `primes`, or SWEEP_CEILING without primes."""
     ceiling = frobenius_ceiling(primes) if primes else SWEEP_CEILING
     if not 1 <= n <= ceiling:
         raise ValueError(
@@ -373,6 +368,16 @@ def _check_args(name: str, n: int, opts: SweepOptions, jobs: int | None) -> None
             + (f" for Frobenius checks at p = {','.join(map(str, primes))}"
                if primes else "")
         )
+
+
+def _check_args(name: str, n: int, opts: SweepOptions, jobs: int | None) -> None:
+    """Raise ValueError unless a sweep up to size n may run under `opts`
+    with `jobs` workers: trunc as `check_exact_trunc` accepts it, n (called
+    `name`) as `check_size` accepts it at the options' primes, jobs (None:
+    one per CPU) at most MAX_JOBS and budget at least 0.  Nothing here
+    grows with n, so a refused n costs nothing."""
+    check_exact_trunc(n, opts.trunc)
+    check_size(name, n, opts.frobenius_primes)
     if jobs is not None and not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be between 1 and {MAX_JOBS}")
     if opts.budget < 0:

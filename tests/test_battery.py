@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 from cells_reference import dual_h, dual_w, q_integer_product
+from per_w_caches import per_w_caches
 
 from hesscells import (
     HessenbergFunction,
@@ -21,12 +22,7 @@ from hesscells import (
     PolyMatrix,
     all_permutations,
     build_ideal,
-    cell_generators,
     enumerate_hessenberg,
-    order_n_w,
-    patch_generators,
-    weights_for,
-    z_universe,
 )
 from hesscells.combinat import is_fixed_point, v_of_w
 from hesscells.sweep import SweepOptions, case_dict, iter_sweep, run_case, sweep
@@ -34,13 +30,6 @@ from hesscells.sweep import SweepOptions, case_dict, iter_sweep, run_case, sweep
 sweep_mod = importlib.import_module("hesscells.sweep")
 cells_mod = importlib.import_module("hesscells.cells")
 hilbert_mod = importlib.import_module("hesscells.grading_hilbert")
-
-
-@pytest.fixture(autouse=True)
-def empty_memo():
-    sweep_mod._TABLES.clear()
-    yield
-    sweep_mod._TABLES.clear()
 
 
 def cases_up_to(max_n):
@@ -284,7 +273,6 @@ def test_the_sweep_expands_no_series(monkeypatch):
     monkeypatch.setattr(HilbertSeries, "expand", refuse)
     for name in ("series_div_one_minus", "series_mul_one_minus"):
         monkeypatch.setattr(hilbert_mod, name, refuse)
-    sweep_mod._TABLES.clear()
     report = sweep(5, jobs=1)
     del expected["elapsedSeconds"], report["elapsedSeconds"]
     assert report == expected
@@ -436,6 +424,10 @@ def test_phase_b_does_no_per_case_work(monkeypatch):
 
 
 def test_per_w_caches_hold_only_the_w_being_checked():
-    sweep(5, jobs=1)
-    for cached in (cell_generators, patch_generators, order_n_w, z_universe, weights_for):
-        assert cached.cache_info().currsize <= 1, cached.__name__
+    # each maxsize=1 cache misses once per w it serves, and never again for
+    # that w: phase A runs w-major and derives each fact of w once (the
+    # patch route is not run)
+    sweep(5, frobenius_primes=(2, 3), jobs=1)
+    misses = {cached.__name__: cached.cache_info().misses for cached in per_w_caches()}
+    assert len(misses) == 8
+    assert {name: m for name, m in misses.items() if m not in (0, 153)} == {}

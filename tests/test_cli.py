@@ -399,6 +399,30 @@ class TestExitCodes:
             "product is z_1_1*z_1_3, not the product 1*1 of the generators' "
             "initial terms\n")
 
+    def test_vanishing_initial_coefficient_exits_one(self, capsys, monkeypatch):
+        # initial coefficients that vanish mod p (tripled, at p = 3) are
+        # caught by the packed cross-check of every prime: their product is
+        # 0 there, not the packed G's largest term
+        frobenius = importlib.import_module("hesscells.frobenius")
+        initial_term = frobenius.initial_term
+
+        def tripled(poly, order):
+            c, m = initial_term(poly, order)
+            return 3 * c, m
+
+        monkeypatch.setattr(frobenius, "initial_term", tripled)
+        code = main([
+            "frobenius-check", "--n", "4", "--w", "3421",
+            "--h", "3,3,4,4", "--p", "3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal error: packed initial term of the generator "
+            "product is z_1_1*z_1_3, not the product 0*z_1_1*z_1_3 of the "
+            "generators' initial terms\n")
+
     def test_index_error_exits_one(self, capsys, monkeypatch):
         # only the bounds checks of Permutation and HessenbergFunction raise
         # IndexError, and no argument reaches them: it is an internal bug,

@@ -29,9 +29,14 @@ from hesscells import (
     fixed_points,
     initial_term,
     is_fixed_point,
+    is_homogeneous,
+    least_hessenberg,
     make_splitting_context,
+    order_n_w,
     splitting_apply,
     trace,
+    weights_for,
+    z_universe,
     zvar,
 )
 from hesscells import groebner
@@ -455,6 +460,39 @@ def ideal_mod_p(w, h, p):
     return [g.reduce_mod(p) for _, _, g in build_ideal(w, h).nonzero_generators()]
 
 
+def lemma_failures(w):
+    """What fails of the hypotheses of Knutson's argument (the `frobenius`
+    docstring) at w: each generator of the ideal of h^, the least
+    indecomposable Hessenberg function fixing w, has a signed-variable
+    initial term with coefficient +-1 and is homogeneous of that variable's
+    weight, the initial monomials multiply to a squarefree monomial
+    dividing Z, and every weight is at least 1.  None of them reads p."""
+    n = w.n
+    h_hat = HessenbergFunction(
+        max(b, min(j + 1, n)) for j, b in enumerate(least_hessenberg(w), start=1))
+    order, weights, z = order_n_w(w), weights_for(w), z_universe(w)
+    failures = [f"weight {wt} of {var}" for var, wt in weights.items() if wt < 1]
+    m = Monomial()
+    for k, l, g in build_ideal(w, h_hat).nonzero_generators():
+        c, mono = initial_term(g, order)
+        if c not in (1, -1) or len(mono.exps) != 1 or mono.exps[0][1] != 1:
+            failures.append(f"g_{k}_{l}: initial term {c}*{mono!r}")
+        elif is_homogeneous(g, weights) != weights[mono.exps[0][0]]:
+            failures.append(f"g_{k}_{l}: not homogeneous of its initial weight")
+        m = m * mono
+    if any(e != 1 for _, e in m.exps) or not m.divides(Monomial({v: 1 for v in z})):
+        failures.append(f"initial monomials multiply to {m!r}")
+    return failures
+
+
+def test_the_lemma_hypotheses_hold_at_every_w_up_to_n6():
+    # so phi(1) = 1 and every phi(g) lies in its ideal at every prime: the
+    # computed check tests the trace kernel, not the theorem
+    failures = {w: f for n in range(1, 7) for w in all_permutations(n)
+                if (f := lemma_failures(w))}
+    assert failures == {}
+
+
 class TestOneSplittingPerCell:
     @pytest.mark.parametrize("p,max_n", [(2, 5), (3, 5), (5, 4)])
     def test_one_context_splits_every_ideal_of_the_cell(self, p, max_n):
@@ -529,7 +567,6 @@ class TestOneSplittingPerCell:
             return make_splitting_context(w, p)
 
         monkeypatch.setattr(sweep_mod, "make_splitting_context", counting)
-        sweep_mod._TABLES.clear()
         report = sweep_mod.sweep(4, frobenius_primes=(2, 3), jobs=1)
         assert report["summary"]["ok"]
         assert len(calls) == len(set(calls)) == 2 * (1 + 2 + 6 + 24)

@@ -11,6 +11,7 @@ To write the files (only when an output change is intended):
 """
 
 import contextlib
+import hashlib
 import io
 import re
 import sys
@@ -63,6 +64,15 @@ def argv_for(name, fmt):
 def test_cli_output_matches_golden(name, fmt):
     expected = golden_path(name, fmt).read_text()
     assert run_cli(argv_for(name, fmt)) == expected
+
+
+def test_sweep_digest_hashes_the_masked_report():
+    # tests/sweep_digest.py, run outside the suite, pins n = 7; at n = 4 its
+    # digest is the golden JSON report's, less the `exit:` line
+    from sweep_digest import digest
+
+    report = golden_path("sweep", "json").read_text().split("\n", 1)[1]
+    assert digest(4, 1) == (0, hashlib.sha256(report.encode()).hexdigest())
 
 
 if __name__ == "__main__":
