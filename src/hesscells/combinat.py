@@ -136,7 +136,9 @@ class HessenbergFunction:
     3
     """
 
-    __slots__ = ("values",)
+    # is_indecomposable, h(i) > i for every i < n: every ideal reads it, so
+    # __init__ takes it once
+    __slots__ = ("values", "is_indecomposable")
 
     def __init__(self, values):
         values = tuple(int(v) for v in values)
@@ -149,6 +151,7 @@ class HessenbergFunction:
         if any(values[i] < values[i - 1] for i in range(1, n)):
             raise ValueError(f"values are not nondecreasing: {values!r}")
         self.values = values
+        self.is_indecomposable = all(values[i - 1] >= i + 1 for i in range(1, n))
 
     @classmethod
     def parse(cls, text: str) -> "HessenbergFunction":
@@ -168,10 +171,6 @@ class HessenbergFunction:
         if not 1 <= i <= self.n:
             raise IndexError(f"index {i} out of range 1..{self.n}")
         return self.values[i - 1]
-
-    @property
-    def is_indecomposable(self) -> bool:
-        return all(self.values[i - 1] >= i + 1 for i in range(1, self.n))
 
     def lambda_partition(self) -> tuple:
         """The partition (n - h(1), ..., n - h(n))."""

@@ -23,20 +23,22 @@ units), so it tests the trace kernel, not the theorem; the tests check
 the argument's hypotheses at every w with n <= 6.  Only G and the packed
 check of its initial term depend on p; the rest is w's `_splitting_base`.
 
-G and F are multiplied out on packed monomials (the `_Packing` encoding
-of `groebner`), with fields wide enough for the exponent bound
-(p-1)(1 + sum of each generator's top exponent), so no product overflows.
-The context stores only F, as packed terms at that width: G's codes plus
-the one code of Z/m.  G, Z and the decoded F are not kept, and F^{p-1} is
-never formed.  phi(f) = Tr(F^a * (F^b * f)) with a = ceil((p-1)/2) and
-b = p-1-a, so b is 0 at p = 2 and a otherwise.  A product of monomials s
-survives the trace only when every exponent of s is p-1 mod p.  So the
-kernel keeps the terms of F^a bucketed by their residue code (the
-exponent vector mod p) and the terms of F^b each with its residue code.
-phi(f) walks the terms of F^b * f, one per pair of a term of f and a
-term of F^b, and the residue code of such a term is the field-wise sum
-mod p of its factors' residue codes (a few integer operations in the
-join, where `residues` may read every field).  A term of
+G, F^a below and the F^{p-1} of `SplittingContext.F_pow` come from one
+product over F_p, `_multiply`, on packed monomials (the `_Packing` codes
+of `groebner`, where a monomial product is an integer sum), with fields
+wide enough for the exponent bound (p-1)(1 + sum of each generator's top
+exponent), so no product overflows.  The context stores only F, as packed
+terms at that width: G's codes plus the one code of Z/m.  G, Z and the
+decoded F are not kept, and no kernel forms F^{p-1}.  phi(f) =
+Tr(F^a * (F^b * f)) with a = ceil((p-1)/2) and b = p-1-a, so b is 0 at
+p = 2 and a otherwise.  A product of monomials s survives the trace only
+when every exponent of s is p-1 mod p.  So the kernel keeps the terms of
+F^a bucketed by their residue code (the exponent vector mod p,
+`_residues`) and the terms of F^b each with its residue code.  phi(f)
+walks the terms of F^b * f, one per pair of a term of f and a term of
+F^b, and the residue code of such a term is the field-wise sum mod p of
+its factors' residue codes (a few integer operations in the join, where
+`_residues` may read every field).  A term of
 residue r meets only the bucket (p-1-r) mod p of F^a, and each pair from
 that bucket survives: with ONES the code holding a 1 in every field, its
 image is the integer (s + ONES) // p - ONES, for every field of s + ONES
@@ -60,8 +62,6 @@ from .combinat import (
 from .groebner import (
     InternalError,
     MonomialOrder,
-    _multiply,
-    _power,
     _top_exponent,
     initial_term,
     order_n_w,
@@ -75,13 +75,22 @@ from .polyring import Monomial, Polynomial, z_universe
 FROBENIUS_CEILINGS = {2: 6, 3: 6, 5: 5, 7: 4, 11: 4, 13: 4, 17: 4, 19: 4}
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless `value` (called `name`) is an int; a bool is
+    not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def frobenius_ceiling(primes) -> int:
     """The largest n of a Frobenius check at every prime of the sequence
-    `primes`; ValueError for an unlisted number below the largest listed
-    prime (not prime, as every prime up to it is listed), then for any
-    other unlisted number, with no primality test, so a large number is
-    refused at once, or a prime listed more than once."""
+    `primes`; ValueError for a p that is not an int (`check_integer`) or
+    an unlisted number below the largest listed prime (not prime, as
+    every prime up to it is listed), then for any other unlisted number,
+    with no primality test, so a large number is refused at once, or a
+    prime listed more than once."""
     for p in primes:
+        check_integer("p", p)
         if p < max(FROBENIUS_CEILINGS) and p not in FROBENIUS_CEILINGS:
             raise ValueError(f"{p} is not prime")
     for p in primes:
@@ -188,6 +197,48 @@ def _kernel_bits(top: int, top_f: int) -> int:
     return (top + max(top, top_f) + 1).bit_length() + 1
 
 
+def _multiply(a: dict, b: dict, p: int) -> dict:
+    """The product of two packed term dicts over F_p.
+
+    Monomial products are plain integer sums with no guard check: the
+    caller sizes the fields from a bound on the product's exponents.
+    """
+    out = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c % p for m, c in out.items() if c % p}
+
+
+def _power(a: dict, k: int, p: int) -> dict:
+    """a^k over F_p for k >= 1, as k - 1 products; sized as `_multiply`.
+    a^1 is a itself, so the kernels of p = 2 and 3 multiply nothing."""
+    result = a
+    for _ in range(k - 1):
+        result = _multiply(result, a, p)
+    return result
+
+
+def _residues(packing, code: int, p: int) -> int:
+    """The code whose every field is the matching field of `code` mod p.
+
+    At p = 2 that is each field's low bit.  A code whose every field is
+    below p is its own residue code: as in `_Packing.lcm`, a field of
+    (code | guard) minus p keeps its guard bit exactly when the field is
+    at least p.  Fields too narrow to hold p are all below it, and any
+    guard bit the test then leaves only sends the code to the
+    field-by-field loop.
+    """
+    if p == 2:
+        return code & packing.ones
+    if not ((code | packing.guard) - p * packing.ones) & packing.guard:
+        return code
+    mask = packing._mask
+    return sum((((code >> s) & mask) % p) << s for _, s in packing._fields)
+
+
 def _kernel(packing, F, p: int) -> tuple:
     """The trace kernel for A = F^a and B = F^b, from F's codes at the
     packing's width (see the module docstring; b is a or 0), so F = 1 gives
@@ -195,7 +246,7 @@ def _kernel(packing, F, p: int) -> tuple:
     residue code, B's terms (code, residue code, coefficient))."""
     A = _power(F, p // 2, p)
     ones = packing.ones
-    terms = tuple((code, packing.residues(code, p), coeff) for code, coeff in A.items())
+    terms = tuple((code, _residues(packing, code, p), coeff) for code, coeff in A.items())
     buckets = {}
     for code, r, coeff in terms:
         buckets.setdefault(r, []).append((code + ones, coeff))
@@ -225,7 +276,7 @@ def _twisted_trace(f: Polynomial, ctx: SplittingContext, twisted: bool):
     out = {}
     get = out.get
     for code, coeff in packing.encode(f).items():
-        r = packing.residues(code, p)
+        r = _residues(packing, code, p)
         for b, rb, bc in B:  # the term s of B * f
             # s's residue code, r + rb field-wise mod p: as in `_Packing.lcm`,
             # a field of (r + rb) | guard minus p keeps its guard bit exactly

@@ -17,10 +17,9 @@ With G the mask of all guard bits, l divides m exactly when
 ((m | G) - l) & G == G, and a sum whose field outgrew its width shows up
 as a set guard bit.  The width is chosen from the inputs; if a field
 overflows partway through, the division restarts from scratch at double
-width, so the result is exact for any input.  `_multiply`, `_square` and
-`_power` multiply encoded term dicts over F_p for the Frobenius splitting;
-there the caller sizes the fields from an exponent bound, so nothing
-overflows.
+width, so the result is exact for any input.  `_Packing` is the codec of
+division (`encode`, `lcm`, `decode`); `frobenius` multiplies its codes
+over F_p and reads their residues mod p itself.
 
 `_divide` is the one division loop.  It records each division step as
 (lead, quotient monomial, coefficient); `reduce` sorts the steps into its
@@ -156,23 +155,6 @@ class _Packing:
         keep -= keep >> self._low
         return (a & keep) | (b & ~keep)
 
-    def residues(self, code: int, p: int) -> int:
-        """The code whose every field is the matching field of `code` mod p.
-
-        At p = 2 that is each field's low bit.  A code whose every field is
-        below p is its own residue code: as in `lcm`, a field of
-        (code | guard) minus p keeps its guard bit exactly when the field
-        is at least p.  Fields too narrow to hold p are all below it, and
-        any guard bit the test then leaves only sends the code to the
-        field-by-field loop.
-        """
-        if p == 2:
-            return code & self.ones
-        if not ((code | self.guard) - p * self.ones) & self.guard:
-            return code
-        mask = self._mask
-        return sum((((code >> s) & mask) % p) << s for _, s in self._fields)
-
     def decode(self, terms: dict, char: int) -> Polynomial:
         """The polynomial of encoded terms, in their insertion order."""
         fields, mask = self._fields, self._mask
@@ -275,49 +257,6 @@ def _divide(rem: dict, divisors: list, guard: int, char: int):
         else:
             out[m] = c
     return steps, out
-
-
-def _multiply(a: dict, b: dict, p: int) -> dict:
-    """The product of two encoded term dicts over F_p.
-
-    Monomial products are plain integer sums with no guard check: the
-    caller sizes the fields from a bound on the product's exponents.
-    """
-    out = {}
-    get = out.get
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
-    return {m: c % p for m, c in out.items() if c % p}
-
-
-def _square(a: dict, p: int) -> dict:
-    """a^2 over F_p, sized as `_multiply`; each cross product is formed
-    once and counted twice."""
-    items = list(a.items())
-    out = {}
-    get = out.get
-    for i, (m1, c1) in enumerate(items):
-        m = m1 + m1
-        out[m] = get(m, 0) + c1 * c1
-        c1 *= 2
-        for m2, c2 in items[i + 1 :]:
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
-    return {m: c % p for m, c in out.items() if c % p}
-
-
-def _power(a: dict, k: int, p: int) -> dict:
-    """a^k over F_p by repeated squaring, for k >= 1; sized as `_multiply`."""
-    result = None
-    while True:
-        if k & 1:
-            result = a if result is None else _multiply(result, a, p)
-        k >>= 1
-        if not k:
-            return result
-        a = _square(a, p)
 
 
 def _encode_divisors(packing: _Packing, polys, char: int) -> list:

@@ -61,7 +61,12 @@ from .combinat import (
     least_hessenberg,
     v_of_w,
 )
-from .frobenius import compatibility_check, frobenius_ceiling, make_splitting_context
+from .frobenius import (
+    check_integer,
+    compatibility_check,
+    frobenius_ceiling,
+    make_splitting_context,
+)
 from .grading_hilbert import (
     check_exact_trunc,
     hilbert_formula,
@@ -372,10 +377,14 @@ def check_size(name: str, n: int, primes: tuple = ()) -> None:
 
 def _check_args(name: str, n: int, opts: SweepOptions, jobs: int | None) -> None:
     """Raise ValueError unless a sweep up to size n may run under `opts`
-    with `jobs` workers: trunc as `check_exact_trunc` accepts it, n (called
-    `name`) as `check_size` accepts it at the options' primes, jobs (None:
-    one per CPU) at most MAX_JOBS and budget at least 0.  Nothing here
-    grows with n, so a refused n costs nothing."""
+    with `jobs` workers: n (called `name`), trunc, budget and jobs (None:
+    one per CPU) each an int (`check_integer`), trunc as
+    `check_exact_trunc` accepts it, n as `check_size` accepts it at the
+    options' primes, jobs at most MAX_JOBS and budget at least 0.  Nothing
+    here grows with n, so a refused n costs nothing."""
+    for key, value in ((name, n), ("trunc", opts.trunc), ("budget", opts.budget),
+                       ("jobs", 1 if jobs is None else jobs)):
+        check_integer(key, value)
     check_exact_trunc(n, opts.trunc)
     check_size(name, n, opts.frobenius_primes)
     if jobs is not None and not 1 <= jobs <= MAX_JOBS:

@@ -15,11 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesscells import all_permutations, enumerate_hessenberg
+from hesscells import (
+    Permutation,
+    all_permutations,
+    enumerate_hessenberg,
+    make_splitting_context,
+)
 from hesscells.cli import _write_json_report, main
 from hesscells.sweep import SweepOptions, case_dict, iter_sweep, run_case, sweep
 
 sweep_mod = importlib.import_module("hesscells.sweep")
+frobenius_mod = importlib.import_module("hesscells.frobenius")
 
 _ELAPSED = re.compile(r'("elapsedSeconds": )[^\n,}]+')
 
@@ -318,6 +324,39 @@ class TestBadJobsAndInternalErrors:
         assert capsys.readouterr() == ("", "error: p = 2 is listed more than once\n")
         with pytest.raises(ValueError, match="^p = 3 is listed more than once$"):
             sweep(3, frobenius_primes=(3, 3))
+
+    @pytest.mark.parametrize("probe, message", [
+        (lambda: sweep(3.0), "max_n must be an integer, not 3.0"),
+        (lambda: sweep(max_n=True), "max_n must be an integer, not True"),
+        (lambda: sweep(3, jobs=2.0), "jobs must be an integer, not 2.0"),
+        (lambda: sweep(3, jobs=True), "jobs must be an integer, not True"),
+        (lambda: sweep(3, trunc=30.5), "trunc must be an integer, not 30.5"),
+        (lambda: sweep(3, budget=10.5), "budget must be an integer, not 10.5"),
+        (lambda: sweep(3, frobenius_primes=(2.0,)), "p must be an integer, not 2.0"),
+        (lambda: sweep(3, frobenius_primes=("2",)), "p must be an integer, not '2'"),
+        (lambda: sweep(3, frobenius_primes=(3, True)), "p must be an integer, not True"),
+        (lambda: iter_sweep(3.0, SweepOptions()), "max_n must be an integer, not 3.0"),
+        (lambda: run_case(FIXED[:2] + (SweepOptions(trunc=30.5),)),
+         "trunc must be an integer, not 30.5"),
+        (lambda: run_case(FIXED[:2] + (SweepOptions(frobenius_primes=(2.0,)),)),
+         "p must be an integer, not 2.0"),
+        (lambda: make_splitting_context(Permutation(FIXED[1]), 3.0),
+         "p must be an integer, not 3.0"),
+    ], ids=range(13))
+    def test_non_integer_refused_before_any_work(self, monkeypatch, probe, message):
+        # a float or bool size, jobs, trunc, budget or prime once reached
+        # `range`, or matched a listed prime and failed deep in a context
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(sweep_mod, "_w_table", refuse)
+        monkeypatch.setattr(frobenius_mod, "_splitting_base", refuse)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            probe()
+
+    def test_auto_jobs_stays_valid(self):
+        # None, one worker per CPU, is the one jobs value that is no int
+        assert iter_sweep(3, SweepOptions(), None)[0]["maxN"] == 3
 
     def test_internal_error_exits_1(self, monkeypatch, capsys):
         def broken(w_images, table):
