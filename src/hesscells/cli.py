@@ -6,7 +6,7 @@ resource budget is exhausted, and 141 from `main_script` when stdout
 is closed before the output is written.
 JSON output is deterministic for fixed flags (the elapsedSeconds field of
 sweep reports is the one timing exception).  The sweep report is written
-case by case, in the bytes `json.dumps(report, indent=2)` would give.
+h by h, in the bytes `json.dumps(report, indent=2)` would give.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .groebner import (
     triangular_analysis,
 )
 from .polyring import Polynomial
-from .sweep import SweepOptions, case_dict, check_size, iter_sweep
+from .sweep import SweepOptions, case_dict, case_rows, check_size, iter_sweep
 from .sweep import sweep  # bound for perfbench's sweep.sweep span
 
 
@@ -305,36 +305,39 @@ def _json_value(value, pad: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _write_json_report(out, head: dict, rows, tail: dict) -> None:
+def _write_json_report(out, head: dict, stream, tail: dict) -> None:
     """Write `json.dumps({**head, "cases": [...], **tail}, indent=2)` and a
-    newline, the cases `case_dict(*row)` for the rows (h, w, entry) of
-    `iter_sweep`, h and w tuples of int.  A case is written from three
-    pieces, each encoded once from its `case_dict`: the "n" and "h" items
-    per h, the "w" item per w of the current n, and the rest per distinct
-    entry, keyed with the exact types of its values (1 == True == 1.0);
-    only values of the _SCALARS types are memoized (0.0 == -0.0)."""
+    newline, with the cases of `case_rows(stream)`.  As a table arrives,
+    its entries are encoded, memoized by the entry and the exact types of
+    its values (1 == True == 1.0; only _SCALARS types, as 0.0 == -0.0),
+    and w's "w" item and column of entry texts, one per h, are kept.  Once
+    n's last table is in, each h's cases go out in one join and one write."""
     out.write(json.dumps(head, indent=2)[:-2] + ',\n  "cases": [')
-    h_items, w_items, tails = {}, {}, {}
-    sep = "\n"
-    for h, w, entry in rows:
-        # tuple(map(...)) would resize, leaving a block per row in a free list
-        key = entry, *map(type, entry[0])
-        h_item, w_item, rest = h_items.get(h), w_items.get(w), tails.get(key)
-        if h_item is None or w_item is None or rest is None:
-            items = [f"{_encode_str(k)}: {_json_value(v, '      ')}"
-                     for k, v in case_dict(h, w, entry).items()]
-            if h_item is None:
-                h_item = h_items[h] = "    {\n      " + ",\n      ".join(items[:2])
-            if w_item is None:
-                if w_items and len(next(iter(w_items))) != len(w):
-                    w_items.clear()  # a new n
-                w_item = w_items[w] = ",\n      " + items[2] + ",\n      "
-            if rest is None:
-                rest = ",\n      ".join(items[3:]) + "\n    }"
-                if set(key[1:]) <= _SCALARS.keys():
-                    tails[key] = rest
-        out.write(f"{sep}{h_item}{w_item}{rest}")
-        sep = ",\n"
+    texts, sep, pad = {}, "\n", "      "
+    for hs, ws, tables in stream:
+        columns = {}
+        for w, (entries, index) in tables:
+            strings = []
+            for entry in entries:
+                key = entry, *map(type, entry[0])
+                text = texts.get(key)
+                if text is None:
+                    items = [f"{_encode_str(k)}: {_json_value(v, pad)}"
+                             for k, v in case_dict((), w, entry).items()]
+                    text = ",\n      ".join(items[3:]) + "\n    }"
+                    if set(key[1:]) <= _SCALARS.keys():
+                        texts[key] = text
+                strings.append(text)
+            columns[w] = (f',\n      "w": {_json_value(list(w), pad)},\n      ',
+                          [strings[place] for place in index])
+        pieces = [None] * (3 * len(ws))
+        pieces[1::3], columns = zip(*[columns.pop(w) for w in ws])
+        for h, texts_of_h in zip(hs, zip(*columns)):
+            h_item = f'    {{\n      "n": {len(ws[0])},\n      "h": {_json_value(list(h), pad)}'
+            pieces[::3] = [",\n" + h_item] * len(ws)
+            pieces[0], pieces[2::3] = sep + h_item, texts_of_h
+            out.write("".join(pieces))
+            sep = ",\n"
     out.write("],\n" if sep == "\n" else "\n  ],\n")
     out.write(json.dumps(tail, indent=2)[2:] + "\n")
 
@@ -342,13 +345,13 @@ def _write_json_report(out, head: dict, rows, tail: dict) -> None:
 def cmd_sweep(args) -> int:
     primes = tuple(int(p) for p in args.frobenius.split(",")) if args.frobenius else ()
     opts = SweepOptions(primes, args.oracle_nonfixed, args.trunc, args.budget)
-    head, rows, tail = iter_sweep(args.max_n, opts, args.jobs)
+    head, stream, tail = iter_sweep(args.max_n, opts, args.jobs)
     summary = tail["summary"]
     try:
         if args.format == "json":
-            _write_json_report(sys.stdout, head, rows, tail)
+            _write_json_report(sys.stdout, head, stream, tail)
         else:
-            for h, w, (_, failures) in rows:
+            for h, w, (_, failures) in case_rows(stream):
                 if failures:
                     print(f"FAIL n={len(w)} h={list(h)} w={list(w)}: "
                           + "; ".join(failures))

@@ -18,6 +18,19 @@ import operator
 from functools import lru_cache
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless `value` (called `name`) is an int, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def check_integers(name: str, values: tuple) -> None:
+    """`check_integer` of each value, the i-th called name(i)."""
+    for i, value in enumerate(values, start=1):
+        if type(value) is not int:  # the name is built only here
+            check_integer(f"{name}({i})", value)
+
+
 class Permutation:
     """A bijection of {1, ..., n}, in one-line notation.
 
@@ -33,7 +46,8 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(v) for v in images)
+        images = tuple(images)
+        check_integers("w", images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
         self.images = images
@@ -141,7 +155,8 @@ class HessenbergFunction:
     __slots__ = ("values", "is_indecomposable")
 
     def __init__(self, values):
-        values = tuple(int(v) for v in values)
+        values = tuple(values)
+        check_integers("h", values)
         n = len(values)
         if n == 0:
             raise ValueError("empty Hessenberg function")

@@ -55,6 +55,7 @@ from .cells import build_ideal, ideal_positions
 from .combinat import (
     HessenbergFunction,
     Permutation,
+    check_integer,
     fixed_points,  # bound for perfbench's combinat.fixed_points span
     is_fixed_point,
     least_hessenberg,
@@ -73,13 +74,6 @@ from .polyring import Monomial, Polynomial, z_universe
 # The largest n of a Frobenius check at p, per prime as measured; no other
 # prime is accepted, for the cost grows steeply with p (README).
 FROBENIUS_CEILINGS = {2: 6, 3: 6, 5: 5, 7: 4, 11: 4, 13: 4, 17: 4, 19: 4}
-
-
-def check_integer(name: str, value) -> None:
-    """Raise ValueError unless `value` (called `name`) is an int; a bool is
-    not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def frobenius_ceiling(primes) -> int:

@@ -29,12 +29,11 @@ A pool runs phase A only, so each ideal is checked once.  Phase A runs
 w-major, so the per-w caches under it (`cell_generators`, `order_n_w`,
 ...) hold only the w it checks.
 
-`iter_sweep` is the one sweep path: it yields one row (h, w, entry) per
-case in (n, h, w) order and tallies the summary from the entries, with no
-case list: per n, phase A's tables come from one iterator, serial or
-pooled, before n's first row.  `case_dict` turns a row into the report's
-case, for `sweep()` and `run_case`; the CLI writes each row as it arrives
-and encodes each distinct entry once.
+`iter_sweep` is the one sweep path, with no case list: per n, its stream
+hands on each table (w's distinct entries, one index of them per h) as it
+arrives, serial or pooled, tallies the summary from the index, and ends
+with n's last table.  `case_rows` reads the rows (h, w, entry) off it in
+(n, h, w) order, for `sweep()`; `case_dict` makes a row the report's case.
 
 Phase A's cost grows steeply with ℓ(w), the cell's dimension, so
 `_run_cases` hands each n's w out longest first, in batches of 1, 1, 2, 2,
@@ -46,7 +45,9 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
+from array import array
+from collections import Counter, deque
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
@@ -56,13 +57,14 @@ from .cells import build_ideal, cell_generators, ideal_positions, index_filter
 from .combinat import (
     Permutation,
     all_permutations,
+    check_integer,
+    check_integers,
     enumerate_hessenberg,
     fixed_points,  # bound for perfbench's combinat.fixed_points span
     least_hessenberg,
     v_of_w,
 )
 from .frobenius import (
-    check_integer,
     compatibility_check,
     frobenius_ceiling,
     make_splitting_context,
@@ -110,9 +112,7 @@ _KEYS = {
            "homogeneousOk", "hilbertOk", "frobeniusOk"),
     False: ("fixedPoint", "constantGenerator", "emptyCertified"),
 }
-# (w.images, opts) -> `_w_table(w.images, opts)`, all that phase B reads;
-# `_run_cases` holds one n's tables at a time, all stored before n's first
-# case, and `run_case` fills it on a miss for a direct caller.
+# (w.images, opts) -> its `_w_table`, filled by `run_case` on a miss
 _TABLES = {}
 
 
@@ -201,12 +201,12 @@ def _run_battery(pres, facts: _WFacts) -> tuple:
 
 
 def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
-    """Phase A: the entry (values from fixedPoint on, failures) of each case
-    of w, one per h of `_h_facts(n)` in that order.  The h with an
-    equal key share one entry, so each check that reads only the ideal runs
-    once per distinct I_{w,h}: the battery and the Frobenius check (it reads
-    only the generators) for the h fixing w, the oracle for the others.
-    The facts of w that no h changes are taken once, in `_WFacts`."""
+    """Phase A: w's table (entries, index), the i-th h of `_h_facts(n)`
+    having the entry (values from fixedPoint on, failures) entries[index[i]].
+    The h with an equal key share one entry, so each check that reads only
+    the ideal runs once per distinct I_{w,h}: the battery and the Frobenius
+    check (it reads only the generators) for the h fixing w, the oracle for
+    the others.  What no h changes is taken once per w, in `_WFacts`."""
     w = Permutation(w_images)
     n, rows = w.n, cell_generators(w).rows
     below = [(k, l, rows[k - 1][l - 1]) for k in range(2, n + 1) for l in range(1, k)]
@@ -219,7 +219,7 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
     hw = least_hessenberg(w)
     contexts = [make_splitting_context(w, p) for p in opts.frobenius_primes]
     oracle = n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed
-    entries, table = {}, []
+    entries, index = {}, array("H")  # key -> (place, entry); 429 h at n = 8: not bytes
     for _, h, positions, miscount in _h_facts(n).values():
         fixed = all(map(ge, h.values, hw))  # h >= h_w: w is a fixed point of h
         if fixed:
@@ -250,14 +250,14 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
                         failures += ("budget exhausted in the completion oracle",)
                     elif not unit:
                         failures += ("oracle did not certify the unit ideal",)
-            entries[key] = (fixed, *values), miscount + failures
-        table.append(entries[key])
-    return tuple(table)
+            entries[key] = len(entries), ((fixed, *values), miscount + failures)
+        index.append(entries[key][0])
+    return tuple(entry for _, entry in entries.values()), index
 
 
 def case_dict(h_values: tuple, w_images: tuple, entry: tuple) -> dict:
-    """The report's JSON-ready dict of one case: a row (h, w, entry) of the
-    sweep, the entry (values, failures) from w's table."""
+    """The report's JSON-ready dict of one case: a row (h, w, entry) of
+    `case_rows`, the entry (values, failures) from w's table."""
     values, failures = entry
     case = {"n": len(w_images), "h": list(h_values), "w": list(w_images)}
     case.update(zip(_KEYS[values[0]], values))
@@ -268,11 +268,13 @@ def case_dict(h_values: tuple, w_images: tuple, entry: tuple) -> dict:
 
 def run_case(args):
     """Look one (h, w) pair up in w's table, built here on a miss; returns
-    its `case_dict`.  On a miss the options and w's size n are checked
-    first, as `iter_sweep` checks them for max_n = n; then, as on a hit,
-    ValueError unless h is an indecomposable Hessenberg function of size
-    n."""
+    its `case_dict`.  ValueError first unless h and w hold ints (an equal
+    float would find the ints' table); on a miss, next unless the options
+    and w's size n pass as `iter_sweep` checks them for max_n = n; then, as
+    on a hit, unless h is an indecomposable Hessenberg function of size n."""
     h_values, w_images, opts = args
+    check_integers("h", h_values)
+    check_integers("w", w_images)
     n = len(w_images)
     table = _TABLES.get((w_images, opts))
     if table is None:
@@ -283,7 +285,8 @@ def run_case(args):
                          f"function of size {n}")
     if table is None:
         table = _TABLES[w_images, opts] = _w_table(w_images, opts)
-    return case_dict(h_values, w_images, table[facts[0]])
+    entries, index = table
+    return case_dict(h_values, w_images, entries[index[facts[0]]])
 
 
 def _case_args(max_n: int):
@@ -312,10 +315,9 @@ def _w_tables(batch: list, opts: SweepOptions) -> list:
 
 
 def _run_cases(inputs: list, opts: SweepOptions, jobs: int):
-    """Yield the row (h, w, entry) of each (hs, ws) of `inputs`, h in hs and
-    w in ws (each ws in lexicographic order), the entry read off w's table.
-    One iterator of phase A batches, run here or by a pool of `jobs`
-    workers, yields each n's tables, stored by w before n's first row.
+    """Yield (hs, ws, tables) per (hs, ws) of `inputs`, `tables` yielding
+    (w, w's table) as w's batch arrives, to be read out before the next n:
+    one phase A iterator, run here or by `jobs` workers, serves every n.
 
     Phase A's cost sits in the longest w: at n = 7 the mean CPU of a w
     grows about 3x per unit of ℓ(w) near the top, and the 184 longest w
@@ -348,17 +350,9 @@ def _run_cases(inputs: list, opts: SweepOptions, jobs: int):
             pool = None
     try:
         for (hs, n_ws), n_batches in zip(inputs, batches):
-            _TABLES.clear()
-            for batch, batch_tables in zip(n_batches, islice(tables, len(n_batches))):
-                _TABLES.update(((w, opts), table)
-                               for w, table in zip(batch, batch_tables))
-            n_tables = [_TABLES[w, opts] for w in n_ws]
-            for i, h in enumerate(hs):  # h's place in each table of n
-                for w, table in zip(n_ws, n_tables):
-                    yield h, w, table[i]
-            del n_tables  # n's tables go before the next n's arrive
+            arrived = zip(n_batches, islice(tables, len(n_batches)))
+            yield hs, n_ws, (pair for batch, got in arrived for pair in zip(batch, got))
     finally:  # on an early close too: cancel the tables not started
-        _TABLES.clear()
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
@@ -394,18 +388,14 @@ def _check_args(name: str, n: int, opts: SweepOptions, jobs: int | None) -> None
 
 
 def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
-    """Check the arguments; return (head, rows, tail) of the report
-    {**head, "cases": [...], **tail}.  `rows` yields the row (h values,
-    w images, entry) of each case in (n, h, w) order for any job count, the
-    entry (values, failures) shared with every case of an equal key of w's
-    table; `case_dict(*row)` is the case.  `tail` holds the summary, and
-    elapsedSeconds once the rows are exhausted.  `hilbertOk` compares the
-    two series exactly; `trunc` is still checked by `check_exact_trunc` and
-    reported, and no accepted value changes a verdict.  Serially as in a
-    pool, all tables of n are built before n's first row: that moves no
-    work and raises no peak, for n's first h reads every w's table, so all
-    are held by the end of that h either way.  An error raised once `rows`
-    has started is not one of the arguments."""
+    """Check the arguments; return (head, stream, tail) of the report
+    {**head, "cases": [...], **tail}.  Per n, `stream` yields (hs, ws,
+    tables): n's h values in `_h_facts(n)` order, its w images in
+    lexicographic order, and (w, `_w_table` of w) per w as it arrives,
+    longest first; what is unread is read before the next n.  `tail` holds
+    the summary, tallied per table, and elapsedSeconds once the stream is
+    exhausted.  `hilbertOk` is exact: no accepted `trunc` changes a verdict.
+    An error raised once `stream` has started is not one of the arguments."""
     _check_args("max_n", max_n, opts, jobs)
     primes = opts.frobenius_primes
     head = {
@@ -421,20 +411,37 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
     summary = {"cases": 0, "fixedPointCases": 0, "failedCases": 0, "ok": True}
     tail = {"summary": summary, "elapsedSeconds": None}
 
-    def rows():
-        # in full before the first row: perfbench's set-up mark is its end
+    def tally(arrival):
+        entries, index = arrival[1]
+        for place, count in Counter(index).items():
+            values, failures = entries[place]
+            summary["cases"] += count
+            summary["fixedPointCases"] += count if values[0] else 0
+            summary["failedCases"] += count if failures else 0
+        summary["ok"] = not summary["failedCases"]
+        return arrival
+
+    def stream():
+        # in full before the first table: perfbench's set-up mark is its end
         inputs = list(_case_args(max_n))
         start = time.monotonic()
-        for row in _run_cases(inputs, opts, workers):
-            values, failures = row[2]
-            summary["cases"] += 1
-            summary["fixedPointCases"] += values[0]
-            summary["failedCases"] += bool(failures)
-            summary["ok"] = summary["ok"] and not failures
-            yield row
+        for hs, ws, tables in _run_cases(inputs, opts, workers):
+            yield hs, ws, (tables := map(tally, tables))
+            deque(tables, maxlen=0)  # the tables the consumer left unread
         tail["elapsedSeconds"] = time.monotonic() - start
 
-    return head, rows(), tail
+    return head, stream(), tail
+
+
+def case_rows(stream):
+    """Yield the row (h values, w images, entry) of each case of an
+    `iter_sweep` stream in (n, h, w) order, once all of n's tables are in."""
+    with closing(stream):  # closing the rows closes the stream, and its pool
+        for hs, ws, tables in stream:
+            n_tables = [*map(dict(tables).get, ws)]
+            for i, h in enumerate(hs):
+                for w, (entries, index) in zip(ws, n_tables):
+                    yield h, w, entries[index[i]]
 
 
 def sweep(
@@ -447,7 +454,7 @@ def sweep(
 ) -> dict:
     """Run the full verification sweep and return its report."""
     opts = SweepOptions(frobenius_primes, oracle_nonfixed, trunc, budget)
-    head, rows, tail = iter_sweep(max_n, opts, jobs)
-    report = {**head, "cases": [case_dict(*row) for row in rows]}
+    head, stream, tail = iter_sweep(max_n, opts, jobs)
+    report = {**head, "cases": [case_dict(*row) for row in case_rows(stream)]}
     report.update(tail)
     return report

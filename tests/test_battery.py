@@ -1,13 +1,18 @@
 """The sweep's two phases: phase A (`_w_table`) decides every case of w and
 checks each distinct cell ideal once, in any order of w and on any number
-of pool workers; phase B (the sweep's rows, and `run_case` for one case)
-only looks the case up and gives the results a fresh table gives, in any
+of pool workers; phase B (the sweep's stream of tables and its rows, and
+`run_case` for one case) only looks the case up and gives the results a fresh table gives, in any
 case order and for two truncation orders in one process, and every case
 still reports the verdict of its own ideal.  `hilbertOk` compares the two Hilbert series exactly, so no
 truncation order changes it and no series is expanded."""
 
 import importlib
+import io
 import random
+import re
+import sys
+import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -24,8 +29,9 @@ from hesscells import (
     build_ideal,
     enumerate_hessenberg,
 )
+from hesscells.cli import _write_json_report
 from hesscells.combinat import is_fixed_point, v_of_w
-from hesscells.sweep import SweepOptions, case_dict, iter_sweep, run_case, sweep
+from hesscells.sweep import SweepOptions, case_dict, case_rows, iter_sweep, run_case, sweep
 
 sweep_mod = importlib.import_module("hesscells.sweep")
 cells_mod = importlib.import_module("hesscells.cells")
@@ -42,9 +48,10 @@ def cases_up_to(max_n):
 
 
 def fixed_entries(table):
-    """The distinct entries of a table's fixed points, by identity: the h
-    with an equal key share one."""
-    return {id(entry): entry for entry in table if entry[0][0]}
+    """The distinct entries of a table (entries, index)'s fixed points, by
+    identity: the h with an equal key share one."""
+    entries, index = table
+    return {id(entries[place]): entries[place] for place in index if entries[place][0][0]}
 
 
 def key_of(pres, trunc=30):
@@ -93,9 +100,11 @@ def test_phase_b_matches_the_per_case_build(monkeypatch):
         hs = list(enumerate_hessenberg(n, indecomposable_only=True))
         for w in all_permutations(n):
             table = sweep_mod._w_table(w.images, SweepOptions())
-            assert len(table) == len(hs)
+            entries, index = table
+            assert len(index) == len(hs)
             pairs = set()
-            for h, entry in zip(hs, table):
+            for h, place in zip(hs, index):
+                entry = entries[place]
                 values, failures = entry
                 pres = build_ideal(w, h)
                 assert values[0] is is_fixed_point(w, h)
@@ -147,21 +156,68 @@ def test_a_pool_gives_the_serial_report():
     assert pooled == serial
 
 
+def watched_rows(jobs):
+    """(`case_rows` of a sweep to n = 4, the tables it has handed on and
+    that are still held: the size n of w for each)."""
+    handed = []
+
+    def watched(stream):
+        for hs, ws, tables in stream:
+            yield hs, ws, (handed.append((len(w), weakref.ref(table[1]))) or (w, table)
+                           for w, table in tables)
+
+    def held():
+        return [n for n, index in handed if index() is not None]
+
+    return case_rows(watched(iter_sweep(4, SweepOptions(), jobs)[1])), held
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_each_n_drops_its_tables_once_its_cases_are_out(jobs):
-    _, rows, _ = iter_sweep(4, SweepOptions(), jobs)
+    rows, held = watched_rows(jobs)
     for _, w, _ in rows:
-        assert {len(u) for u, _ in sweep_mod._TABLES} == {len(w)}
-    assert sweep_mod._TABLES == {}
+        assert set(held()) == {len(w)}
+    assert held() == []
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_each_n_has_all_its_tables_at_its_first_case(jobs):
-    _, rows, _ = iter_sweep(4, SweepOptions(), jobs)
-    held = {}
+    rows, held = watched_rows(jobs)
+    first = {}
     for _, w, _ in rows:
-        held.setdefault(len(w), len(sweep_mod._TABLES))
-    assert held == {1: 1, 2: 2, 3: 6, 4: 24}
+        first.setdefault(len(w), len(held()))
+    assert first == {1: 1, 2: 2, 3: 6, 4: 24}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_json_writer_holds_one_n_once_it_reads_a_table(jobs):
+    # The writer keeps n's columns, one reference per case, until n's last
+    # table is in: once it has read a table of n, every case of n - 1 is
+    # written, and neither its columns nor the tables handed on hold n - 1.
+    out, handed, checked = io.StringIO(), [], []
+
+    def watched(stream):
+        written = 0
+        for hs, ws, tables in stream:
+            yield hs, ws, watched_tables(tables, written)
+            written += len(hs) * len(ws)
+
+    def watched_tables(tables, written):
+        for w, table in tables:
+            handed.append((len(w), weakref.ref(table[1])))
+            yield w, table
+            # resumed by the writer, which has read w's table
+            columns = sys._getframe(1).f_locals["columns"]
+            held = {n for n, index in handed if index() is not None}
+            assert {len(v) for v in columns} == held == {len(w)}
+            assert out.getvalue().count('\n      "n": ') == written
+            checked.append(len(w))
+
+    head, stream, tail = iter_sweep(4, SweepOptions(), jobs)
+    _write_json_report(out, head, watched(stream), tail)
+    assert Counter(checked) == {1: 1, 2: 2, 3: 6, 4: 24}
+    assert [n for n, index in handed if index() is not None] == []
+    assert out.getvalue().count('\n      "n": ') == tail["summary"]["cases"] == 135
 
 
 def test_each_h_of_the_sweep_has_the_paving_generating_function():
@@ -173,8 +229,7 @@ def test_each_h_of_the_sweep_has_the_paving_generating_function():
     # w0 N^T w0 = N, Hess(N, h) onto Hess(N, h^T); so (h, w) and
     # (h^T, w0 w w0) have the same entry, from separate polynomial work.
     dims, entries = {}, {}
-    _, rows, _ = iter_sweep(6, SweepOptions())
-    for row in rows:
+    for row in case_rows(iter_sweep(6, SweepOptions())[1]):
         case = case_dict(*row)
         ds = dims.setdefault(row[0], [])
         if case["fixedPoint"]:
@@ -349,8 +404,8 @@ def test_a_changed_mask_gets_its_own_verdict(h, w, tamper, monkeypatch):
     assert "nonzero generator count disagrees with the index filter" in (
         run_case(args)["failures"]
     )
-    tampered = sweep_mod._TABLES[w, args[2]]
-    assert tampered[sweep_mod._h_facts(len(w))[h][0]] not in clean
+    entries, index = sweep_mod._TABLES[w, args[2]]
+    assert entries[index[sweep_mod._h_facts(len(w))[h][0]]] not in clean[0]
 
 
 def test_a_zeroed_generator_fails_exactly_the_ideals_that_hold_it(monkeypatch):
@@ -405,6 +460,24 @@ def test_run_case_checks_its_arguments_before_any_work(opts, message):
     assert sweep_mod._h_facts.cache_info().misses == misses
     with pytest.raises(ValueError, match="^budget must be at least 0, not -1$"):
         run_case(((2, 3, 3), (3, 2, 1), SweepOptions(budget=-1)))
+
+
+@pytest.mark.parametrize("h, w, message", [
+    ((2, 2), (2.0, 1.0), "w(1) must be an integer, not 2.0"),
+    ((2, 2), (2, True), "w(2) must be an integer, not True"),
+    ((2, 2), ("2", "1"), "w(1) must be an integer, not '2'"),
+    ((2.0, 2), (2, 1), "h(1) must be an integer, not 2.0"),
+    ((2, True), (2, 1), "h(2) must be an integer, not True"),
+])
+@pytest.mark.parametrize("hit", [False, True])
+def test_run_case_refuses_a_non_integer_on_a_hit_as_on_a_miss(h, w, message, hit):
+    # an equal float or bool has the int's hash: a table hit, or a hit in
+    # `_h_facts`, would echo it in the case
+    if hit:
+        run_case(((2, 2), (2, 1), SweepOptions()))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_case((h, w, SweepOptions()))
+    assert len(sweep_mod._TABLES) == hit
 
 
 def test_phase_b_does_no_per_case_work(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -43,6 +44,18 @@ def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
 
 
+# (values, the first one that is no int, its place): each once passed
+# through int() and was truncated or parsed, not refused
+NON_INTEGERS = [
+    ([2.5, 1.2], 2.5, 1),
+    ([2.0, 1.0], 2.0, 1),
+    ([2, 1.0], 1.0, 2),
+    (["2", "1"], "2", 1),
+    ([True, 2], True, 1),
+    ([2, True], True, 2),
+]
+
+
 class TestPermutation:
     def test_parse_digit_and_comma_forms(self):
         assert Permutation.parse("3421") == Permutation([3, 4, 2, 1])
@@ -53,6 +66,12 @@ class TestPermutation:
             Permutation.parse("34x1")
         with pytest.raises(ValueError):
             Permutation([1, 1, 2])
+
+    @pytest.mark.parametrize("images, value, i", NON_INTEGERS)
+    def test_non_integer_image_is_refused(self, images, value, i):
+        with pytest.raises(ValueError, match=re.escape(
+                f"w({i}) must be an integer, not {value!r}")):
+            Permutation(images)
 
     def test_str_uses_digits_for_small_n(self):
         assert str(Permutation([3, 4, 2, 1])) == "3421"
@@ -123,6 +142,12 @@ class TestHessenbergFunction:
             HessenbergFunction([3, 2, 3])  # decreasing
         with pytest.raises(ValueError):
             HessenbergFunction([2, 3, 4])  # h(3) = 4 > 3
+
+    @pytest.mark.parametrize("values, value, i", NON_INTEGERS + [([2.7, 2.2], 2.7, 1)])
+    def test_non_integer_value_is_refused(self, values, value, i):
+        with pytest.raises(ValueError, match=re.escape(
+                f"h({i}) must be an integer, not {value!r}")):
+            HessenbergFunction(values)
 
     def test_indecomposable_flag(self):
         assert HessenbergFunction([2, 3, 4, 4]).is_indecomposable

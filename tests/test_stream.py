@@ -1,15 +1,19 @@
-"""The streamed sweep report: the JSON writer of the sweep's rows and its
-memo, the CLI's report against `json.dumps` of `sweep()`, the order of
-case-list build and first table, phase A's schedule, the pool's fallback
-and early close, and the exit code of an error raised mid-stream."""
+"""The streamed sweep report: the JSON writer of the sweep's tables and
+its memo, the CLI's report against `json.dumps` of `sweep()`, in any
+arrival order of the tables, the order of case-list build and first table,
+phase A's schedule, the pool's fallback and early close, and the exit code
+of an error raised mid-stream."""
 
 import concurrent.futures
 import contextlib
+import hashlib
 import importlib
 import io
 import json
 import logging
+import random
 import re
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,8 @@ from hesscells import (
     make_splitting_context,
 )
 from hesscells.cli import _write_json_report, main
-from hesscells.sweep import SweepOptions, case_dict, iter_sweep, run_case, sweep
+from hesscells.sweep import SweepOptions, case_dict, case_rows, iter_sweep, run_case, sweep
+from sweep_digest import PINS
 
 sweep_mod = importlib.import_module("hesscells.sweep")
 frobenius_mod = importlib.import_module("hesscells.frobenius")
@@ -33,17 +38,44 @@ HEAD = {"maxN": 4, "options": {"frobeniusPrimes": [], "trunc": 30}}
 TAIL = {"summary": {"cases": 0, "ok": True}, "elapsedSeconds": 0.5}
 
 
-def written(rows):
-    """The report `_write_json_report` writes for `rows`."""
+def stream(grids):
+    """An `iter_sweep` stream of hand-made grids (hs, ws, entries), one per
+    n, entries[i][j] the entry of the i-th h and the j-th w.  The cases of
+    w that share an entry object share its place in w's table, and the
+    tables arrive in reverse order of ws."""
+    for hs, ws, entries in grids:
+        tables = []
+        for j, w in enumerate(ws):
+            places = {}
+            for row in entries:
+                places.setdefault(id(row[j]), (len(places), row[j]))
+            index = array("H", (places[id(row[j])][0] for row in entries))
+            tables.append((w, (tuple(entry for _, entry in places.values()), index)))
+        yield hs, ws, iter(tables[::-1])
+
+
+def written(grids):
+    """The report `_write_json_report` writes for `grids`."""
     out = io.StringIO()
-    _write_json_report(out, HEAD, iter(rows), TAIL)
+    _write_json_report(out, HEAD, stream(grids), TAIL)
     return out.getvalue()
 
 
-def dumped(rows):
+def dumped(grids):
     """`json.dumps` of the same report, each case `case_dict` of its row."""
-    report = {**HEAD, "cases": [case_dict(*row) for row in rows], **TAIL}
+    report = {**HEAD, "cases": [case_dict(*row) for row in case_rows(stream(grids))],
+              **TAIL}
     return json.dumps(report, indent=2) + "\n"
+
+
+def grid(*rows):
+    """The grid of rows (h, w, entry) on their h and w, in order of first
+    use, each (h, w) given once."""
+    hs, ws = list(dict.fromkeys(h for h, _, _ in rows)), list(dict.fromkeys(w for _, w, _ in rows))
+    entries = [[None] * len(ws) for _ in hs]
+    for h, w, entry in rows:
+        entries[hs.index(h)][ws.index(w)] = entry
+    return hs, ws, entries
 
 
 def cli_out(*argv):
@@ -58,16 +90,18 @@ def masked(text):
 
 
 def table_seam(monkeypatch, change):
-    """Route phase A through `change(w_images, table)`; the tables are
-    built here, for the tests that use it run with --jobs 1."""
+    """Route phase A through `change(w_images, table)`, the table
+    (entries, index); the tables are built here, for the tests that use it
+    run with --jobs 1."""
     w_table = sweep_mod._w_table
     monkeypatch.setattr(sweep_mod, "_w_table",
                         lambda w_images, opts: change(w_images, w_table(w_images, opts)))
 
 
-# rows (h, w, entry) as the sweep yields them
+# rows (h, w, entry) as `case_rows` yields them
 FIXED = ((3, 3, 4, 4), (3, 4, 2, 1), ((True, 2, 3, True, True, True, True, True, True), ()))
 NONFIXED = ((2, 3, 4, 4), (3, 4, 2, 1), ((False, True, True), ()))
+W0 = (4, 3, 2, 1)
 
 
 class TestCaseFormatter:
@@ -77,8 +111,10 @@ class TestCaseFormatter:
         assert case_dict(*NONFIXED) == run_case(NONFIXED[:2] + (SweepOptions(),))
         assert "frobeniusOk" in case_dict(*FIXED)
         assert case_dict(*NONFIXED)["emptyCertified"] is True
-        for rows in ([FIXED], [NONFIXED], [FIXED, NONFIXED, NONFIXED, FIXED]):
-            assert written(rows) == dumped(rows)
+        both = grid(FIXED, NONFIXED, NONFIXED[:1] + (W0, FIXED[2]),
+                    FIXED[:1] + (W0, NONFIXED[2]))
+        for grids in ([grid(FIXED)], [grid(NONFIXED)], [both], [grid(FIXED), both]):
+            assert written(grids) == dumped(grids)
 
     @pytest.mark.parametrize("failures", [
         [],
@@ -90,7 +126,9 @@ class TestCaseFormatter:
         row = NONFIXED[:2] + (((False, True, None), tuple(failures)),)
         assert case_dict(*row)["emptyCertified"] is None
         assert case_dict(*row)["ok"] is (not failures)
-        assert written([row, NONFIXED, row]) == dumped([row, NONFIXED, row])
+        grids = [grid(row, NONFIXED[:1] + (W0, NONFIXED[2])), grid(NONFIXED),
+                 grid(row[:1] + (W0, row[2]))]
+        assert written(grids) == dumped(grids)
 
     def test_memo_tells_equal_values_of_other_types_apart(self):
         # 1 == True == 1.0 and (True, 1) == (1, True): a memo keyed by the
@@ -101,35 +139,46 @@ class TestCaseFormatter:
         entries += [((fixed, False, None), ()) for fixed in (False, 0, 0.0)]
         entries += [((False, value, None), ("1",)) for value in (0, False, None)]
         entries += [((False, value, None), ()) for value in (0.0, -0.0, (1,), (True,))]
-        rows = [(h, w, entry) for entry in entries]
-        assert written(rows + rows[3:4]) == dumped(rows + rows[3:4])
+        entries += entries[3:4]
+        hs = [(k,) * 4 for k in range(len(entries))]
+        ws = [w.images for w in all_permutations(4)][:len(entries)]
+        # one h whose entries arrive in one table each, and one w whose
+        # table holds them all
+        grids = [([h], ws, [entries]), (hs, [w], [[entry] for entry in entries])]
+        assert written(grids) == dumped(grids)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(
-        st.lists(st.integers(), min_size=1, max_size=4).flatmap(lambda h: st.tuples(
-            st.just(tuple(h)),
-            st.lists(st.integers(), min_size=len(h), max_size=len(h)).map(tuple),
-            st.tuples(
+        st.integers(1, 4).flatmap(lambda n: st.tuples(
+            st.lists(st.lists(st.integers(), min_size=n, max_size=n).map(tuple),
+                     max_size=3, unique=True),
+            st.lists(st.lists(st.integers(), min_size=n, max_size=n).map(tuple),
+                     min_size=1, max_size=3, unique=True),
+        )).flatmap(lambda hw: st.tuples(
+            st.just(hw[0]), st.just(hw[1]),
+            st.lists(st.lists(st.tuples(
                 st.tuples(st.booleans(), st.lists(st.recursive(
                     st.none() | st.booleans() | st.integers() | st.text() | st.floats(),
                     lambda inner: st.lists(inner, max_size=3).map(tuple),
                     max_leaves=4,
                 ), max_size=9)).map(lambda fv: (fv[0], *fv[1])),
                 st.lists(st.text(), max_size=3).map(tuple),
-            ),
+            ), min_size=len(hw[1]), max_size=len(hw[1])),
+                min_size=len(hw[0]), max_size=len(hw[0])),
         )),
-        max_size=6,
+        max_size=3,
     ))
-    def test_any_json_value(self, rows):
+    def test_any_json_value(self, grids):
         # any hashable value, repeated or not: equal values such as 0 and
         # -0.0, or (1,) and (True,), must keep their own bytes; types the
         # sweep never emits go through the json.dumps fallback
-        assert written(rows + rows) == dumped(rows + rows)
+        assert written(grids + grids) == dumped(grids + grids)
 
 
 @pytest.mark.parametrize("cases", [[], [FIXED], [FIXED, NONFIXED]])
 def test_report_writer_for_any_number_of_cases(cases):
-    assert written(cases) == dumped(cases)
+    grids = [grid(case) for case in cases]
+    assert written(grids) == dumped(grids)
 
 
 class TestStreamedReport:
@@ -157,7 +206,8 @@ class TestStreamedReport:
         def failing(w_images, table):
             if w_images[0] != 2:
                 return table
-            return tuple((values, ('made to "fail"',)) for values, _ in table)
+            entries, index = table
+            return tuple((values, ('made to "fail"',)) for values, _ in entries), index
 
         table_seam(monkeypatch, failing)
         code, text = cli_out("sweep", "--max-n", "4", "--jobs", "1")
@@ -186,6 +236,23 @@ class TestStreamedReport:
         code, text = cli_out("sweep", "--max-n", "4", "--format", fmt)
         assert code == expected[0] == 0
         assert masked(text) == masked(expected[1])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_arrival_order_cannot_reach_the_report(self, jobs, monkeypatch):
+        # one w per batch, in a seeded shuffle: n's tables arrive in an
+        # order of w that neither the rows nor the schedule have
+        def shuffled(n_ws, cap):
+            ws = list(n_ws)
+            random.Random(len(ws)).shuffle(ws)
+            return [[w] for w in ws]
+
+        monkeypatch.setattr(sweep_mod, "_batches", shuffled)
+        argv = ["sweep", "--max-n", "5", "--jobs", str(jobs)]
+        code, text = cli_out(*argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(masked(text).encode()).hexdigest() == PINS[5]
+        assert cli_out(*argv, "--format", "text") == (
+            0, "1815 cases, 793 fixed points, 0 failures\n")
 
 
 class TestCaseIterator:
@@ -245,7 +312,8 @@ class TestCaseIterator:
                 super().shutdown(wait, cancel_futures=cancel_futures)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        _, rows, tail = iter_sweep(5, SweepOptions(), jobs=2)
+        _, tables, tail = iter_sweep(5, SweepOptions(), jobs=2)
+        rows = case_rows(tables)
         first = case_dict(*next(rows))
         rows.close()
         assert (first["n"], first["h"], first["w"]) == (1, [1], [1])
@@ -309,13 +377,14 @@ class TestBadJobsAndInternalErrors:
     def test_negative_budget_is_refused_before_any_row(self):
         with pytest.raises(ValueError, match="^budget must be at least 0, not -1$"):
             iter_sweep(3, SweepOptions(budget=-1))
-        _, rows, _ = iter_sweep(3, SweepOptions(budget=0))
-        assert next(rows)
+        _, tables, _ = iter_sweep(3, SweepOptions(budget=0))
+        assert next(case_rows(tables))
 
     def test_a_list_of_primes_acts_as_a_tuple(self):
         listed, paired = SweepOptions(frobenius_primes=[2]), SweepOptions(frobenius_primes=(2,))
         assert listed == paired and hash(listed) == hash(paired)
-        assert list(iter_sweep(3, listed)[1]) == list(iter_sweep(3, paired)[1])
+        assert list(case_rows(iter_sweep(3, listed)[1])) == list(
+            case_rows(iter_sweep(3, paired)[1]))
         assert run_case(FIXED[:2] + (listed,)) == run_case(FIXED[:2] + (paired,))
 
     def test_repeated_prime_is_refused_alike(self, capsys):
