@@ -25,24 +25,29 @@ from .combinat import HessenbergFunction, Permutation, fixed_points, v_of_w
 from .polyring import ONE, Monomial, Polynomial, PolyMatrix, xvar, z_universe, zvar
 
 
+_ZERO, _UNIT = Polynomial._raw({}, 0), Polynomial._raw({ONE: 1}, 0)
+
+
+@lru_cache(maxsize=None)
+def _variables(var, n: int) -> tuple:
+    """Row i - 1 holds the shared raw `Polynomial` of var(i, j) at j - 1,
+    for 1 <= i, j <= n; entries are read, never changed in place."""
+    return tuple(tuple(Polynomial._raw({Monomial._raw(((var(i, j), 1),)): 1}, 0)
+                       for j in range(1, n + 1)) for i in range(1, n + 1))
+
+
 def _generic_point(w: Permutation, var, below: bool) -> PolyMatrix:
     """Entry (i,j) is 1 when i = w(j), 0 when j > w^{-1}(i) or (`below`)
-    i > w(j), and the variable var(i, j) otherwise; each entry is built
-    raw, already normalized, and the matrix is not validated again."""
+    i > w(j), and the variable var(i, j) otherwise; the entries are one
+    shared 0, 1 and `_variables`, and the matrix is not validated again."""
     wi, winv = w.images, w.inverse().images
-    n = w.n
     rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == wi[j - 1]:
-                terms = {ONE: 1}
-            elif j > winv[i - 1] or below and i > wi[j - 1]:
-                terms = {}
-            else:
-                terms = {Monomial._raw(((var(i, j), 1),)): 1}
-            row.append(Polynomial._raw(terms, 0))
-        rows.append(tuple(row))
+    for i, variables in enumerate(_variables(var, w.n), 1):
+        rows.append(tuple(
+            _UNIT if i == wi[j] else
+            _ZERO if j >= winv[i - 1] or below and i > wi[j] else
+            variables[j]
+            for j in range(w.n)))
     return PolyMatrix._raw(tuple(rows), 0)
 
 
@@ -65,20 +70,20 @@ def _conjugate_shift(w: Permutation, m: PolyMatrix) -> PolyMatrix:
     X solves L X = w^{-1} N m, by forward substitution: row i of L is row
     w(i) of m, and row i of w^{-1} N m is row w(i)+1 of m, or zero when
     w(i) = n.  L has 1 on its diagonal, so no division occurs.  Each row
-    of X is solved on term dicts, each product c * b taken off its term
-    dict in place, in the order `Polynomial` subtraction would add them.
+    of X is solved on term dicts, c * b taken off term by term with no
+    product built, in the order `Polynomial` subtraction adds them when c,
+    as each entry of a generic point, has one term.
     """
     n, char, rows = m.n, m.char, m.rows
     x = []
     for i, wi in enumerate(w.images):
         acc = [dict(e.terms) for e in rows[wi]] if wi < n else [{} for _ in range(n)]
         for k, c in enumerate(rows[wi - 1][:i]):
-            if not c:
-                continue
-            for a, b in zip(acc, x[k]):
-                if b:
-                    for key, v in (c * b).terms.items():  # a -= c * b
-                        v = a.get(key, 0) - v
+            for cm, cc in c.terms.items():  # a -= c * b
+                for a, b in zip(acc, x[k]):
+                    for key, v in b.terms.items():
+                        key = cm * key
+                        v = a.get(key, 0) - cc * v
                         if char:
                             v %= char
                         if v:

@@ -226,7 +226,7 @@ def cmd_hilbert(args) -> int:
     rep = triangular_analysis(build_ideal(w, h, "cell"), order_n_w(w))
     wt = weights_for(w)
     formula_coeffs = series.expand(args.trunc)
-    agrees = series.canonical() == hilbert_oracle(rep, wt).canonical()
+    agrees = series.equals(hilbert_oracle(rep, wt))
     doc = {
         "n": args.n,
         "w": w.to_json(),
@@ -351,10 +351,8 @@ def cmd_sweep(args) -> int:
         if args.format == "json":
             _write_json_report(sys.stdout, head, stream, tail)
         else:
-            for h, w, (_, failures) in case_rows(stream):
-                if failures:
-                    print(f"FAIL n={len(w)} h={list(h)} w={list(w)}: "
-                          + "; ".join(failures))
+            for h, w, (_, failures) in case_rows(stream, failing=True):
+                print(f"FAIL n={len(w)} h={list(h)} w={list(w)}: " + "; ".join(failures))
             print(f"{summary['cases']} cases, {summary['fixedPointCases']} fixed "
                   f"points, {summary['failedCases']} failures")
     except ValueError as exc:  # the arguments are checked: a broken invariant

@@ -9,6 +9,7 @@ free variables of the triangular presentation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,38 +86,36 @@ class HilbertSeries:
     """A rational series prod (1 - t^e) over prod (1 - t^e).
 
     Factors are kept as sorted multisets of exponents; the raw record is
-    never cancelled so it can be matched against the defining product,
-    and `canonical()` gives the cancelled comparison form.
+    never cancelled so it can be matched against the defining product.
+    `canonical()` gives the cancelled form, and `equals` compares series.
     """
 
     numerator_factors: tuple
     denominator_factors: tuple
 
     def __post_init__(self):
-        if any(e < 1 for e in self.numerator_factors + self.denominator_factors):
+        num, den = sorted(self.numerator_factors), sorted(self.denominator_factors)
+        if min(num[:1] + den[:1], default=1) < 1:
             raise ValueError("factor exponents must be positive")
-        object.__setattr__(
-            self, "numerator_factors", tuple(sorted(self.numerator_factors))
-        )
-        object.__setattr__(
-            self,
-            "denominator_factors",
-            tuple(sorted(self.denominator_factors)),
-        )
+        object.__setattr__(self, "numerator_factors", tuple(num))
+        object.__setattr__(self, "denominator_factors", tuple(den))
 
     def canonical(self) -> "HilbertSeries":
-        """Cancel common factors of numerator and denominator.  Two series
-        are equal iff their canonical forms are: a product of factors
-        (1 - t^e) fixes its multiset of exponents (peel off the largest
-        cyclotomic factor), so N1/D1 = N2/D2 iff N1 + D2 = N2 + D1."""
-        num = list(self.numerator_factors)
-        den = []
-        for e in self.denominator_factors:
-            if e in num:
-                num.remove(e)
-            else:
-                den.append(e)
-        return HilbertSeries(tuple(num), tuple(den))
+        """Cancel common factors of numerator and denominator, as multisets.
+        A product of factors (1 - t^e) fixes its multiset of exponents
+        (peel off the largest cyclotomic factor), so N1/D1 = N2/D2 iff
+        N1 + D2 = N2 + D1, iff the canonical forms are equal; `equals`
+        compares the sums, with no canonical form built."""
+        num, den = Counter(self.numerator_factors), Counter(self.denominator_factors)
+        return HilbertSeries(tuple((num - den).elements()), tuple((den - num).elements()))
+
+    def equals(self, other: "HilbertSeries") -> bool:
+        """Whether self and other are one series N1/D1 = N2/D2: whether
+        N1 + D2 = N2 + D1 as multisets (see `canonical`), each sum sorted
+        from two sorted runs.  The sweep's `hilbertOk` and the CLI's
+        `oracleAgrees` are this comparison."""
+        return (sorted(self.numerator_factors + other.denominator_factors)
+                == sorted(other.numerator_factors + self.denominator_factors))
 
     def expand(self, truncation: int) -> list:
         """Exact coefficients of degrees 0..truncation."""
@@ -144,9 +143,8 @@ def check_exact_trunc(n: int, trunc: int) -> None:
     their denominators, both sides are products of factors (1 - t^e) with
     e <= n - 1, and such a product is fixed by its coefficients up to
     t^(n-1).  So comparing expansions to any accepted trunc gives the
-    verdict of comparing the `canonical()` forms, which the sweep's
-    `hilbertOk` and the CLI's `oracleAgrees` do: no accepted trunc
-    changes either."""
+    verdict of `HilbertSeries.equals`, which the sweep's `hilbertOk`
+    and the CLI's `oracleAgrees` are: no accepted trunc changes either."""
     if trunc < max(1, n - 1):
         raise ValueError(f"trunc must be at least {max(1, n - 1)} for n = {n}")
     if trunc > TRUNC_CEILING:

@@ -5,8 +5,9 @@ and every permutation w, the sweep classifies w as a fixed point or not.
 Fixed points get the full battery: triangular analysis, the from-scratch
 Buchberger check, the initial-term formula, homogeneity, the Hilbert
 formula against its counting oracle, and optionally Frobenius
-compatibility.  The two Hilbert series are compared exactly, as cancelled
-products of factors (1 - t^e), so `trunc` changes no verdict.  Non-fixed
+compatibility.  The two Hilbert series N1/D1 and N2/D2, products of
+factors (1 - t^e), are compared exactly by `HilbertSeries.equals`, as the
+multisets N1 + D2 and N2 + D1, so `trunc` changes no verdict.  Non-fixed
 points must exhibit a constant generator, and at small n the rational
 completion oracle must certify the unit ideal.  The oracle returns the
 unit ideal at the first constant generator it reads, before any reduction
@@ -18,13 +19,14 @@ matrix, so the sweep runs in two phases.  Phase A (`_w_table`, once per w)
 decides every case of w: it reads masks off that matrix (and off
 `cells.index_filter`), each position (k, l) one bit, runs each check that
 reads only the ideal once per distinct I_{w,h}, and returns one entry
-(values, failures) per h.  What no h changes it takes once per w
-(`_WFacts`): ℓ(w), v, the weights, the index filter's degrees, and per
-generator position the initial term and weighted degree of g_{k,l}; the
-Frobenius contexts of w share one splitting base.  Every check that reads
-the ideal (the triangular report, the from-scratch Buchberger check, the
-Hilbert series) still runs per ideal.  Phase B reads each case's entry
-off w's table.
+(values, failures) per h, each h costing one key and one dict probe;
+whether w fixes h it reads off flags kept per h_w (`_fixed_flags`).  What
+no h changes it takes once per w (`_WFacts`): ℓ(w), v, the weights, the
+index filter's degrees, and per generator position the initial term and
+weighted degree of g_{k,l}; the Frobenius contexts of w share one
+splitting base.  Every check that reads the ideal (the triangular report,
+the from-scratch Buchberger check, the Hilbert series) still runs per
+ideal.  Phase B reads each case's entry off w's table.
 A pool runs phase A only, so each ideal is checked once.  Phase A runs
 w-major, so the per-w caches under it (`cell_generators`, `order_n_w`,
 ...) hold only the w it checks.
@@ -33,7 +35,8 @@ w-major, so the per-w caches under it (`cell_generators`, `order_n_w`,
 hands on each table (w's distinct entries, one index of them per h) as it
 arrives, serial or pooled, tallies the summary from the index, and ends
 with n's last table.  `case_rows` reads the rows (h, w, entry) off it in
-(n, h, w) order, for `sweep()`; `case_dict` makes a row the report's case.
+(n, h, w) order, for `sweep()`, or only the failing rows, for the text
+report; `case_dict` makes a row the report's case.
 
 Phase A's cost grows steeply with ℓ(w), the cell's dimension, so
 `_run_cases` hands each n's w out longest first, in batches of 1, 1, 2, 2,
@@ -165,12 +168,12 @@ class _WFacts:
         return got
 
 
-def _run_battery(pres, facts: _WFacts) -> tuple:
+def _run_battery(pres, facts: _WFacts, constant: bool) -> tuple:
     """The checks of a fixed point that read only the ideal: the values
     of Lambda through hilbertOk and the failure messages, in report order.
-    The per-generator facts come from w's `facts`; the triangular report,
-    the Buchberger check and the Hilbert series are taken per ideal."""
-    w = pres.w
+    The per-generator facts come from w's `facts`, and `constant` says
+    whether a generator is a nonzero constant; the triangular report, the
+    Buchberger check and the Hilbert series are taken per ideal."""
     dim = facts.length - pres.height
     failures = []
     gens = pres.nonzero_generators()
@@ -182,22 +185,26 @@ def _run_battery(pres, facts: _WFacts) -> tuple:
         failures.append("free variable count disagrees with length minus height")
 
     init_ok = all(init for _, init, _ in per_gen)
-    gb_ok = buchberger_check(pres.generator_polys(), facts.order)
+    gb_ok = buchberger_check([g for _, _, g in gens], facts.order)
     degrees = facts.degrees
     # a generator outside the filter has no degree: it fails, whatever
     # is_homogeneous says (None for a generator that is not homogeneous)
     hom_ok = all((k, l) in degrees and hom == degrees[k, l]
                  for (k, l, _), (_, _, hom) in zip(gens, per_gen))
-    hilbert_ok = rep.is_triangular and (  # exact: see HilbertSeries.canonical
-        hilbert_formula(w, pres.h).canonical()
-        == hilbert_oracle(rep, facts.weights).canonical()
-    )
-    if pres.certifies_empty:
+    hilbert_ok = rep.is_triangular and hilbert_formula(pres.w, pres.h).equals(
+        hilbert_oracle(rep, facts.weights))  # exact: see HilbertSeries.equals
+    if constant:
         failures.append("constant generator at a fixed point")
     values = (pres.height, dim, rep.is_triangular, init_ok, gb_ok, hom_ok, hilbert_ok)
     failures += [f"{key} failed" for key, ok in zip(_KEYS[True][3:], values[2:])
                  if not ok]
     return values, tuple(failures)
+
+
+@lru_cache(maxsize=None)
+def _fixed_flags(hw: tuple) -> bytes:
+    """Per h of `_h_facts(len(hw))`, 1 if h >= hw (h fixes each w of h_w = hw), else 0."""
+    return bytes(all(map(ge, h.values, hw)) for _, h, _, _ in _h_facts(len(hw)).values())
 
 
 def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
@@ -209,27 +216,32 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
     the others.  What no h changes is taken once per w, in `_WFacts`."""
     w = Permutation(w_images)
     n, rows = w.n, cell_generators(w).rows
-    below = [(k, l, rows[k - 1][l - 1]) for k in range(2, n + 1) for l in range(1, k)]
     facts = _WFacts(w)
     # the entries below the diagonal that are nonzero, nonzero constants, and
     # in the index filter
-    nonzero = _mask(n, [(k, l) for k, l, g in below if not g.is_zero])
-    constant = _mask(n, [(k, l) for k, l, g in below if not g.is_zero and g.is_constant])
+    nonzero = constant = 0
+    for k in range(2, n + 1):
+        for l, g in enumerate(rows[k - 1][:k - 1], 1):
+            if g:
+                nonzero |= 1 << (k * n + l)
+                constant |= g.is_constant << (k * n + l)
     filtered = _mask(n, facts.degrees)
-    hw = least_hessenberg(w)
     contexts = [make_splitting_context(w, p) for p in opts.frobenius_primes]
     oracle = n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed
-    entries, index = {}, array("H")  # key -> (place, entry); 429 h at n = 8: not bytes
-    for _, h, positions, miscount in _h_facts(n).values():
-        fixed = all(map(ge, h.values, hw))  # h >= h_w: w is a fixed point of h
+    entries, places, index = [], {}, array("H")  # 429 h at n = 8: not bytes
+    for (_, h, positions, miscount), fixed in zip(_h_facts(n).values(),
+                                                  _fixed_flags(least_hessenberg(w))):
+        # a fixed point's key has three items and another's two; constant
+        # is a part of nonzero, so nonzero & positions says has_constant
         if fixed:
-            key = fixed, miscount, nonzero & positions, filtered & positions
+            key = miscount, nonzero & positions, filtered & positions
         else:
+            key = miscount, (nonzero & positions) if oracle else (constant & positions) != 0
+        place = places.get(key)
+        if place is None:
             has_constant = (constant & positions) != 0
-            key = fixed, miscount, has_constant, nonzero & positions if oracle else None
-        if key not in entries:
             if fixed:
-                values, failures = _run_battery(build_ideal(w, h), facts)
+                values, failures = _run_battery(build_ideal(w, h), facts, has_constant)
                 if contexts:
                     ok = all(compatibility_check(c, h).all_compatible for c in contexts)
                     values += (ok,)
@@ -250,9 +262,10 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
                         failures += ("budget exhausted in the completion oracle",)
                     elif not unit:
                         failures += ("oracle did not certify the unit ideal",)
-            entries[key] = len(entries), ((fixed, *values), miscount + failures)
-        index.append(entries[key][0])
-    return tuple(entry for _, entry in entries.values()), index
+            place = places[key] = len(entries)
+            entries.append(((bool(fixed), *values), miscount + failures))
+        index.append(place)
+    return tuple(entries), index
 
 
 def case_dict(h_values: tuple, w_images: tuple, entry: tuple) -> dict:
@@ -433,15 +446,21 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
     return head, stream(), tail
 
 
-def case_rows(stream):
+def case_rows(stream, failing: bool = False):
     """Yield the row (h values, w images, entry) of each case of an
-    `iter_sweep` stream in (n, h, w) order, once all of n's tables are in."""
+    `iter_sweep` stream in (n, h, w) order, once all of n's tables are in;
+    with `failing`, only the rows whose entry has failures, and no row is
+    walked of an n whose tables hold no failing entry."""
     with closing(stream):  # closing the rows closes the stream, and its pool
         for hs, ws, tables in stream:
-            n_tables = [*map(dict(tables).get, ws)]
+            n_tables = dict(tables)
+            if failing and not any(f for entries, _ in n_tables.values() for _, f in entries):
+                continue
+            n_tables = [*map(n_tables.get, ws)]
             for i, h in enumerate(hs):
                 for w, (entries, index) in zip(ws, n_tables):
-                    yield h, w, entries[index[i]]
+                    if not failing or entries[index[i]][1]:
+                        yield h, w, entries[index[i]]
 
 
 def sweep(

@@ -95,7 +95,7 @@ def test_memo_hits_equal_fresh_runs_in_shuffled_order():
 
 def test_phase_b_matches_the_per_case_build(monkeypatch):
     # phase A with a stub battery: one entry per h, shared by the h of one ideal
-    monkeypatch.setattr(sweep_mod, "_run_battery", lambda pres, facts: ((), ()))
+    monkeypatch.setattr(sweep_mod, "_run_battery", lambda pres, facts, constant: ((), ()))
     for n in range(1, 7):
         hs = list(enumerate_hessenberg(n, indecomposable_only=True))
         for w in all_permutations(n):
@@ -265,7 +265,7 @@ def test_a_generator_outside_the_index_filter_fails_homogeneity(homogeneous, mon
     # non-homogeneous: a degree lookup giving None would then pass it
     w, h = Permutation((3, 4, 2, 1)), HessenbergFunction((3, 3, 4, 4))
     pres = build_ideal(w, h)
-    assert sweep_mod._run_battery(pres, sweep_mod._WFacts(w)) == (
+    assert sweep_mod._run_battery(pres, sweep_mod._WFacts(w), False) == (
         (2, 3, True, True, True, True, True), ())
     (k0, l0, g0), *rest = pres.nonzero_generators()
     assert rest
@@ -276,7 +276,7 @@ def test_a_generator_outside_the_index_filter_fails_homogeneity(homogeneous, mon
         monkeypatch.setattr(sweep_mod, "is_homogeneous", lambda g, wt:
                             None if g is g0 else is_homogeneous(g, wt))
     # w's facts are taken once per w: take them afresh under the tampering
-    values, failures = sweep_mod._run_battery(pres, sweep_mod._WFacts(w))
+    values, failures = sweep_mod._run_battery(pres, sweep_mod._WFacts(w), False)
     assert values[5] is False
     assert failures == ("homogeneousOk failed",)
 

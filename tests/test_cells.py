@@ -42,7 +42,7 @@ from hesscells import (
     zvar,
 )
 from hesscells.cells import cell_degrees, ideal_positions
-from hesscells.sweep import _h_facts
+from hesscells.sweep import _h_facts, sweep
 
 W3421 = Permutation([3, 4, 2, 1])
 H3344 = HessenbergFunction([3, 3, 4, 4])
@@ -91,6 +91,31 @@ class TestBuildWM:
                 for j in range(1, n + 1):
                     seen |= set(m.entry(i, j).variables())
             assert seen == set(x_universe(n))
+
+
+class TestSharedEntries:
+    def test_no_sweep_or_conjugation_changes_an_entry_of_a_generic_point(self):
+        # the generic points share one 0, one 1 and one Polynomial per
+        # variable: a conjugation that changed one in place would change
+        # every matrix that holds it
+        assert build_wM(W3421).entry(1, 1) is build_wM(W3421).entry(1, 1)
+        assert sweep(5)["summary"]["ok"]
+        for n in range(1, 5):
+            for w in all_permutations(n):
+                patch_generators(w)
+        for n in range(1, 6):
+            for w in all_permutations(n):
+                winv = w.inverse()
+                for m, var, below in ((build_Omega(w), zvar, True), (build_wM(w), xvar, False)):
+                    for i in range(1, n + 1):
+                        for j in range(1, n + 1):
+                            if i == w(j):
+                                fresh = Polynomial.one()
+                            elif j > winv(i) or below and i > w(j):
+                                fresh = Polynomial.zero()
+                            else:
+                                fresh = Polynomial.variable(var(i, j))
+                            assert m.entry(i, j) == fresh, (w, i, j)
 
 
 class TestBuildOmega:

@@ -25,6 +25,8 @@ from hesscells import (
     z_universe,
     zvar,
 )
+from hilbert_reference import canonical as reference_canonical
+from hilbert_reference import same_series
 
 W3421 = Permutation([3, 4, 2, 1])
 H3344 = HessenbergFunction([3, 3, 4, 4])
@@ -207,7 +209,8 @@ class TestHilbertOracle:
                     pairs = [(formula, oracle), (formula, HilbertSeries((), free[:-1]))]
                     for a, b in pairs[:1 + bool(free)]:
                         trunc = max(1, n - 1)
-                        exact = a.canonical() == b.canonical()
+                        exact = a.equals(b)
+                        assert exact is (a.canonical() == b.canonical()), (w, h)
                         assert exact is (a.expand(trunc) == b.expand(trunc)), (w, h)
                         assert exact is (b is oracle), (w, h)
                     compared += 1
@@ -248,6 +251,45 @@ class TestSeriesArithmetic:
                   + other.numerator_factors + other.denominator_factors)
         agree = series.expand(max(1, top)) == other.expand(max(1, top))
         assert (series.canonical() == other.canonical()) is agree
+        assert series.equals(other) is agree
+
+    @pytest.mark.parametrize("a, b, same", [
+        # equal only once the common factors are cancelled
+        (((1, 2), (1, 1, 2)), ((), (1,)), True),
+        (((3, 1, 3), (3, 3, 1, 2)), ((1,), (1, 2)), True),
+        # unequal, with equal factor counts and sums
+        (((1, 4), (2, 3)), ((2, 3), (1, 4)), False),
+        (((1, 1), (2,)), ((2,), (1, 1)), False),
+        (((), (1, 3)), ((), (2, 2)), False),
+        # 1/(1 - t) once cancelled, against 1
+        (((2,), (1, 2)), ((), ()), False),
+    ])
+    def test_the_comparison_is_the_reference_cancellation(self, a, b, same):
+        a, b = HilbertSeries(*a), HilbertSeries(*b)
+        assert a.equals(b) is b.equals(a) is same_series(a, b) is same
+        assert a.canonical() == reference_canonical(a)
+
+    def test_the_comparison_is_the_reference_on_every_fixed_ideal_to_n5(self):
+        # each formula against its oracle, and against the oracle less its
+        # last or first free-variable weight
+        compared = 0
+        for n in range(1, 6):
+            hs = enumerate_hessenberg(n, indecomposable_only=True)
+            for w in all_permutations(n):
+                wt = weights_for(w)
+                for h in hs:
+                    if not is_fixed_point(w, h):
+                        continue
+                    rep = triangular_analysis(build_ideal(w, h, "cell"), order_n_w(w))
+                    formula, oracle = hilbert_formula(w, h), hilbert_oracle(rep, wt)
+                    free = oracle.denominator_factors
+                    for b in (oracle, HilbertSeries((), free[:-1]), HilbertSeries((), free[1:])):
+                        assert formula.equals(b) is b.equals(formula) is same_series(formula, b)
+                        assert formula.equals(b) is (b is oracle or not free)
+                    for series in (formula, oracle):
+                        assert series.canonical() == reference_canonical(series)
+                    compared += 1
+        assert compared == 793
 
     def test_json(self):
         series = hilbert_formula(W3421, H3344)

@@ -226,6 +226,31 @@ class TestStreamedReport:
         assert text == "\n".join(lines) + "\n"
         assert masked(json_text) == masked(json.dumps(report, indent=2) + "\n")
 
+    def test_the_text_report_walks_no_row_of_an_n_without_a_failing_entry(self, monkeypatch):
+        # one failing entry, of w = 132; the index of every w of another n
+        # refuses a lookup, which only a walk of its rows makes
+        class Unread(array):
+            def __getitem__(self, i):
+                raise AssertionError("a row of an n with no failing entry was walked")
+
+        w = (1, 3, 2)
+        entries, index = sweep_mod._w_table(w, SweepOptions())
+        lines = [f"FAIL n=3 h={list(h)} w={list(w)}: made to \"fail\""
+                 for h, place in zip(sweep_mod._h_facts(3), index) if place == 0]
+
+        def failing(w_images, table):
+            entries, index = table
+            if len(w_images) != 3:
+                return entries, Unread("H", index)
+            if w_images == w:
+                entries = ((entries[0][0], ('made to "fail"',)), *entries[1:])
+            return entries, index
+
+        table_seam(monkeypatch, failing)
+        code, text = cli_out("sweep", "--max-n", "4", "--jobs", "1")
+        assert code == 1
+        assert text == "\n".join(lines) + f"\n135 cases, 87 fixed points, {len(lines)} failures\n"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_the_cli_makes_no_run_case_call(self, fmt, monkeypatch):
         def refuse(args):
