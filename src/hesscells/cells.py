@@ -65,7 +65,8 @@ def build_Omega(w: Permutation) -> PolyMatrix:
 
 
 def _conjugate_shift(w: Permutation, m: PolyMatrix) -> PolyMatrix:
-    """Exact X = m^{-1} N m for m = wL with L lower unitriangular.
+    """Exact X = m^{-1} N m for m = wL with L lower unitriangular, over the
+    integers: m is a generic point, or one with integer entries.
 
     X solves L X = w^{-1} N m, by forward substitution: row i of L is row
     w(i) of m, and row i of w^{-1} N m is row w(i)+1 of m, or zero when
@@ -74,7 +75,7 @@ def _conjugate_shift(w: Permutation, m: PolyMatrix) -> PolyMatrix:
     product built, in the order `Polynomial` subtraction adds them when c,
     as each entry of a generic point, has one term.
     """
-    n, char, rows = m.n, m.char, m.rows
+    n, rows = m.n, m.rows
     x = []
     for i, wi in enumerate(w.images):
         acc = [dict(e.terms) for e in rows[wi]] if wi < n else [{} for _ in range(n)]
@@ -84,14 +85,12 @@ def _conjugate_shift(w: Permutation, m: PolyMatrix) -> PolyMatrix:
                     for key, v in b.terms.items():
                         key = cm * key
                         v = a.get(key, 0) - cc * v
-                        if char:
-                            v %= char
                         if v:
                             a[key] = v
                         else:
                             a.pop(key, None)
-        x.append(tuple(Polynomial._raw(t, char) for t in acc))
-    return PolyMatrix._raw(tuple(x), char)
+        x.append(tuple(Polynomial._raw(t, 0) for t in acc))
+    return PolyMatrix._raw(tuple(x), 0)
 
 
 @lru_cache(maxsize=1)

@@ -55,17 +55,16 @@ from .sweep import sweep  # bound for perfbench's sweep.sweep span
 
 
 def _parse_perm(args) -> Permutation:
-    w = Permutation.parse(args.w)
-    if w.n != args.n:
+    s = args.w.strip()  # values separated by commas, or one digit each
+    if (s.count(",") + 1 if "," in s else len(s)) != args.n:
         raise ValueError(f"permutation {args.w!r} does not have size {args.n}")
-    return w
+    return Permutation.parse(args.w)
 
 
 def _parse_h(args) -> HessenbergFunction:
-    h = HessenbergFunction.parse(args.h)
-    if h.n != args.n:
+    if args.h.count(",") + 1 != args.n:
         raise ValueError(f"Hessenberg function {args.h!r} does not have size {args.n}")
-    return h
+    return HessenbergFunction.parse(args.h)
 
 
 def _emit(args, lines, doc) -> None:

@@ -97,13 +97,7 @@ class Permutation:
 
     def length(self) -> int:
         """Number of inversions, i.e. the dimension of the Schubert cell."""
-        im = self.images
-        return sum(
-            1
-            for a in range(self.n)
-            for b in range(a + 1, self.n)
-            if im[a] > im[b]
-        )
+        return sum(itertools.starmap(operator.gt, itertools.combinations(self.images, 2)))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.n + 1))
@@ -214,28 +208,20 @@ class HessenbergFunction:
 
 
 def enumerate_hessenberg(n: int, indecomposable_only: bool = False):
-    """All Hessenberg functions on [n], lexicographically sorted.
+    """All Hessenberg functions on [n], lexicographically sorted: the
+    nondecreasing tuples of values in [n], in the lexicographic order of
+    `itertools.combinations_with_replacement`, with h(i) >= i, or with
+    h(i) >= min(i + 1, n) when `indecomposable_only`.
 
     The total count is the n-th Catalan number; restricting to
     indecomposable functions gives the (n-1)-st Catalan number.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = []
-
-    def extend(prefix):
-        i = len(prefix) + 1
-        if i > n:
-            out.append(HessenbergFunction(prefix))
-            return
-        lo = i + 1 if (indecomposable_only and i < n) else i
-        if prefix:
-            lo = max(lo, prefix[-1])
-        for v in range(lo, n + 1):
-            extend(prefix + [v])
-
-    extend([])
-    return out
+    least = [min(i + 1, n) if indecomposable_only else i for i in range(1, n + 1)]
+    return [HessenbergFunction(values)
+            for values in itertools.combinations_with_replacement(range(1, n + 1), n)
+            if all(map(operator.ge, values, least))]
 
 
 @lru_cache(maxsize=1)

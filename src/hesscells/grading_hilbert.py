@@ -56,7 +56,7 @@ def is_homogeneous(p: Polynomial, wt: dict):
         return 0
     degree = None
     for mono in p.terms:
-        d = mono.weighted_degree(wt) if not mono.is_one else 0
+        d = mono.weighted_degree(wt)
         if degree is None:
             degree = d
         elif degree != d:

@@ -393,7 +393,7 @@ def _packed_check(gens: list, packing: _Packing, char: int) -> bool:
             for u, k, tail in ((top - li, cj, tail_i), (top - lj, -ci, tail_j)):
                 for t, c in tail:
                     m = u + t
-                    if m & guard:
+                    if m & guard:  # cannot fire: exponents here reach 2x the top one, fields 4x
                         raise _FieldOverflow
                     v = s.get(m, 0) + k * c
                     if char:
@@ -612,13 +612,9 @@ def reduced_gb_oracle(generators, order: MonomialOrder, max_steps: int = 100_000
     # so the primitive integer form has a positive lead
     out = []
     for f in reduced:
-        denom_lcm = 1
-        for c in f.values():
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+        denom_lcm = math.lcm(*(c.denominator for c in f.values()))
         ints = {m: int(c * denom_lcm) for m, c in f.items()}
-        content = 0
-        for c in ints.values():
-            content = math.gcd(content, c)
+        content = math.gcd(*ints.values())
         out.append(Polynomial({m: c // content for m, c in ints.items()}))
     out.sort(key=lambda p: order.key(initial_term(p, order)[1]), reverse=True)
     return out

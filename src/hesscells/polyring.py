@@ -21,7 +21,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .combinat import Permutation
+from .combinat import Permutation, check_integer
 
 
 class Var(NamedTuple):
@@ -97,10 +97,10 @@ class Monomial:
     __slots__ = ("exps", "_hash")
 
     def __init__(self, exps=()):
-        items = dict(exps)
         cleaned = []
-        for v, e in items.items():
-            e = int(e)
+        for v, e in dict(exps).items():
+            if type(e) is not int:  # the name is built only here
+                check_integer(f"the exponent of {v}", e)
             if e < 0:
                 raise ValueError(f"negative exponent {e} for {v}")
             if e > 0:
@@ -234,7 +234,8 @@ class Polynomial:
             for mono, coeff in dict(terms).items():
                 if not isinstance(mono, Monomial):
                     raise TypeError(f"term key is not a Monomial: {mono!r}")
-                coeff = int(coeff)
+                if type(coeff) is not int:  # the name is built only here
+                    check_integer(f"the coefficient of {mono!r}", coeff)
                 if char:
                     coeff %= char
                 if coeff:
@@ -438,8 +439,8 @@ def poly_from_json(doc: dict) -> Polynomial:
     char = int(doc.get("char", 0))
     terms = {}
     for t in doc["terms"]:
-        mono = Monomial({parse_var(name): int(e) for name, e in t["m"].items()})
-        terms[mono] = terms.get(mono, 0) + int(t["c"])
+        mono = Monomial({parse_var(name): e for name, e in t["m"].items()})
+        terms[mono] = terms.get(mono, 0) + int(str(t["c"]))  # refuses 1.5, which int() truncates
     return Polynomial(terms, char)
 
 
@@ -454,19 +455,14 @@ def poly_parse_text(text: str, char: int = 0) -> Polynomial:
         raise ValueError("empty polynomial text")
     if s == "0":
         return Polynomial.zero(char)
+    pieces = _TERM_RE.findall(s)
+    if sum(map(len, pieces)) != len(s):  # findall skips a sign no term follows
+        raise ValueError(f"dangling sign in {text!r}")
     terms = {}
-    for piece in _TERM_RE.findall(s):
-        sign = 1
-        if piece[0] == "+":
-            piece = piece[1:]
-        elif piece[0] == "-":
-            sign = -1
-            piece = piece[1:]
-        if not piece:
-            raise ValueError(f"dangling sign in {text!r}")
-        coeff = sign
+    for piece in pieces:
+        coeff = -1 if piece[0] == "-" else 1
         exps = {}
-        for factor in piece.split("*"):
+        for factor in piece.lstrip("+-").split("*"):
             m = _FACTOR_RE.match(factor)
             if m:
                 v = parse_var(m.group(1))
@@ -495,16 +491,9 @@ class PolyMatrix:
         n = len(coerced)
         if any(len(row) != n for row in coerced):
             raise ValueError("matrix must be square")
-        if char is None:
-            char = 0
-            for row in coerced:
-                for entry in row:
-                    if isinstance(entry, Polynomial):
-                        char = entry.char
-                        break
-                else:
-                    continue
-                break
+        if char is None:  # the first Polynomial entry's, or 0
+            char = next(
+                (e.char for row in coerced for e in row if isinstance(e, Polynomial)), 0)
         out = []
         for row in coerced:
             new_row = []

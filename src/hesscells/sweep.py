@@ -330,7 +330,11 @@ def _w_tables(batch: list, opts: SweepOptions) -> list:
 def _run_cases(inputs: list, opts: SweepOptions, jobs: int):
     """Yield (hs, ws, tables) per (hs, ws) of `inputs`, `tables` yielding
     (w, w's table) as w's batch arrives, to be read out before the next n:
-    one phase A iterator, run here or by `jobs` workers, serves every n.
+    one phase A iterator, `map` of `_w_tables` over the batches, run here
+    or by `ProcessPoolExecutor.map` with `jobs` workers, serves every n.
+    The executor's `map` submits every batch at once, yields the tables in
+    order and drops each once read; closing the pool cancels the batches
+    not started.
 
     Phase A's cost sits in the longest w: at n = 7 the mean CPU of a w
     grows about 3x per unit of ℓ(w) near the top, and the 184 longest w
@@ -350,8 +354,7 @@ def _run_cases(inputs: list, opts: SweepOptions, jobs: int):
 
         try:
             pool = ProcessPoolExecutor(max_workers=jobs)
-            futures = deque(pool.submit(_w_tables, batch, opts) for batch in queue)
-            tables = (futures.popleft().result() for _ in queue)  # dropped once read
+            tables = pool.map(_w_tables, queue, repeat(opts))
         except OSError as exc:  # the pool cannot start: build the tables here
             import logging  # loaded already, by concurrent.futures
 

@@ -27,6 +27,7 @@ from hesscells import (
     PolyMatrix,
     all_permutations,
     build_ideal,
+    cell_generators,
     enumerate_hessenberg,
 )
 from hesscells.cli import _write_json_report
@@ -423,6 +424,41 @@ def test_a_zeroed_generator_fails_exactly_the_ideals_that_hold_it(monkeypatch):
         case = run_case((g.values, w.images, SweepOptions()))
         assert ("nonzero generator count disagrees with the index filter"
                 in case["failures"]) is (k > g(l)), g
+
+
+def test_a_constant_entry_at_a_fixed_point_fails_the_case(monkeypatch):
+    # g_{3,1} of the identity is 0, in the ideal of h = 233, which the
+    # identity fixes: a constant there in the matrix phase A reads its masks
+    # off is the one fault, since the battery reads the ideal's own matrix
+    h, w = (2, 3, 3), (1, 2, 3)
+    assert is_fixed_point(Permutation(w), HessenbergFunction(h))
+    matrix = cell_generators(Permutation(w))
+    assert matrix.entry(3, 1).is_zero
+    rows = [list(row) for row in matrix.rows]
+    rows[2][0] = Polynomial.one()
+    monkeypatch.setattr(sweep_mod, "cell_generators", lambda u: PolyMatrix(rows))
+    case = run_case((h, w, SweepOptions()))
+    assert case["failures"] == ["constant generator at a fixed point"]
+    assert case["fixedPoint"] and not case["ok"]
+
+
+def test_an_oracle_out_of_budget_fails_the_case(monkeypatch):
+    # w = 3421 does not fix h = 2344; with its constant generator taken out
+    # of the ideal, the oracle must reduce, and budget 0 allows no step
+    h, w = (2, 3, 4, 4), (3, 4, 2, 1)
+    assert not is_fixed_point(Permutation(w), HessenbergFunction(h))
+    build = sweep_mod.build_ideal
+
+    def without_constants(u, g):
+        pres = build(u, g)
+        pres.generators = [(k, l, f) for k, l, f in pres.generators
+                           if f.is_zero or not f.is_constant]
+        return pres
+
+    monkeypatch.setattr(sweep_mod, "build_ideal", without_constants)
+    case = run_case((h, w, SweepOptions(budget=0)))
+    assert case["failures"] == ["budget exhausted in the completion oracle"]
+    assert (case["constantGenerator"], case["emptyCertified"]) == (True, None)
 
 
 @pytest.mark.parametrize("h, w", [

@@ -347,6 +347,12 @@ class TestBuildIdeal:
         assert pres.height == 3
         assert not pres.certifies_empty
 
+    def test_bad_kind_and_sizes_are_refused(self):
+        with pytest.raises(ValueError, match="^kind must be 'patch' or 'cell', got 'cells'$"):
+            build_ideal(W3421, H3344, "cells")
+        with pytest.raises(ValueError, match="^permutation and Hessenberg function sizes differ$"):
+            build_ideal(Permutation([2, 3, 1]), H3344)
+
     def test_cell_3421_h3344(self):
         pres = build_ideal(W3421, H3344, "cell")
         assert [(k, l) for k, l, _ in pres.generators] == [(4, 1), (4, 2)]
@@ -431,6 +437,10 @@ class TestPaving:
             assert table.coefficients == q_integer_product(range(1, n + 1))
             for row in table.rows:
                 assert row.dim == row.length
+
+    def test_decomposable_h_is_refused(self):
+        with pytest.raises(ValueError, match="^Hessenberg function 1,3,3 is decomposable$"):
+            paving(HessenbergFunction([1, 3, 3]))
 
     def test_poincare_polynomial_every_h_n6(self):
         # Anderson-Tymoczko: the Poincare polynomial of the regular

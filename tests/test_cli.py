@@ -162,6 +162,22 @@ class TestExitCodes:
     def test_usage_error_on_size_mismatch(self, capsys):
         assert main(["cell-gens", "--n", "4", "--w", "321"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gb-check", "--n", "4", "--w", "4321", "--h", "2,3,4"],
+         "Hessenberg function '2,3,4' does not have size 4"),
+        (["paving", "--n", "5", "--h", "3,4,5,5"],
+         "Hessenberg function '3,4,5,5' does not have size 5"),
+        (["cell-gens", "--n", "5", "--w", "5,1,2"],
+         "permutation '5,1,2' does not have size 5"),
+        (["ideal", "--n", "4", "--w", "4321", "--h", "2,2", "--kind", "cell"],
+         "Hessenberg function '2,2' does not have size 4"),
+    ])
+    def test_a_value_of_another_size_gets_the_size_error(self, argv, message, capsys):
+        # each value is checked against --n before it is built: the first
+        # three would fail their own validation, and h = 2,2 passes it
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_usage_error_on_nonprime(self, capsys):
         assert main([
             "frobenius-check", "--n", "4", "--w", "3421",

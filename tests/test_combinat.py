@@ -178,9 +178,8 @@ class TestHessenbergFunction:
 class TestEnumerateHessenberg:
     def brute(self, n, indecomposable):
         out = []
-        for values in itertools.product(range(1, n + 1), repeat=n):
-            if any(values[i] < i + 1 for i in range(n)):
-                continue
+        # every h(i) in [i, n]: n! tuples, the nondecreasing ones kept
+        for values in itertools.product(*(range(i, n + 1) for i in range(1, n + 1))):
             if any(values[i + 1] < values[i] for i in range(n - 1)):
                 continue
             if indecomposable and any(values[i] < i + 2 for i in range(n - 1)):
@@ -188,7 +187,7 @@ class TestEnumerateHessenberg:
             out.append(values)
         return sorted(out)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("flag", [False, True])
     def test_matches_brute_force(self, n, flag):
         got = [h.values for h in enumerate_hessenberg(n, flag)]

@@ -190,6 +190,16 @@ class TestSplittingAxioms:
         ctx = make_splitting_context(w, 5)
         assert splitting_apply(Polynomial.one(5), ctx) == Polynomial.one(5)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_an_integer_polynomial_is_split_as_its_reduction(self, p):
+        ctx = make_splitting_context(W3421, p)
+        rng = random.Random(p)
+        vars = list(ctx.variables)
+        for _ in range(10):
+            f = Polynomial({Monomial({v: rng.randint(0, 2 * p) for v in rng.sample(vars, 3)}):
+                            rng.randint(-9, 9) for _ in range(4)})
+            assert splitting_apply(f, ctx) == splitting_apply(f.reduce_mod(p), ctx)
+
 
 class TestCompatibility:
     @pytest.mark.parametrize("p", [2, 3, 5])

@@ -173,6 +173,13 @@ class TestHilbertOracle:
         rep, wt = self.report_and_weights(W3421, H3344)
         assert hilbert_oracle(rep, wt).expand(6) == [1, 1, 2, 3, 4, 5, 7]
 
+    def test_refuses_a_report_that_is_not_triangular(self):
+        # w = 3421 does not fix h = 2344: its ideal holds a constant
+        rep, wt = self.report_and_weights(W3421, HessenbergFunction([2, 3, 4, 4]))
+        assert not rep.is_triangular
+        with pytest.raises(ValueError, match="^oracle requires a passing triangular analysis$"):
+            hilbert_oracle(rep, wt)
+
     def test_no_free_variables_constant_one(self):
         w = Permutation.identity(3)
         rep, wt = self.report_and_weights(w, HessenbergFunction.full(3))

@@ -58,6 +58,10 @@ class TestOrders:
         want = [(v.row, v.col) for v in order_n(4).priority]
         assert got == want
 
+    def test_duplicate_variable_rejected(self):
+        with pytest.raises(ValueError, match="^priority list contains duplicates$"):
+            MonomialOrder([zvar(1, 1), zvar(1, 2), zvar(1, 1)])
+
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
             order_n(3).key(Monomial({xvar(9, 9): 1}))
@@ -88,6 +92,11 @@ class TestReduce:
         g = cell_generators(W3421).entry(4, 1)
         _, r = poly_reduce(g, [g], order_n_w(W3421))
         assert r.is_zero
+
+    def test_division_by_zero_is_refused(self):
+        g = cell_generators(W3421).entry(4, 1)
+        with pytest.raises(ValueError, match="^cannot divide by the zero polynomial$"):
+            poly_reduce(g, [g, Polynomial.zero()], order_n_w(W3421))
 
     def test_single_step_by_hand(self):
         order = order_n_w(W3421)

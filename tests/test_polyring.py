@@ -65,6 +65,11 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial({X11: -1})
 
+    @pytest.mark.parametrize("e", [1.5, 2.0, True, "2"])
+    def test_rejects_non_integer_exponents(self, e):
+        with pytest.raises(ValueError, match="^the exponent of x_1_1 must be an integer"):
+            Monomial({X11: e})
+
 
 class TestArithmetic:
     def test_difference_of_squares(self):
@@ -87,6 +92,13 @@ class TestArithmetic:
     def test_domain_mismatch_raises(self):
         with pytest.raises(ValueError):
             Polynomial.one() + Polynomial.one(5)
+
+    @pytest.mark.parametrize("c", [1.5, 1.0, False, "1"])
+    def test_rejects_non_integer_coefficients(self, c):
+        with pytest.raises(ValueError, match="^the coefficient of 1 must be an integer"):
+            Polynomial({Monomial(): c})
+        with pytest.raises(ValueError, match="must be an integer"):
+            Polynomial.const(c, 5)
 
     def test_mod_p_normalization(self):
         p = Polynomial({Monomial({X11: 1}): 7, Monomial(): -3}, char=5)
@@ -155,6 +167,13 @@ class TestSerialization:
         assert q.to_text() == "3*x_1_1^2 + 1"
         assert poly_parse_text(q.to_text()) == q
 
+    @pytest.mark.parametrize("text", [
+        "x_1_1 - + x_1_2", "x_1_1 +", "+", "-", "x_1_1 -- x_1_2", "2*x_1_1 - - 3",
+    ])
+    def test_a_sign_no_term_follows_is_refused(self, text):
+        with pytest.raises(ValueError, match="^dangling sign in "):
+            poly_parse_text(text)
+
     def test_json_schema_shape(self):
         p = -V(X12) + V(X21)
         doc = p.to_json_dict()
@@ -175,6 +194,14 @@ class TestSerialization:
     @settings(max_examples=80)
     def test_json_roundtrip(self, p):
         assert poly_from_json(p.to_json_dict()) == p
+
+    @pytest.mark.parametrize("term", [
+        {"c": "1", "m": {"x_1_1": 1.5}}, {"c": 2.7, "m": {"x_1_1": 1}},
+        {"c": "2.0", "m": {}}, {"c": True, "m": {}},
+    ])
+    def test_json_refuses_non_integers(self, term):
+        with pytest.raises(ValueError):
+            poly_from_json({"terms": [term]})
 
     def test_mod_p_roundtrip(self):
         p = Polynomial({Monomial({X11: 1}): 2, Monomial(): 4}, char=5)

@@ -328,6 +328,33 @@ class TestCaseIterator:
         assert (record.name, record.levelno) == ("hesscells.sweep", logging.WARNING)
         assert "no pool here" in record.getMessage()
 
+    def test_pool_that_cannot_take_a_task_falls_back_to_serial(self, monkeypatch, caplog):
+        shutdowns = []
+
+        class Failing(concurrent.futures.ProcessPoolExecutor):
+            submitted = 0
+
+            def submit(self, *args, **kwargs):  # the pool takes two tasks
+                Failing.submitted += 1
+                if Failing.submitted > 2:
+                    raise OSError("no third task")
+                return super().submit(*args, **kwargs)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        _, serial = cli_out("sweep", "--max-n", "4", "--jobs", "1", "--format", "json")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Failing)
+        code, fallback = cli_out("sweep", "--max-n", "4", "--jobs", "2",
+                                 "--format", "json")
+        assert code == 0
+        assert masked(fallback) == masked(serial)
+        assert (Failing.submitted, shutdowns) == (3, [True])
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("hesscells.sweep", logging.WARNING)
+        assert "no third task" in record.getMessage()
+
     def test_early_close_cancels_the_pending_chunks(self, monkeypatch):
         shutdowns = []
 
@@ -368,9 +395,11 @@ class TestSchedule:
         submitted = []
 
         class Recording(concurrent.futures.ProcessPoolExecutor):
-            def submit(self, fn, batch, *args, **kwargs):
-                submitted.append(batch)
-                return super().submit(fn, batch, *args, **kwargs)
+            def map(self, fn, batches, *iterables, **kwargs):
+                # the queue handed to map; the options repeat without end
+                batches = list(batches)
+                submitted.extend(batches)
+                return super().map(fn, batches, *iterables, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         assert sweep(5, jobs=2)["summary"]["ok"]
