@@ -5,7 +5,9 @@ Two independent certification routes are provided and must agree:
 initial terms arranged triangularly, while `buchberger_check` reduces
 every S-polynomial from scratch.  A small general-purpose completion
 oracle over the rationals (`reduced_gb_oracle`) is used to decide unit
-ideals on arbitrary inputs.
+ideals on arbitrary inputs.  It keys its polynomials by exponent vector
+(`MonomialOrder.key`) and stays apart from the packed kernel below, which
+`buchberger_check` runs; the oracle's docstring says why.
 
 Division (`reduce`) runs on packed exponents, after Monagan and Pearce
 ("Sparse polynomial division using a heap", 2011).  `_Packing` encodes a
@@ -43,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, le, sub
 
 from .combinat import Permutation, v_of_w
 from .polyring import (
@@ -502,28 +505,9 @@ def triangular_analysis(pres, order: MonomialOrder) -> TriangularReport:
 # ----------------------------------------------------------------------
 # general-purpose completion oracle over the rationals
 
-def _frac_lead(f: dict, order: MonomialOrder):
-    m = max(f, key=order.key)
-    return m, f[m]
-
-
-def _frac_monic(f: dict, order: MonomialOrder) -> dict:
-    _, c = _frac_lead(f, order)
-    if c == 1:
-        return f
-    return {m: v / c for m, v in f.items()}
-
-
-def _frac_sub_scaled(f: dict, c: Fraction, mono: Monomial, g: dict) -> dict:
-    out = dict(f)
-    for m2, c2 in g.items():
-        key = mono * m2
-        v = out.get(key, 0) - c * c2
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return out
+def _frac_monic(f: dict) -> dict:
+    c = f[max(f)]
+    return f if c == 1 else {m: v / c for m, v in f.items()}
 
 
 def reduced_gb_oracle(generators, order: MonomialOrder, max_steps: int = 100_000):
@@ -533,89 +517,99 @@ def reduced_gb_oracle(generators, order: MonomialOrder, max_steps: int = 100_000
     converted back to primitive integer polynomials with positive leading
     coefficients, sorted by decreasing leading monomial.  Returns [1]
     exactly when the ideal is the unit ideal.  Raises BudgetExceededError
-    after `max_steps` reduction steps, and ValueError for a negative one.
+    after `max_steps` reduction steps, and ValueError for a negative one or
+    a variable outside the order.
+
+    Polynomials are dicts from exponent vectors (`order.key`, taken once
+    per input term) to Fractions; so a lead is `max(f)`, divisibility is a
+    component-wise <=, and products, quotients and lcms are component-wise
+    sums, differences and maxima.  Basis elements are monic, pairs go first
+    in, first out, and each leading term of a running remainder costs one
+    step and is reduced in place by the first basis element in list order
+    whose lead divides it.  It stays apart from the packed kernel: a trial
+    fold onto `_divide` needed a step-budget hook in the division loop and
+    an overflow restart of its own, and would run the oracle on the
+    Buchberger check's code.
     """
     if max_steps < 0:
         raise ValueError(f"budget must be at least 0, not {max_steps}")
     steps = 0
 
-    def charge():
+    def frac_reduce(work: dict, basis: list) -> dict:  # consumes `work`
         nonlocal steps
-        steps += 1
-        if steps > max_steps:
-            raise BudgetExceededError(
-                f"exceeded budget of {max_steps} reduction steps"
-            )
-
-    def frac_reduce(f: dict, basis: list) -> dict:
-        rem: dict = {}
-        work = dict(f)
+        rem = {}
         while work:
-            charge()
-            m, c = _frac_lead(work, order)
-            for g, (gm, gc) in basis:
-                if gm.divides(m):
-                    work = _frac_sub_scaled(work, c / gc, m / gm, g)
+            steps += 1
+            if steps > max_steps:
+                raise BudgetExceededError(f"exceeded budget of {max_steps} reduction steps")
+            m = max(work)
+            c = work[m]
+            for g, gm in basis:
+                if all(map(le, gm, m)):
+                    q = tuple(map(sub, m, gm))
+                    for m2, c2 in g.items():
+                        key = tuple(map(add, q, m2))
+                        v = work.get(key, 0) - c * c2
+                        if v:
+                            work[key] = v
+                        else:
+                            del work[key]
                     break
             else:
-                rem[m] = c
-                del work[m]
+                rem[m] = work.pop(m)
         return rem
 
-    unit = [Polynomial.one()]
     basis = []
     for g in generators:
         if g.char != 0:
             raise ValueError("the completion oracle expects integer input")
         if g.is_zero:
             continue
-        f = _frac_monic({m: Fraction(c) for m, c in g.terms.items()}, order)
-        if _frac_lead(f, order)[0].is_one:
-            return unit
-        basis.append((f, _frac_lead(f, order)))
+        f = _frac_monic({order.key(m): Fraction(c) for m, c in g.terms.items()})
+        if not any(max(f)):
+            return [Polynomial.one()]
+        basis.append((f, max(f)))
 
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop(0)
-        fi, (mi, ci) = basis[i]
-        fj, (mj, cj) = basis[j]
-        lcm = mi.lcm(mj)
-        s = _frac_sub_scaled(
-            {lcm / mi * m: c / ci for m, c in fi.items()},
-            Fraction(1) / cj,
-            lcm / mj,
-            fj,
-        )
+        (fi, mi), (fj, mj) = basis[i], basis[j]
+        lcm = tuple(map(max, mi, mj))  # S = (lcm / mi) fi - (lcm / mj) fj, both monic
+        ui, uj = tuple(map(sub, lcm, mi)), tuple(map(sub, lcm, mj))
+        s = {tuple(map(add, ui, m)): c for m, c in fi.items()}
+        for m, c in fj.items():
+            key = tuple(map(add, uj, m))
+            v = s.get(key, 0) - c
+            if v:
+                s[key] = v
+            else:
+                del s[key]
         r = frac_reduce(s, basis)
         if r:
-            r = _frac_monic(r, order)
-            lead = _frac_lead(r, order)
-            if lead[0].is_one:
-                return unit
-            basis.append((r, lead))
+            r = _frac_monic(r)
+            if not any(max(r)):
+                return [Polynomial.one()]
+            basis.append((r, max(r)))
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
 
     # minimalize: greedily keep elements whose lead no kept lead divides
-    basis.sort(key=lambda item: order.key(item[1][0]))
+    basis.sort(key=lambda item: item[1])
     keep = []
-    for f, (m, c) in basis:
-        if not any(km.divides(m) for _, (km, _) in keep):
-            keep.append((f, (m, c)))
+    for f, m in basis:
+        if not any(all(map(le, km, m)) for _, km in keep):
+            keep.append((f, m))
 
     # interreduce tails; leads survive since the kept basis is minimal
-    reduced = []
-    for idx, (f, lead) in enumerate(keep):
-        others = keep[:idx] + keep[idx + 1 :]
-        reduced.append(_frac_monic(frac_reduce(f, others), order))
+    reduced = [_frac_monic(frac_reduce(dict(f), keep[:k] + keep[k + 1 :]))
+               for k, (f, _) in enumerate(keep)]
 
     # clear denominators; monic normalization makes leading coefficients 1,
     # so the primitive integer form has a positive lead
     out = []
-    for f in reduced:
+    for f in sorted(reduced, key=max, reverse=True):
         denom_lcm = math.lcm(*(c.denominator for c in f.values()))
         ints = {m: int(c * denom_lcm) for m, c in f.items()}
         content = math.gcd(*ints.values())
-        out.append(Polynomial({m: c // content for m, c in ints.items()}))
-    out.sort(key=lambda p: order.key(initial_term(p, order)[1]), reverse=True)
+        out.append(Polynomial({Monomial(zip(order.priority, m)): c // content
+                               for m, c in ints.items()}))
     return out
-

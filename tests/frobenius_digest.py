@@ -9,7 +9,9 @@ indecomposable h fixing w, in `enumerate_hessenberg` order.  Two versions
 of the package that print the same digest compute the same splitting
 values and reports.  It prints the counts and the digest on one line and,
 where PINS holds one for (n, p), whether the two match; it exits 1 on a
-mismatch.  The slowest pin, (6, 3), takes about 7 s on a 2-CPU host.
+mismatch.  An (n, p) that `FROBENIUS_CEILINGS` refuses exits 2 before any
+work, with the message on stderr.  The slowest pin, (6, 3), takes about 7 s
+on a 2-CPU host.
 """
 
 import argparse
@@ -26,6 +28,7 @@ from hesscells import (
     make_splitting_context,
     splitting_apply,
 )
+from hesscells.sweep import check_size
 
 # (n, p) -> the digest of every splitting value and report at n and p
 PINS = {
@@ -62,11 +65,16 @@ def digest(n: int, p: int) -> tuple:
     return values, reports, sha.hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--p", type=int, required=True)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        check_size("n", args.n, (args.p,))
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
     values, reports, hexdigest = digest(args.n, args.p)
     pin = PINS.get((args.n, args.p))
     verdict = "no pin" if pin is None else "matches the pin" if hexdigest == pin else (

@@ -629,3 +629,20 @@ class TestFedder:
                             assert groebner.reduce(phi, gens, ctx.order)[1].is_zero
                         checks += 1
         assert checks == 174
+
+
+@pytest.mark.parametrize("n, p, ceiling", [(325, 5, 5), (7, 2, 6)])
+def test_the_digest_script_refuses_an_n_above_the_ceiling_at_once(
+        n, p, ceiling, capsys, monkeypatch):
+    import frobenius_digest
+
+    def no_work(n, p):
+        raise AssertionError("digest ran")
+
+    monkeypatch.setattr(frobenius_digest, "digest", no_work)
+    start = time.monotonic()
+    assert frobenius_digest.main(["--n", str(n), "--p", str(p)]) == 2
+    assert time.monotonic() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"n must be between 1 and {ceiling} for Frobenius checks at p = {p}\n"
