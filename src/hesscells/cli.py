@@ -50,7 +50,7 @@ from .groebner import (
     triangular_analysis,
 )
 from .polyring import Polynomial
-from .sweep import SweepOptions, case_dict, case_rows, check_size, iter_sweep
+from .sweep import MAX_JOBS, SweepOptions, case_dict, case_rows, check_size, iter_sweep
 from .sweep import sweep  # bound for perfbench's sweep.sweep span
 
 
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="oracle_nonfixed",
                    help="run the unit-ideal oracle at every n, not just n <= 4")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes, 1 to 64 (default: auto)")
+                   help=f"worker processes, 1 to {MAX_JOBS} (default: auto)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -17,11 +17,12 @@ the lex order and a monomial product is an integer sum.  The top bit of
 each field is a guard bit that stays clear in every encoded monomial.
 With G the mask of all guard bits, l divides m exactly when
 ((m | G) - l) & G == G, and a sum whose field outgrew its width shows up
-as a set guard bit.  The width is chosen from the inputs; if a field
-overflows partway through, the division restarts from scratch at double
-width, so the result is exact for any input.  `_Packing` is the codec of
-division (`encode`, `lcm`, `decode`); `frobenius` multiplies its codes
-over F_p and reads their residues mod p itself.
+as a set guard bit.  `_at_width`, the one width rule of `reduce` and
+`buchberger_check`, picks the width from the inputs and, if a field
+overflows partway through, reruns from scratch at double width, so the
+result is exact for any input.  `_Packing` is the codec of division
+(`encode`, `lcm`, `decode`); `frobenius` multiplies its codes over F_p
+and reads their residues mod p itself.
 
 `_divide` is the one division loop.  It records each division step as
 (lead, quotient monomial, coefficient); `reduce` sorts the steps into its
@@ -30,12 +31,11 @@ remainder is empty.  The check runs its whole S-pair loop on these codes:
 it encodes each generator once, takes the lcm of two leads as a field-wise
 maximum (`_Packing.lcm`), forms every S-polynomial as a code dict and
 divides it by the generators sorted by lead, smallest dividing lead first,
-so nothing is decoded; an overflow restarts the whole check at double
-width.  It still forms and divides every pair from scratch and reads
-nothing of the generators' shape: Buchberger's coprime-lead criterion
-would pass every pair of the cell ideals unseen, since their initial
-terms are distinct variables, and the check would then only restate what
-`triangular_analysis` finds.
+so nothing is decoded.  It still forms and divides every pair from
+scratch and reads nothing of the generators' shape: Buchberger's
+coprime-lead criterion would pass every pair of the cell ideals unseen,
+since their initial terms are distinct variables, and the check would
+then only restate what `triangular_analysis` finds.
 """
 
 from __future__ import annotations
@@ -214,6 +214,17 @@ def _field_bits(polys) -> int:
     return max(8, max(map(_top_exponent, polys), default=0).bit_length() + 3)
 
 
+def _at_width(polys, order: MonomialOrder, run):
+    """run(packing) at the width `_field_bits` picks for `polys`, rerun
+    from scratch at double width while a field overflows."""
+    bits = _field_bits(polys)
+    while True:
+        try:
+            return run(order._packing(bits))
+        except _FieldOverflow:
+            bits *= 2
+
+
 def _divide(rem: dict, divisors: list, guard: int, char: int):
     """The division loop on encoded terms; consumes `rem`.
 
@@ -310,25 +321,19 @@ def reduce(p: Polynomial, divisors, order: MonomialOrder):
     """
     divisors = list(divisors)
     char = p.char
-    bits = _field_bits([p, *divisors])
-    while True:
-        packing = order._packing(bits)
+
+    def run(packing):
         packed = _divisor_triples(_encode_divisors(packing, divisors, char), char)
-        try:
-            steps, remainder = _divide(packing.encode(p), packed, packing.guard, char)
-        except _FieldOverflow:
-            bits *= 2
-            continue
+        steps, remainder = _divide(packing.encode(p), packed, packing.guard, char)
         first = {}  # a lead shared by two divisors divides for the first
         for k, (lm, _, _) in enumerate(packed):
             first.setdefault(lm, k)
         quotients = [{} for _ in packed]
         for lm, qm, qc in steps:
             quotients[first[lm]][qm] = qc
-        return (
-            [packing.decode(q, char) for q in quotients],
-            packing.decode(remainder, char),
-        )
+        return [packing.decode(q, char) for q in quotients], packing.decode(remainder, char)
+
+    return _at_width([p, *divisors], order, run)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -376,12 +381,7 @@ def buchberger_check(polys, order: MonomialOrder) -> bool:
     if len(gens) < 2:
         return True
     char = gens[0].char
-    bits = _field_bits(gens)
-    while True:
-        try:
-            return _packed_check(gens, order._packing(bits), char)
-        except _FieldOverflow:
-            bits *= 2
+    return _at_width(gens, order, lambda packing: _packed_check(gens, packing, char))
 
 
 def _packed_check(gens: list, packing: _Packing, char: int) -> bool:

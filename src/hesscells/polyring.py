@@ -126,33 +126,12 @@ class Monomial:
         return sum(e * weights[v] for v, e in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        # merge of two sorted pair tuples
-        a, b = self.exps, other.exps
-        if not a:
-            return other
-        if not b:
+        if not other.exps:  # m * 1: half the products of `cells._conjugate_shift`
             return self
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va < vb:
-                out.append((va, ea))
-                i += 1
-            elif vb < va:
-                out.append((vb, eb))
-                j += 1
-            else:
-                out.append((va, ea + eb))
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        m = Monomial.__new__(Monomial)
-        m.exps = tuple(out)
-        m._hash = hash(m.exps)
-        return m
+        out = dict(self.exps)
+        for v, e in other.exps:
+            out[v] = out.get(v, 0) + e
+        return Monomial._raw(tuple(sorted(out.items())))
 
     @classmethod
     def _raw(cls, exps: tuple) -> "Monomial":
@@ -202,6 +181,28 @@ ONE = Monomial()
 _DISPLAY_SENTINEL = (Var("~", 0, 0), 0)
 
 
+# As Miller-Rabin bases, the first 13 primes decide every n below 3.3e24
+# (Sorenson and Webster 2015); the first 12 pass the composite 318665857834031151167461.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@lru_cache(maxsize=64, typed=True)  # bounded: chars come from input; typed: 2.0 is refused
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin on `_BASES`; ValueError for a
+    non-integer, or an n from 3.3e24 on, where that test is not exact."""
+    check_integer("char", n)
+    if n >= 3_317_044_064_679_887_385_961_981:
+        raise ValueError(f"char {n} is past 3.3e24, the bound of the primality test")
+    if n < 2 or n in _BASES:
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _BASES:  # a prime n has a^d = 1, or -1 among a^d, a^2d, ..., a^(2^(s-1) d)
+        powers = [x := pow(a, (n - 1) >> s, n)] + [x := x * x % n for _ in range(s - 1)]
+        if powers[0] != 1 and n - 1 not in powers:
+            return False
+    return True
+
+
 def _display_key(mono: Monomial):
     return tuple((v, -e) for v, e in mono.exps) + (_DISPLAY_SENTINEL,)
 
@@ -213,9 +214,9 @@ def _sorted_terms(terms):
 class Polynomial:
     """A sparse polynomial with exact coefficients.
 
-    `char` is 0 for integer coefficients or a prime p for F_p.  Zero
-    coefficients are never stored; the zero polynomial has an empty term
-    map.
+    `char` is 0 for integer coefficients or a prime p below 3.3e24 for
+    F_p (`_is_prime`).  Zero coefficients are never stored; the zero
+    polynomial has an empty term map.
 
     >>> x11, x12 = xvar(1, 1), xvar(1, 2)
     >>> p = Polynomial.variable(x11) - Polynomial.const(1)
@@ -227,7 +228,7 @@ class Polynomial:
     __slots__ = ("char", "terms")
 
     def __init__(self, terms=None, char: int = 0):
-        if char < 0:
+        if char != 0 and not _is_prime(char):
             raise ValueError("char must be 0 or a prime")
         clean = {}
         if terms:
@@ -436,7 +437,7 @@ class Polynomial:
 
 
 def poly_from_json(doc: dict) -> Polynomial:
-    char = int(doc.get("char", 0))
+    char = int(str(doc.get("char", 0)))  # refuses 7.5 and true, which int() takes
     terms = {}
     for t in doc["terms"]:
         mono = Monomial({parse_var(name): e for name, e in t["m"].items()})

@@ -16,17 +16,16 @@ step, so at a non-fixed point `emptyCertified` repeats
 
 Each I_{w,h} selects the entries at `cells.ideal_positions(h)` of one
 matrix, so the sweep runs in two phases.  Phase A (`_w_table`, once per w)
-decides every case of w: it reads masks off that matrix (and off
-`cells.index_filter`), each position (k, l) one bit, runs each check that
-reads only the ideal once per distinct I_{w,h}, and returns one entry
-(values, failures) per h, each h costing one key and one dict probe;
-whether w fixes h it reads off flags kept per h_w (`_fixed_flags`).  What
-no h changes it takes once per w (`_WFacts`): ℓ(w), v, the weights, the
-index filter's degrees, and per generator position the initial term and
-weighted degree of g_{k,l}; the Frobenius contexts of w share one
-splitting base.  Every check that reads the ideal (the triangular report,
-the from-scratch Buchberger check, the Hilbert series) still runs per
-ideal.  Phase B reads each case's entry off w's table.
+decides every case of w.  `_WFacts` holds what no h changes, taken once:
+ℓ(w), v, the weights, the index filter's degrees, masks of the matrix's
+nonzero, constant and filtered entries (one bit per position (k, l)), one
+splitting context per prime on one splitting base, and per generator
+position the initial term and weighted degree of g_{k,l}.  Per h, phase A
+builds one key, makes one dict probe and reads whether w fixes h off
+`_fixed_flags`; each check that reads the ideal runs once per distinct
+I_{w,h}.  `_run_battery` runs a fixed point's checks, Frobenius among
+them, and names each false verdict "{key} failed", in report order.
+Phase B reads each case's entry off w's table.
 A pool runs phase A only, so each ideal is checked once.  Phase A runs
 w-major, so the per-w caches under it (`cell_generators`, `order_n_w`,
 ...) hold only the w it checks.
@@ -140,17 +139,25 @@ def _h_facts(n: int) -> dict:
 
 
 class _WFacts:
-    """The facts of w that phase A reads for every ideal of w, each taken
-    once per w: the order, ℓ(w), the weights, and the index filter's
-    degree v(k) - v(l) - 1 of each position (k, l) below the diagonal that
-    passes it; and per generator position, on first use, the facts of
-    g_{k,l} (`generator`)."""
+    """Every fact of w that phase A reads, each taken once per w: the
+    order, ℓ(w), the weights, the index filter's degree v(k) - v(l) - 1 of
+    each position (k, l) below the diagonal that passes it, the `_mask`s of
+    the nonzero, constant and filtered entries below the diagonal of w's
+    matrix, one splitting context per prime of `primes`; and per generator
+    position, on first use, the facts of g_{k,l} (`generator`)."""
 
-    def __init__(self, w: Permutation):
-        n = w.n
+    def __init__(self, w: Permutation, primes: tuple = ()):
+        n, rows = w.n, cell_generators(w).rows
         self.order, self.length, self.weights = order_n_w(w), w.length(), weights_for(w)
         below = [(k, l) for k in range(2, n + 1) for l in range(1, k)]
         self.degrees = {(k, l): d for k, l, d in index_filter(w, below)}
+        self.nonzero = self.constant = 0
+        for k, l in below:
+            if g := rows[k - 1][l - 1]:
+                self.nonzero |= 1 << (k * n + l)
+                self.constant |= g.is_constant << (k * n + l)
+        self.filtered = _mask(n, self.degrees)
+        self.contexts = [make_splitting_context(w, p) for p in primes]
         v = v_of_w(w)
         self._v, self._v_inv = v.images, v.inverse().images  # _v[k - 1] = v(k)
         self._generators = {}
@@ -170,10 +177,11 @@ class _WFacts:
 
 def _run_battery(pres, facts: _WFacts, constant: bool) -> tuple:
     """The checks of a fixed point that read only the ideal: the values
-    of Lambda through hilbertOk and the failure messages, in report order.
-    The per-generator facts come from w's `facts`, and `constant` says
-    whether a generator is a nonzero constant; the triangular report, the
-    Buchberger check and the Hilbert series are taken per ideal."""
+    of Lambda through hilbertOk, then frobeniusOk if w's `facts` hold
+    splitting contexts, and the failure messages in report order, a false
+    verdict failing as "{key} failed".  The per-generator facts come from
+    `facts`, and `constant` says whether a generator is a nonzero constant;
+    the triangular report and the other checks are taken per ideal."""
     dim = facts.length - pres.height
     failures = []
     gens = pres.nonzero_generators()
@@ -196,6 +204,9 @@ def _run_battery(pres, facts: _WFacts, constant: bool) -> tuple:
     if constant:
         failures.append("constant generator at a fixed point")
     values = (pres.height, dim, rep.is_triangular, init_ok, gb_ok, hom_ok, hilbert_ok)
+    if facts.contexts:
+        values += (all(compatibility_check(c, pres.h).all_compatible
+                       for c in facts.contexts),)
     failures += [f"{key} failed" for key, ok in zip(_KEYS[True][3:], values[2:])
                  if not ok]
     return values, tuple(failures)
@@ -211,22 +222,12 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
     """Phase A: w's table (entries, index), the i-th h of `_h_facts(n)`
     having the entry (values from fixedPoint on, failures) entries[index[i]].
     The h with an equal key share one entry, so each check that reads only
-    the ideal runs once per distinct I_{w,h}: the battery and the Frobenius
-    check (it reads only the generators) for the h fixing w, the oracle for
-    the others.  What no h changes is taken once per w, in `_WFacts`."""
+    the ideal runs once per distinct I_{w,h}: the battery, the Frobenius
+    check among it, for the h fixing w, the oracle for the others.  Every
+    fact of w is taken once, in `_WFacts`."""
     w = Permutation(w_images)
-    n, rows = w.n, cell_generators(w).rows
-    facts = _WFacts(w)
-    # the entries below the diagonal that are nonzero, nonzero constants, and
-    # in the index filter
-    nonzero = constant = 0
-    for k in range(2, n + 1):
-        for l, g in enumerate(rows[k - 1][:k - 1], 1):
-            if g:
-                nonzero |= 1 << (k * n + l)
-                constant |= g.is_constant << (k * n + l)
-    filtered = _mask(n, facts.degrees)
-    contexts = [make_splitting_context(w, p) for p in opts.frobenius_primes]
+    n, facts = w.n, _WFacts(w, opts.frobenius_primes)
+    nonzero, constant, filtered = facts.nonzero, facts.constant, facts.filtered
     oracle = n <= ORACLE_NONFIXED_CEILING or opts.oracle_nonfixed
     entries, places, index = [], {}, array("H")  # 429 h at n = 8: not bytes
     for (_, h, positions, miscount), fixed in zip(_h_facts(n).values(),
@@ -242,10 +243,6 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
             has_constant = (constant & positions) != 0
             if fixed:
                 values, failures = _run_battery(build_ideal(w, h), facts, has_constant)
-                if contexts:
-                    ok = all(compatibility_check(c, h).all_compatible for c in contexts)
-                    values += (ok,)
-                    failures += () if ok else ("frobeniusOk failed",)
             else:
                 values = (has_constant,)
                 failures = () if has_constant else (

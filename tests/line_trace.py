@@ -7,8 +7,11 @@ It runs pytest on the tier-1 suite in this process under `sys.settrace`,
 recording the lines of the frames whose file is under src/hesscells, and
 prints per module each line that `co_lines` marks executable but that
 never ran, with its text.  Extra arguments go to pytest as they are, e.g.
-`-k sweep`.  It exits 0 whatever the tests give.  It is not part of tier 1:
-the trace makes the suite about four times slower.
+`-k sweep`.  A line listed in `ALLOWED` may stay unrun: each entry, keyed
+by file and stripped line text, excuses one such line and says why.  It
+exits 1 when any other line never ran, else 0, whatever the tests give.
+It is not part of tier 1: the trace makes the suite about four times
+slower.
 
 Pool workers that a test forks are not traced, so code only they run is
 listed; the serial paths run the same phase-A code.
@@ -20,6 +23,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hesscells"
+
+# (file name, stripped line text) -> why the line may stay unrun
+ALLOWED = {
+    ("groebner.py", "raise _FieldOverflow"):
+        "`_packed_check`'s guard on an S-polynomial term: the exponents there "
+        "reach twice the top input exponent, and `_field_bits` leaves room for "
+        "four times it, so it cannot fire at that width; only a test that narrows "
+        "the width reaches it (`_divide`'s line of the same text runs)",
+}
 
 
 def executable_lines(path: Path) -> dict:
@@ -58,16 +70,28 @@ def main(argv: list) -> int:
     finally:
         sys.settrace(None)
 
-    total = 0
+    total, excused = 0, []
     for path in sorted(SRC.glob("*.py")):
         lines = executable_lines(path)
-        missed = sorted(lines.keys() - ran[str(path)])
+        missed = []
+        allowed = {text for name, text in ALLOWED if name == path.name}
+        for line in sorted(lines.keys() - ran[str(path)]):
+            if lines[line] in allowed:
+                allowed.discard(lines[line])  # one line per entry
+                excused.append((path.name, line, lines[line]))
+            else:
+                missed.append(line)
         total += len(missed)
         print(f"\n{path.relative_to(ROOT)}: {len(missed)} lines never run")
         for line in missed:
             print(f"  {line:4d}  {lines[line]}")
-    print(f"\n{total} executable lines of src/hesscells never run")
-    return 0
+    print(f"\n{len(excused)} lines never run, as `ALLOWED` lets them:")
+    for name, line, text in excused:
+        print(f"  {name}:{line}  {text}\n        {ALLOWED[name, text]}")
+    for name, text in ALLOWED.keys() - {(name, text) for name, _, text in excused}:
+        print(f"  (entry unused: every line {text!r} of {name} ran)")
+    print(f"\n{total} other executable lines of src/hesscells never run")
+    return 1 if total else 0
 
 
 if __name__ == "__main__":

@@ -320,6 +320,22 @@ def test_the_table_key_separates_options(monkeypatch):
     assert set(sweep_mod._TABLES) == {(w, opts) for w in ws for opts in options}
 
 
+def test_a_failed_splitting_is_named_last_among_the_failures(monkeypatch):
+    # one context fails along with the Buchberger check: the failures keep
+    # the report's order of keys, frobeniusOk last
+    monkeypatch.setattr(sweep_mod, "compatibility_check",
+                        lambda ctx, h: SimpleNamespace(all_compatible=ctx.p == 2))
+    monkeypatch.setattr(sweep_mod, "buchberger_check", lambda polys, order: False)
+    seen = 0
+    for h, w in cases_up_to(4):
+        case = run_case((h.values, w.images, SweepOptions(frobenius_primes=(2, 3))))
+        if case["fixedPoint"]:
+            assert (case["gbOk"], case["frobeniusOk"]) == (False, False)
+            assert case["failures"] == ["gbOk failed", "frobeniusOk failed"]
+            seen += 1
+    assert seen
+
+
 def test_the_sweep_expands_no_series(monkeypatch):
     expected = sweep(5, jobs=1)
 

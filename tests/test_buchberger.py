@@ -266,6 +266,55 @@ class TestFieldOverflow:
         assert widths == [4, 8]
 
 
+def narrowest_bits(polys):
+    """The least field width that holds every exponent of `polys` below
+    its guard bit: no room to grow, so most divisions overflow it."""
+    return max(2, max(map(groebner._top_exponent, polys), default=0).bit_length() + 1)
+
+
+def narrow_width_problems():
+    """(dividend, divisors, order) triples: per fixed cell ideal with
+    n <= 4, the sum of its generators' squares by its generators, and
+    three small problems whose check fails."""
+    x, y, z = var(X), var(Y), var(Z)
+    out = [(x**100, [x - y**100, x**100], ORDER), (x**3, [x - y**3, x**3, y**7], ORDER),
+           (x * y**2, [y - z**3, x * y + y**3], ORDER), (y, [x**2, x * y + 1], ORDER)]
+    for w, h, gens, order in cell_ideals(4):
+        gens = [g for g in gens if not g.is_zero]
+        if gens and is_fixed_point(w, h):
+            out.append((sum((g * g for g in gens), Polynomial.zero()), gens, order))
+    return out
+
+
+def test_a_too_narrow_width_gives_the_default_width_results(monkeypatch):
+    # `reduce` and `buchberger_check` restart at double width from scratch
+    # after an overflow, so the first width moves no result
+    problems = narrow_width_problems()
+    expected = [(groebner.reduce(p, gens, order), buchberger_check(gens, order))
+                for p, gens, order in problems]
+    assert {check for _, check in expected} == {True, False}
+    widths = []
+    packing = MonomialOrder._packing
+
+    def spy(order, bits):
+        widths.append(bits)
+        return packing(order, bits)
+
+    def widths_of(call, *args):
+        """(call's result, the widths it ran at)."""
+        widths.clear()
+        return call(*args), widths[:]
+
+    monkeypatch.setattr(groebner, "_field_bits", narrowest_bits)
+    monkeypatch.setattr(MonomialOrder, "_packing", spy)
+    got = [(widths_of(groebner.reduce, p, gens, order), widths_of(buchberger_check, gens, order))
+           for p, gens, order in problems]
+    assert [(r, c) for (r, _), (c, _) in got] == expected
+    # each of the two restarted, at double width, on some problem
+    for ran in zip(*[(r_widths, c_widths) for (_, r_widths), (_, c_widths) in got]):
+        assert any(w[1:2] == [2 * w[0]] for w in ran)
+
+
 class TestInvalidInput:
     def test_mixed_coefficient_domains(self):
         with pytest.raises(ValueError, match="domain"):

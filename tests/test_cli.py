@@ -1,16 +1,19 @@
 import importlib
+import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 from frobenius_reference import is_prime
 
 from hesscells import HessenbergFunction, Monomial, Permutation, poly_from_json, zvar
-from hesscells.cli import main
+from hesscells.cli import main, main_script
 from hesscells.grading_hilbert import TRUNC_CEILING, check_exact_trunc
 from hesscells.sweep import SweepOptions, iter_sweep
 
@@ -469,3 +472,61 @@ def test_closed_stdout_exits_without_a_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 141
     assert err == ""  # no Traceback
+
+
+FIXED_POINTS_ARGV = ["hesscells", "fixed-points", "--n", "3", "--h", "2,3,3"]
+FIXED_POINTS_TEXT = "123\n132\n213\n321\n4 fixed points\n"
+
+
+def run_script(monkeypatch, stdout, call):
+    """`call()`'s exit code, run with the `hesscells` script's argv and
+    `stdout` as sys.stdout."""
+    monkeypatch.setattr(sys, "argv", FIXED_POINTS_ARGV)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with pytest.raises(SystemExit) as exc:
+        call()
+    return exc.value.code
+
+
+def test_main_script_exits_with_main_code(tmp_path, monkeypatch):
+    with open(tmp_path / "out", "w") as out:
+        code = run_script(monkeypatch, out, main_script)
+    assert code == 0
+    assert (tmp_path / "out").read_text() == FIXED_POINTS_TEXT
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: its flush raises BrokenPipeError;
+    its descriptor is a file of its own."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def flush(self):
+        raise BrokenPipeError
+
+
+def test_main_script_exits_141_on_a_closed_stdout(tmp_path, monkeypatch):
+    with open(tmp_path / "out", "w") as out:
+        stdout = ClosedPipe(out.fileno())
+        code = run_script(monkeypatch, stdout, main_script)
+        assert stdout.getvalue() == FIXED_POINTS_TEXT
+        out.write("after")  # the descriptor now points at devnull
+    assert code == 141
+    assert (tmp_path / "out").read_text() == ""
+
+
+def test_running_the_module_calls_main_script(tmp_path, monkeypatch):
+    def run_module():
+        with warnings.catch_warnings():  # hesscells.cli is imported already
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("hesscells.cli", run_name="__main__")
+
+    with open(tmp_path / "out", "w") as out:
+        code = run_script(monkeypatch, out, run_module)
+    assert code == 0
+    assert (tmp_path / "out").read_text() == FIXED_POINTS_TEXT

@@ -291,3 +291,36 @@ class TestLeastHessenberg:
         assert least_hessenberg(Permutation([3, 4, 2, 1])) == (3, 3, 4, 4)
         assert least_hessenberg(Permutation.identity(4)) == (1, 2, 3, 4)
         assert least_hessenberg(Permutation.longest_element(4)) == (2, 3, 4, 4)
+
+
+class TestInputChecks:
+    def test_digit_form_is_limited_to_nine(self):
+        with pytest.raises(ValueError, match="^digit form is limited to n <= 9; use commas$"):
+            Permutation.parse("1234567890")
+        assert Permutation.parse("10,9,8,7,6,5,4,3,2,1").n == 10
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_permutation_index_out_of_range(self, j):
+        with pytest.raises(IndexError, match=f"^index {j} out of range 1..2$"):
+            Permutation([2, 1])(j)
+
+    def test_composing_permutations_of_different_sizes(self):
+        with pytest.raises(ValueError, match="^cannot compose permutations of different sizes$"):
+            Permutation([1]) * Permutation([2, 1])
+
+    def test_empty_hessenberg_function(self):
+        with pytest.raises(ValueError, match="^empty Hessenberg function$"):
+            HessenbergFunction([])
+
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_hessenberg_index_out_of_range(self, i):
+        with pytest.raises(IndexError, match=f"^index {i} out of range 1..3$"):
+            HessenbergFunction([2, 3, 3])(i)
+
+    def test_enumeration_needs_a_positive_n(self):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            enumerate_hessenberg(0)
+
+    def test_reprs(self):
+        assert repr(Permutation([3, 1, 2])) == "Permutation([3, 1, 2])"
+        assert repr(HessenbergFunction([2, 3, 3])) == "HessenbergFunction([2, 3, 3])"

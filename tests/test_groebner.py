@@ -66,6 +66,9 @@ class TestOrders:
         with pytest.raises(ValueError):
             order_n(3).key(Monomial({xvar(9, 9): 1}))
 
+    def test_repr_lists_the_variables_largest_first(self):
+        assert repr(order_n_w(W3421)) == "MonomialOrder(z_1_2 > z_1_1 > z_1_3 > z_2_2 > z_2_1)"
+
 
 class TestInitialTerm:
     def test_patch_generator_41(self):

@@ -1,4 +1,6 @@
+import importlib
 import json
+import operator
 
 import pytest
 from cells_reference import PsiMap
@@ -18,6 +20,7 @@ from hesscells import (
     z_universe,
     zvar,
 )
+from hesscells.polyring import parse_var
 
 X11, X12, X13 = xvar(1, 1), xvar(1, 2), xvar(1, 3)
 X21, X22, X31 = xvar(2, 1), xvar(2, 2), xvar(3, 1)
@@ -230,3 +233,118 @@ class TestUniverses:
         for n in range(1, 6):
             for w in all_permutations(n):
                 assert len(z_universe(w)) == w.length()
+
+
+class TestChar:
+    @pytest.mark.parametrize("char", [1, 4, 6, 9, -3])
+    def test_a_char_neither_zero_nor_prime_is_refused(self, char):
+        with pytest.raises(ValueError, match="^char must be 0 or a prime$"):
+            Polynomial.const(3, char)
+        with pytest.raises(ValueError, match="^char must be 0 or a prime$"):
+            poly_from_json({"terms": [{"c": "3", "m": {}}], "char": char})
+
+    @pytest.mark.parametrize("char", [2, 3, 5, 101, 2**61 - 1])
+    def test_a_prime_char_is_accepted(self, char):
+        p = Polynomial.const(3, char)
+        assert p.char == char and p.terms == ({Monomial(): 3 % char} if 3 % char else {})
+        assert poly_from_json(p.to_json_dict()) == p
+
+    def test_the_test_decides_every_small_char(self):
+        primes = {q for q in range(2, 2000) if all(q % d for d in range(2, q))}
+        accepted = set()
+        for char in range(2000):
+            try:
+                Polynomial.zero(char)
+                accepted.add(char)
+            except ValueError:
+                pass
+        assert accepted == primes | {0}
+
+    def test_a_strong_pseudoprime_to_the_first_twelve_primes_is_refused(self):
+        # composite, yet a strong probable prime to the bases 2, ..., 37
+        with pytest.raises(ValueError, match="^char must be 0 or a prime$"):
+            Polynomial.zero(318665857834031151167461)
+
+    def test_a_char_past_the_exact_bound_is_refused_as_such(self):
+        bound = 3_317_044_064_679_887_385_961_981
+        message = f"^char {bound} is past 3.3e24, the bound of the primality test$"
+        with pytest.raises(ValueError, match=message):
+            Polynomial.zero(bound)
+        with pytest.raises(ValueError, match="^char must be 0 or a prime$"):
+            Polynomial.zero(bound - 1)  # below the bound: decided, and even
+
+    @pytest.mark.parametrize("char", [2.0, True, "3", None])
+    def test_a_char_that_is_not_an_int_is_refused(self, char):
+        Polynomial.zero(2)  # an equal float or bool finds no accepted int
+        with pytest.raises(ValueError, match="^char must be an integer"):
+            Polynomial.zero(char)
+
+    @pytest.mark.parametrize("char", [7.5, 3.0, True])
+    def test_json_refuses_a_char_that_is_not_an_integer(self, char):
+        # int() would take 7.5 as 7, and true as 1
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            poly_from_json({"terms": [{"c": "3", "m": {}}], "char": char})
+
+    def test_each_char_is_tested_once(self):
+        polyring = importlib.import_module("hesscells.polyring")
+        Polynomial.zero(7)
+        misses = polyring._is_prime.cache_info().misses
+        for _ in range(3):
+            Polynomial.const(4, 7)
+        assert polyring._is_prime.cache_info().misses == misses
+
+
+class TestInputChecks:
+    def test_variable_indices(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            xvar(0, 1)
+        with pytest.raises(ValueError, match="must be positive"):
+            zvar(1, 0)
+
+    def test_unparsable_variable_name(self):
+        with pytest.raises(ValueError, match="cannot parse variable name 'y_1_2'"):
+            parse_var("y_1_2")
+
+    def test_term_key_that_is_not_a_monomial(self):
+        with pytest.raises(TypeError, match="not a Monomial"):
+            Polynomial({"x_1_1": 1})
+
+    @pytest.mark.parametrize("name", ["__add__", "__sub__", "__mul__"])
+    def test_an_operand_that_is_not_an_int_or_polynomial(self, name):
+        assert getattr(V(X11), name)(1.5) is NotImplemented
+        with pytest.raises(TypeError):
+            getattr(operator, name.strip("_"))(V(X11), 1.5)
+
+    def test_int_minus_polynomial(self):
+        assert 1 - V(X11) == Polynomial({Monomial(): 1, Monomial({X11: 1}): -1})
+        assert 1 - Polynomial.one(3) == Polynomial.zero(3)
+
+    def test_negative_power(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            V(X11) ** -1
+
+    def test_reduce_mod_of_a_char_p_polynomial(self):
+        with pytest.raises(ValueError, match="expects integer coefficients"):
+            Polynomial.one(3).reduce_mod(5)
+
+    def test_evaluate_mod_p(self):
+        p = Polynomial({Monomial({X11: 2}): 1, Monomial(): 1}, 5)
+        assert p.evaluate({X11: 3}) == 0  # 9 + 1 = 10
+        assert p.evaluate({X11: 4}) == 2  # 16 + 1 = 17
+
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_empty_text(self, text):
+        with pytest.raises(ValueError, match="^empty polynomial text$"):
+            poly_parse_text(text)
+
+    def test_unparsable_text(self):
+        with pytest.raises(ValueError, match="cannot parse factor 'y' in 'x_1_1\\*y'"):
+            poly_parse_text("x_1_1*y")
+
+    def test_bad_matrix_entry(self):
+        with pytest.raises(TypeError, match="bad matrix entry: 1.5"):
+            PolyMatrix([[1.5]])
+
+    def test_matrix_repr(self):
+        m = PolyMatrix([[V(X11), 0], [1, V(X11) - 2]])
+        assert repr(m) == "PolyMatrix(\n [x_1_1, 0],\n [1, x_1_1 - 2])"
