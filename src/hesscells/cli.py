@@ -6,7 +6,8 @@ resource budget is exhausted, and 141 from `main_script` when stdout
 is closed before the output is written.
 JSON output is deterministic for fixed flags (the elapsedSeconds field of
 sweep reports is the one timing exception).  The sweep report is written
-h by h, in the bytes `json.dumps(report, indent=2)` would give.
+h by h, in the bytes `json.dumps(report, indent=2)` would give: each distinct
+entry through `json.dumps`, the int lists "h" and "w" through `_int_list`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from .cells import (
     build_ideal,
@@ -50,7 +50,7 @@ from .groebner import (
     triangular_analysis,
 )
 from .polyring import Polynomial
-from .sweep import MAX_JOBS, SweepOptions, case_dict, case_rows, check_size, iter_sweep
+from .sweep import MAX_JOBS, SweepOptions, case_rows, check_size, entry_dict, iter_sweep
 from .sweep import sweep  # bound for perfbench's sweep.sweep span
 
 
@@ -283,36 +283,26 @@ def cmd_frobenius_check(args) -> int:
     return 0 if ok else 1
 
 
-_SCALARS = {
-    type(None): lambda v: "null",
-    bool: lambda v: "true" if v else "false",
-    int: int.__repr__,
-    str: _encode_str,
-}
+_MEMO_TYPES = {type(None), bool, int, str}
 
 
-def _json_value(value, pad: str) -> str:
-    """`json.dumps(value, indent=2)` with `pad` before each line but the
-    first; types other than None, bool, int, str and list go to json.dumps."""
-    write = _SCALARS.get(type(value))
-    if write is not None:
-        return write(value)
-    if type(value) is list:
-        inner = pad + "  "
-        items = (",\n" + inner).join(_json_value(v, inner) for v in value)
-        return f"[\n{inner}{items}\n{pad}]" if value else "[]"
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+def _int_list(values) -> str:
+    """`json.dumps(list(values), indent=2)` of ints, indented as a case's item."""
+    items = ",\n        ".join(map(int.__repr__, values))
+    return f"[\n        {items}\n      ]" if values else "[]"
 
 
 def _write_json_report(out, head: dict, stream, tail: dict) -> None:
     """Write `json.dumps({**head, "cases": [...], **tail}, indent=2)` and a
     newline, with the cases of `case_rows(stream)`.  As a table arrives,
-    its entries are encoded, memoized by the entry and the exact types of
-    its values (1 == True == 1.0; only _SCALARS types, as 0.0 == -0.0),
-    and w's "w" item and column of entry texts, one per h, are kept.  Once
-    n's last table is in, each h's cases go out in one join and one write."""
+    its entries go through `json.dumps` of their `entry_dict`, memoized by
+    the entry and the exact types of its values (1 == True == 1.0; only
+    _MEMO_TYPES, as 0.0 == -0.0), and w's "w" item and column of entry
+    texts, one per h, are kept.  Once n's last table is in, each h's cases
+    go out in one join and one write.  The "h" and "w" items, one per case,
+    take `_int_list`: `json.dumps` there about doubled the writer's time."""
     out.write(json.dumps(head, indent=2)[:-2] + ',\n  "cases": [')
-    texts, sep, pad = {}, "\n", "      "
+    texts, sep = {}, "\n"
     for hs, ws, tables in stream:
         columns = {}
         for w, (entries, index) in tables:
@@ -320,19 +310,17 @@ def _write_json_report(out, head: dict, stream, tail: dict) -> None:
             for entry in entries:
                 key = entry, *map(type, entry[0])
                 text = texts.get(key)
-                if text is None:
-                    items = [f"{_encode_str(k)}: {_json_value(v, pad)}"
-                             for k, v in case_dict((), w, entry).items()]
-                    text = ",\n      ".join(items[3:]) + "\n    }"
-                    if set(key[1:]) <= _SCALARS.keys():
+                if text is None:  # less "{\n" and the first line's indent
+                    text = json.dumps(entry_dict(entry), indent=2).replace("\n", "\n    ")[8:]
+                    if set(key[1:]) <= _MEMO_TYPES:
                         texts[key] = text
                 strings.append(text)
-            columns[w] = (f',\n      "w": {_json_value(list(w), pad)},\n      ',
+            columns[w] = (f',\n      "w": {_int_list(w)},\n      ',
                           [strings[place] for place in index])
         pieces = [None] * (3 * len(ws))
         pieces[1::3], columns = zip(*[columns.pop(w) for w in ws])
         for h, texts_of_h in zip(hs, zip(*columns)):
-            h_item = f'    {{\n      "n": {len(ws[0])},\n      "h": {_json_value(list(h), pad)}'
+            h_item = f'    {{\n      "n": {len(ws[0])},\n      "h": {_int_list(h)}'
             pieces[::3] = [",\n" + h_item] * len(ws)
             pieces[0], pieces[2::3] = sep + h_item, texts_of_h
             out.write("".join(pieces))

@@ -55,10 +55,10 @@ _VAR_RE = re.compile(r"^([xz])_(\d+)_(\d+)$")
 
 
 def parse_var(name: str) -> Var:
-    m = _VAR_RE.match(name)
+    m = isinstance(name, str) and _VAR_RE.match(name)
     if not m:
         raise ValueError(f"cannot parse variable name {name!r}")
-    return Var(m.group(1), int(m.group(2)), int(m.group(3)))
+    return (xvar if m.group(1) == "x" else zvar)(int(m.group(2)), int(m.group(3)))
 
 
 def x_universe(n: int) -> tuple:
@@ -97,8 +97,11 @@ class Monomial:
     __slots__ = ("exps", "_hash")
 
     def __init__(self, exps=()):
+        pairs = dict(exps if hasattr(exps, "keys") else (exps := list(exps)))
+        if len(pairs) != len(exps):  # dict() keeps a repeated variable's last pair
+            raise ValueError("repeated variable in " + " * ".join(f"{v}^{e}" for v, e in exps))
         cleaned = []
-        for v, e in dict(exps).items():
+        for v, e in pairs.items():
             if type(e) is not int:  # the name is built only here
                 check_integer(f"the exponent of {v}", e)
             if e < 0:
@@ -372,7 +375,7 @@ class Polynomial:
         return p
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) and type(other) is not bool:
             other = Polynomial.const(other, self.char)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -437,9 +440,13 @@ class Polynomial:
 
 
 def poly_from_json(doc: dict) -> Polynomial:
+    if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
+        raise ValueError(f'a polynomial is an object with a "terms" list, not {doc!r}')
     char = int(str(doc.get("char", 0)))  # refuses 7.5 and true, which int() takes
     terms = {}
     for t in doc["terms"]:
+        if not isinstance(t, dict) or "c" not in t or not isinstance(t.get("m"), dict):
+            raise ValueError(f'a term is an object with "c" and an object "m", not {t!r}')
         mono = Monomial({parse_var(name): e for name, e in t["m"].items()})
         terms[mono] = terms.get(mono, 0) + int(str(t["c"]))  # refuses 1.5, which int() truncates
     return Polynomial(terms, char)

@@ -35,7 +35,7 @@ hands on each table (w's distinct entries, one index of them per h) as it
 arrives, serial or pooled, tallies the summary from the index, and ends
 with n's last table.  `case_rows` reads the rows (h, w, entry) off it in
 (n, h, w) order, for `sweep()`, or only the failing rows, for the text
-report; `case_dict` makes a row the report's case.
+report; `case_dict` makes a row the report's case, ending in `entry_dict`.
 
 Phase A's cost grows steeply with ℓ(w), the cell's dimension, so
 `_run_cases` hands each n's w out longest first, in batches of 1, 1, 2, 2,
@@ -265,15 +265,17 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
     return tuple(entries), index
 
 
+def entry_dict(entry: tuple) -> dict:
+    """A case's keys fixedPoint through ok, of an entry (values, failures)."""
+    values, failures = entry
+    return {**dict(zip(_KEYS[values[0]], values)), "failures": list(failures),
+            "ok": not failures}
+
+
 def case_dict(h_values: tuple, w_images: tuple, entry: tuple) -> dict:
     """The report's JSON-ready dict of one case: a row (h, w, entry) of
-    `case_rows`, the entry (values, failures) from w's table."""
-    values, failures = entry
-    case = {"n": len(w_images), "h": list(h_values), "w": list(w_images)}
-    case.update(zip(_KEYS[values[0]], values))
-    case["failures"] = list(failures)
-    case["ok"] = not failures
-    return case
+    `case_rows`, the entry from w's table."""
+    return {"n": len(w_images), "h": list(h_values), "w": list(w_images), **entry_dict(entry)}
 
 
 def run_case(args):
@@ -387,11 +389,13 @@ def _check_args(name: str, n: int, opts: SweepOptions, jobs: int | None) -> None
     with `jobs` workers: n (called `name`), trunc, budget and jobs (None:
     one per CPU) each an int (`check_integer`), trunc as
     `check_exact_trunc` accepts it, n as `check_size` accepts it at the
-    options' primes, jobs at most MAX_JOBS and budget at least 0.  Nothing
-    here grows with n, so a refused n costs nothing."""
+    options' primes, jobs at most MAX_JOBS, budget at least 0 and
+    oracle_nonfixed a bool.  Nothing here grows with n, so a refused n costs nothing."""
     for key, value in ((name, n), ("trunc", opts.trunc), ("budget", opts.budget),
                        ("jobs", 1 if jobs is None else jobs)):
         check_integer(key, value)
+    if type(opts.oracle_nonfixed) is not bool:
+        raise ValueError(f"oracle_nonfixed must be a bool, not {opts.oracle_nonfixed!r}")
     check_exact_trunc(n, opts.trunc)
     check_size(name, n, opts.frobenius_primes)
     if jobs is not None and not 1 <= jobs <= MAX_JOBS:

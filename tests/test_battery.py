@@ -556,3 +556,43 @@ def test_per_w_caches_hold_only_the_w_being_checked():
     misses = {cached.__name__: cached.cache_info().misses for cached in per_w_caches()}
     assert len(misses) == 8
     assert {name: m for name, m in misses.items() if m not in (0, 153)} == {}
+
+
+@pytest.mark.parametrize("value", ["yes", 1, 0, 1.0, None])
+def test_oracle_nonfixed_must_be_a_bool(value):
+    # 1 == True: an equal int would pass for the flag and echo in the report
+    opts = SweepOptions(oracle_nonfixed=value)
+    message = f"^oracle_nonfixed must be a bool, not {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        iter_sweep(2, opts)
+    with pytest.raises(ValueError, match=message):
+        run_case(((2, 2), (2, 1), opts))
+    with pytest.raises(ValueError, match=message):
+        sweep(2, oracle_nonfixed=value)
+    assert sweep_mod._TABLES == {}
+
+
+def test_the_identity_script_passes_the_sweep_and_kills_a_dim_off_by_one(
+        monkeypatch, capsys):
+    import sweep_identities
+
+    assert sweep_identities.main(["--max-n", "4"]) == 0
+    clean = "flag duality 0 mismatches, product formula 0 mismatches"
+    assert capsys.readouterr().out.splitlines() == [
+        f"n = 1: 1 cases, 1 h; {clean}", f"n = 2: 2 cases, 1 h; {clean}",
+        f"n = 3: 12 cases, 2 h; {clean}", f"n = 4: 120 cases, 5 h; {clean}"]
+    w_table = sweep_mod._w_table
+
+    def one_dim_off(w_images, opts):
+        # one case, (h, w) = ((4, 4, 4, 4), 3421), gets its own entry, dim + 1
+        entries, index = w_table(w_images, opts)
+        if w_images == (3, 4, 2, 1):
+            values, failures = entries[index[-1]]
+            entries += ((values[:2] + (values[2] + 1,) + values[3:], failures),)
+            index[-1] = len(entries) - 1
+        return entries, index
+
+    monkeypatch.setattr(sweep_mod, "_w_table", one_dim_off)
+    assert sweep_identities.main(["--max-n", "4"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "n = 4: 120 cases, 5 h; flag duality 2 mismatches, product formula 1 mismatches")

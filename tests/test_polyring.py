@@ -1,6 +1,8 @@
 import importlib
 import json
 import operator
+import re
+from types import MappingProxyType
 
 import pytest
 from cells_reference import PsiMap
@@ -348,3 +350,64 @@ class TestInputChecks:
     def test_matrix_repr(self):
         m = PolyMatrix([[V(X11), 0], [1, V(X11) - 2]])
         assert repr(m) == "PolyMatrix(\n [x_1_1, 0],\n [1, x_1_1 - 2])"
+
+
+class TestReadersAndEquality:
+    def test_a_polynomial_is_never_equal_to_a_bool(self):
+        p = Polynomial.one()
+        assert (p == True) is False  # noqa: E712
+        assert (p != True) is True  # noqa: E712
+        assert (Polynomial.zero() == False) is False  # noqa: E712
+        assert [True, p].index(p) == 1
+        assert p == 1 and Polynomial.zero(3) == 3
+        with pytest.raises(ValueError, match="^the coefficient of 1 must be an integer, not True$"):
+            p + True
+
+    @pytest.mark.parametrize("name", ["x_0_1", "x_1_0", "z_0_1", "z_2_0", "x_00_1"])
+    def test_both_readers_refuse_a_variable_the_constructors_refuse(self, name):
+        message = "^variable indices must be positive, got "
+        with pytest.raises(ValueError, match=message):
+            parse_var(name)
+        with pytest.raises(ValueError, match=message):
+            poly_parse_text(f"2*{name}^2 + 1")
+        with pytest.raises(ValueError, match=message):
+            poly_from_json({"terms": [{"c": "1", "m": {name: 1}}]})
+
+    @pytest.mark.parametrize("doc", [{}, {"terms": None}, [], None, "x_1_1", 0,
+                                     {"terms": {}}, {"terms": "x_1_1"}, {"char": 3}])
+    def test_a_document_without_a_terms_list_is_refused(self, doc):
+        message = f'^a polynomial is an object with a "terms" list, not {re.escape(repr(doc))}$'
+        with pytest.raises(ValueError, match=message):
+            poly_from_json(doc)
+
+    @pytest.mark.parametrize("term", [5, None, [], "c", {"m": {}}, {"c": "1"},
+                                      {"c": "1", "m": []}, {"c": "1", "m": None},
+                                      {"c": "1", "m": "x_1_1"}])
+    def test_a_malformed_term_is_refused(self, term):
+        message = f'^a term is an object with "c" and an object "m", not {re.escape(repr(term))}$'
+        with pytest.raises(ValueError, match=message):
+            poly_from_json({"terms": [{"c": "2", "m": {"x_1_1": 1}}, term]})
+
+    @pytest.mark.parametrize("name", [1, None, ("x", 1, 1)])
+    def test_a_variable_name_that_is_no_string_is_refused(self, name):
+        message = f"^cannot parse variable name {re.escape(repr(name))}$"
+        with pytest.raises(ValueError, match=message):
+            parse_var(name)
+        with pytest.raises(ValueError, match=message):
+            poly_from_json({"terms": [{"c": "1", "m": {name: 1}}]})
+
+    @pytest.mark.parametrize("pairs, text", [
+        ([(X11, 1), (X11, 2)], "x_1_1^1 * x_1_1^2"),
+        ([(X12, 2), (X11, 1), (X12, 0)], "x_1_2^2 * x_1_1^1 * x_1_2^0"),
+        (iter([(X11, 1), (X12, 1), (X11, 1)]), "x_1_1^1 * x_1_2^1 * x_1_1^1"),
+    ])
+    def test_a_monomial_refuses_a_repeated_variable(self, pairs, text):
+        with pytest.raises(ValueError, match=f"^repeated variable in {re.escape(text)}$"):
+            Monomial(pairs)
+
+    def test_a_monomial_takes_distinct_pairs_from_any_iterable(self):
+        m = Monomial({X11: 1, X12: 2})
+        assert Monomial([(X12, 2), (X11, 1)]) == m
+        assert Monomial(zip((X11, X12, X13), (1, 2, 0))) == m
+        assert Monomial(iter([(X11, 1), (X12, 2)])) == m
+        assert Monomial(MappingProxyType({X11: 1, X12: 2})) == m
