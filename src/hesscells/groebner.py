@@ -9,8 +9,7 @@ ideals on arbitrary inputs.  It keys its polynomials by exponent vector
 (`MonomialOrder.key`) and stays apart from the packed kernel below, which
 `buchberger_check` runs; the oracle's docstring says why.
 
-Division (`reduce`) runs on packed exponents, after Monagan and Pearce
-("Sparse polynomial division using a heap", 2011).  `_Packing` encodes a
+Division (`reduce`) runs on packed exponents.  `_Packing` encodes a
 monomial as one integer: every variable owns a fixed-width field, the
 order's first variable the most significant one, so integer comparison is
 the lex order and a monomial product is an integer sum.  The top bit of
@@ -24,14 +23,30 @@ result is exact for any input.  `_Packing` is the codec of division
 (`encode`, `lcm`, `decode`); `frobenius` multiplies its codes over F_p
 and reads their residues mod p itself.
 
-`_divide` is the one division loop.  It records each division step as
-(lead, quotient monomial, coefficient); `reduce` sorts the steps into its
-per-divisor quotients, and `buchberger_check` reads only whether the
-remainder is empty.  The check runs its whole S-pair loop on these codes:
-it encodes each generator once, takes the lcm of two leads as a field-wise
-maximum (`_Packing.lcm`), forms every S-polynomial as a code dict and
-divides it by the generators sorted by lead, smallest dividing lead first,
-so nothing is decoded.  It still forms and divides every pair from
+`_divide` is the one division loop.  It keeps the monomials of the running
+remainder in an ascending list, takes the largest off its end and inserts
+each new product monomial with `bisect.insort`.  Monagan and Pearce
+("Sparse polynomial division using a heap", 2011) order them in a heap,
+which suits large remainders; the cell ideals' S-polynomials are small
+(17.7 terms on average at w0 for n = 7, 28.7 for n = 8), and at that size
+the heap's sift and negated keys cost more than the arithmetic they order.
+The trade-off is that an insert costs time linear in the list's length.
+Dividing (1 + sum of the z)^k by the generators of w0 at n = 5 takes as
+long as on a heap at k = 4 (1,001 terms), 1.2 times as long at k = 6
+(8,008 terms) and 1.5 to 1.8 times at k = 8 (43,758 terms).  No command
+divides a dividend that large.  Phase A's work lists are short on
+average; the longest reach 220 monomials at n <= 6, 1,493 at w0 for
+n = 7 and 11,125 at w0 for n = 8, and there its divisions still take
+0.90 (n = 7) and 0.92 (n = 8) of the heap's CPU time.
+
+`_divide` records each division step as (lead, quotient monomial,
+coefficient); `reduce` sorts the steps into its per-divisor quotients,
+and `buchberger_check` reads only whether the remainder is empty.  The
+check runs its whole S-pair loop on these codes: it encodes each
+generator once, takes the lcm of two leads as a field-wise maximum
+(`_Packing.lcm`), forms every S-polynomial as a code dict and divides it
+by the generators sorted by lead, smallest dividing lead first, so
+nothing is decoded.  It still forms and divides every pair from
 scratch and reads nothing of the generators' shape: Buchberger's
 coprime-lead criterion would pass every pair of the cell ideals unseen,
 since their initial terms are distinct variables, and the check would
@@ -40,14 +55,14 @@ then only restate what `triangular_analysis` finds.
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, sub
 
-from .combinat import Permutation, v_of_w
+from .combinat import Permutation, check_integer, v_of_w
 from .polyring import (
     Monomial,
     Polynomial,
@@ -231,23 +246,24 @@ def _divide(rem: dict, divisors: list, guard: int, char: int):
     `divisors` holds (lead, multiplier, tail terms) triples, where the
     multiplier turns a coefficient into its quotient coefficient; each term
     of the running remainder is reduced by the first divisor whose lead
-    divides it.  The running remainder is the dict `rem` with a max-heap of
-    its monomials.  A term that cancels stays in `rem` at 0, so each
-    monomial is queued once: a popped monomial never comes back, since
-    every product lies below the term it reduces.  Returns (steps,
-    remainder term dict): one (lead, quotient monomial, quotient
-    coefficient) per division step, both in decreasing order of the term
-    reduced or kept.  Raises _FieldOverflow when a product monomial
-    outgrows its field.
+    divides it.  The running remainder is the dict `rem` with an ascending
+    list of its monomials, the next term to reduce at the end; a new
+    product monomial goes in by binary search, at a cost linear in the
+    list's length (the module docstring weighs it against a heap).  A term
+    that cancels stays in `rem` at 0, so each monomial is queued once: a
+    popped monomial never comes back, since every product lies below the
+    term it reduces.  Returns (steps, remainder term dict): one (lead,
+    quotient monomial, quotient coefficient) per division step, both in
+    decreasing order of the term reduced or kept.  Raises _FieldOverflow
+    when a product monomial outgrows its field.
     """
-    heap = [-m for m in rem]
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
+    todo = sorted(rem)
+    take = todo.pop
     get, pop = rem.get, rem.pop
     steps, out = [], {}
     step = steps.append
-    while heap:
-        m = -heappop(heap)
+    while todo:
+        m = take()
         c = pop(m)
         if not c:
             continue
@@ -264,7 +280,7 @@ def _divide(rem: dict, divisors: list, guard: int, char: int):
                     raise _FieldOverflow
                 old = get(s)
                 if old is None:
-                    heappush(heap, -s)
+                    insort(todo, s)
                     old = 0
                 rem[s] = (old - qc * tc) % char if char else old - qc * tc
             break
@@ -517,20 +533,25 @@ def reduced_gb_oracle(generators, order: MonomialOrder, max_steps: int = 100_000
     converted back to primitive integer polynomials with positive leading
     coefficients, sorted by decreasing leading monomial.  Returns [1]
     exactly when the ideal is the unit ideal.  Raises BudgetExceededError
-    after `max_steps` reduction steps, and ValueError for a negative one or
-    a variable outside the order.
+    after `max_steps` reduction steps, and ValueError for a budget that is
+    not an integer or is negative, or a variable outside the order.
 
     Polynomials are dicts from exponent vectors (`order.key`, taken once
-    per input term) to Fractions; so a lead is `max(f)`, divisibility is a
-    component-wise <=, and products, quotients and lcms are component-wise
-    sums, differences and maxima.  Basis elements are monic, pairs go first
-    in, first out, and each leading term of a running remainder costs one
-    step and is reduced in place by the first basis element in list order
-    whose lead divides it.  It stays apart from the packed kernel: a trial
-    fold onto `_divide` needed a step-budget hook in the division loop and
-    an overflow restart of its own, and would run the oracle on the
+    per input term) to Fractions; so the lex order is tuple comparison,
+    divisibility is a component-wise <=, and products, quotients and lcms
+    are component-wise sums, differences and maxima.  Basis elements are
+    monic, pairs go first in, first out, and each leading term of a running
+    remainder costs one step and is reduced in place by the first basis
+    element in list order whose lead divides it.  A reduction keeps the
+    remainder's vectors in an ascending list and takes its next term off
+    the end; a term stays in the dict until the basis element's own lead
+    cancels it, and a cancelled term stays at 0, so each vector is queued
+    once.  It stays apart from the packed kernel: a trial fold onto
+    `_divide` needed a step-budget hook in the division loop and an
+    overflow restart of its own, and would run the oracle on the
     Buchberger check's code.
     """
+    check_integer("budget", max_steps)
     if max_steps < 0:
         raise ValueError(f"budget must be at least 0, not {max_steps}")
     steps = 0
@@ -538,25 +559,28 @@ def reduced_gb_oracle(generators, order: MonomialOrder, max_steps: int = 100_000
     def frac_reduce(work: dict, basis: list) -> dict:  # consumes `work`
         nonlocal steps
         rem = {}
-        while work:
+        todo = sorted(work)
+        while todo:
+            m = todo.pop()
+            c = work[m]
+            if not c:
+                continue
             steps += 1
             if steps > max_steps:
                 raise BudgetExceededError(f"exceeded budget of {max_steps} reduction steps")
-            m = max(work)
-            c = work[m]
             for g, gm in basis:
                 if all(map(le, gm, m)):
                     q = tuple(map(sub, m, gm))
-                    for m2, c2 in g.items():
+                    for m2, c2 in g.items():  # g's lead term sets work[m] to 0
                         key = tuple(map(add, q, m2))
-                        v = work.get(key, 0) - c * c2
-                        if v:
-                            work[key] = v
-                        else:
-                            del work[key]
+                        old = work.get(key)
+                        if old is None:
+                            insort(todo, key)
+                            old = 0
+                        work[key] = old - c * c2
                     break
             else:
-                rem[m] = work.pop(m)
+                rem[m] = c
         return rem
 
     basis = []

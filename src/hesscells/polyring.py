@@ -354,7 +354,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Polynomial.one(self.char)
         base = self

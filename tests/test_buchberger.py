@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 from buchberger_reference import reference_buchberger_check
+from division_reference import heap_divide
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -380,3 +381,22 @@ def test_work_matches_reference_at_every_fixed_point_up_to_n5(monkeypatch):
         assert work[-1] == work[-2], (w, h)
         total = [total[0] + work[-1][0], total[1] + work[-1][1]]
     assert total[0] > 0 and total[1] > total[0]
+
+
+def test_the_heap_referee_agrees_at_every_fixed_point_up_to_n4(monkeypatch):
+    """`_divide` and the heap loop it replaced return the same (steps,
+    remainder) on every division the check makes at a fixed point."""
+    divide, divisions = groebner._divide, []
+
+    def both(rem, divisors, guard, char):
+        expected = heap_divide(dict(rem), divisors, guard, char)
+        got = divide(rem, divisors, guard, char)
+        assert got == expected
+        divisions.append(got)
+        return got
+
+    monkeypatch.setattr(groebner, "_divide", both)
+    for w, h, gens, order in cell_ideals(4):
+        if is_fixed_point(w, h):
+            assert buchberger_check(gens, order), (w, h)
+    assert any(steps for steps, _ in divisions)

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import oracle_reference
 import pytest
 from division_reference import reference_reduce
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from hesscells import (
     xvar,
     zvar,
 )
-from hesscells.groebner import _field_bits
+from hesscells.groebner import _divide, _divisor_triples, _encode_divisors, _field_bits
 from hesscells.groebner import reduce as poly_reduce
 
 W3421 = Permutation([3, 4, 2, 1])
@@ -368,6 +369,52 @@ class TestReducedGbOracle:
         with pytest.raises(ValueError):
             reduced_gb_oracle([Polynomial.one(5)], order_n(3))
 
+    @pytest.mark.parametrize("budget", [10.5, True, False, "5", None])
+    def test_a_budget_that_is_not_an_integer_is_refused(self, budget):
+        gens = build_ideal(W3421, H3344, "cell").generator_polys()
+        with pytest.raises(ValueError, match=f"^budget must be an integer, not {budget!r}$"):
+            reduced_gb_oracle(gens, order_n_w(W3421), budget)
+
+    def test_the_oracle_spends_exactly_the_reference_steps(self):
+        # every cell ideal with n <= 4: at the least budget the reference
+        # completes with, the oracle returns the reference's basis, and one
+        # step fewer runs out
+        budgets = []
+        for n in range(1, 5):
+            for h in enumerate_hessenberg(n, indecomposable_only=True):
+                for w in all_permutations(n):
+                    gens, order = build_ideal(w, h, "cell").generator_polys(), order_n_w(w)
+                    budget = least_reference_budget(gens, order)
+                    expected = oracle_reference.reduced_gb_oracle(gens, order, budget)
+                    assert reduced_gb_oracle(gens, order, budget) == expected, (w, h)
+                    if budget:
+                        with pytest.raises(BudgetExceededError, match=(
+                                f"^exceeded budget of {budget - 1} reduction steps$")):
+                            reduced_gb_oracle(gens, order, budget - 1)
+                    budgets.append(budget)
+        assert len(budgets) == 135 and max(budgets) == 21
+
+
+def least_reference_budget(gens, order) -> int:
+    """The least budget with which the reference oracle completes."""
+    def runs_out(budget):
+        try:
+            oracle_reference.reduced_gb_oracle(gens, order, budget)
+        except BudgetExceededError:
+            return True
+        return False
+
+    low, high = -1, 1  # low runs out, high is to be tried
+    while runs_out(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if runs_out(mid):
+            low = mid
+        else:
+            high = mid
+    return high
+
 
 class TestInitialTermFormula:
     def test_formula_n4(self):
@@ -449,6 +496,23 @@ class TestPackedReduce:
     def test_matches_reference(self, char, data):
         p, divisors = data.draw(division_problems(char))
         assert_matches_reference(p, divisors, PROP_ORDER)
+
+    @pytest.mark.parametrize("char", [0, 3])
+    def test_a_cancelled_term_that_a_later_product_revives(self, char):
+        # x > y > z.  Reducing x^2 by x - y cancels -xy to 0; reducing xyz
+        # by z - 1 then lands on xy again, which is queued once and reduced
+        # once, with its new coefficient
+        order = MonomialOrder((X11, X12, X21))
+        x, y, z = (Polynomial.variable(v, char) for v in (X11, X12, X21))
+        p, divisors = x**2 - x * y + x * y * z, [z - 1, x - y]
+        quotients, r = assert_matches_reference(p, divisors, order)
+        reference_steps = sum(len(q.terms) for q in quotients) + len(r.terms)
+        packing = order._packing(_field_bits([p, *divisors]))
+        packed = _divisor_triples(_encode_divisors(packing, divisors, char), char)
+        steps, remainder = _divide(packing.encode(p), packed, packing.guard, char)
+        reduced = [lm + qm for lm, qm, _ in steps]
+        assert reduced == sorted(set(reduced), reverse=True)
+        assert len(steps) + len(remainder) == reference_steps == 4
 
     def test_exponent_past_two_to_the_fifteen(self):
         x, y = Polynomial.variable(X11), Polynomial.variable(X12)

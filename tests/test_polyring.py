@@ -325,6 +325,11 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="nonnegative"):
             V(X11) ** -1
 
+    @pytest.mark.parametrize("k", [True, False, 1.0])
+    def test_an_exponent_that_is_not_an_integer_is_refused(self, k):
+        with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+            V(X11) ** k
+
     def test_reduce_mod_of_a_char_p_polynomial(self):
         with pytest.raises(ValueError, match="expects integer coefficients"):
             Polynomial.one(3).reduce_mod(5)
