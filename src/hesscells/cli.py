@@ -36,7 +36,7 @@ from .frobenius import (
 )
 from .grading_hilbert import (
     TRUNC_CEILING,
-    check_exact_trunc,
+    check_trunc,
     hilbert_formula,
     hilbert_oracle,
     weights_for,
@@ -220,7 +220,7 @@ def cmd_gb_check(args) -> int:
 def cmd_hilbert(args) -> int:
     w = _parse_perm(args)
     h = _parse_h(args)
-    check_exact_trunc(args.n, args.trunc)
+    check_trunc(args.trunc)
     series = hilbert_formula(w, h)
     rep = triangular_analysis(build_ideal(w, h, "cell"), order_n_w(w))
     wt = weights_for(w)
@@ -370,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text")
     trunc = argparse.ArgumentParser(add_help=False)
     trunc.add_argument("--trunc", type=int, default=30,
-                       help="order of the series coefficients printed (hilbert) "
-                       "and reported (sweep); at least max(1, n - 1), at most "
-                       f"{TRUNC_CEILING}")
+                       help="order of the series coefficients hilbert prints, "
+                       f"1 to {TRUNC_CEILING}; sweep only echoes it in its "
+                       "report, and no verdict reads it")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=step_count, default=100_000,
                         help="reduction-step budget for the completion oracle")

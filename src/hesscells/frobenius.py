@@ -82,7 +82,10 @@ def frobenius_ceiling(primes) -> int:
     an unlisted number below the largest listed prime (not prime, as
     every prime up to it is listed), then for any other unlisted number,
     with no primality test, so a large number is refused at once, or a
-    prime listed more than once."""
+    prime listed more than once; ValueError too for no prime at all."""
+    primes = tuple(primes)
+    if not primes:
+        raise ValueError("a Frobenius ceiling needs at least one prime")
     for p in primes:
         check_integer("p", p)
         if p < max(FROBENIUS_CEILINGS) and p not in FROBENIUS_CEILINGS:

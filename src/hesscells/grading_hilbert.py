@@ -117,11 +117,11 @@ class HilbertSeries:
         return (sorted(self.numerator_factors + other.denominator_factors)
                 == sorted(other.numerator_factors + self.denominator_factors))
 
-    def expand(self, truncation: int) -> list:
-        """Exact coefficients of degrees 0..truncation."""
-        if truncation < 1:
-            raise ValueError("truncation must be at least 1")
-        coeffs = [1] + [0] * truncation
+    def expand(self, trunc: int) -> list:
+        """Exact coefficients of degrees 0..trunc, for trunc as `check_trunc`
+        accepts it."""
+        check_trunc(trunc)
+        coeffs = [1] + [0] * trunc
         for e in self.numerator_factors:
             coeffs = series_mul_one_minus(coeffs, e)
         for e in self.denominator_factors:
@@ -135,18 +135,13 @@ class HilbertSeries:
         }
 
 
-def check_exact_trunc(n: int, trunc: int) -> None:
-    """Raise ValueError unless max(1, n - 1) <= trunc <= TRUNC_CEILING.
-    The ceiling bounds the trunc + 1 coefficients `hilbert` expands and
-    prints (29 MB of JSON at w0, n = 7).  Hilbert series of
-    an n x n cell that agree up to t^(n-1) are equal: cross-multiplied by
-    their denominators, both sides are products of factors (1 - t^e) with
-    e <= n - 1, and such a product is fixed by its coefficients up to
-    t^(n-1).  So comparing expansions to any accepted trunc gives the
-    verdict of `HilbertSeries.equals`, which the sweep's `hilbertOk`
-    and the CLI's `oracleAgrees` are: no accepted trunc changes either."""
-    if trunc < max(1, n - 1):
-        raise ValueError(f"trunc must be at least {max(1, n - 1)} for n = {n}")
+def check_trunc(trunc: int) -> None:
+    """Raise ValueError unless 1 <= trunc <= TRUNC_CEILING.  The ceiling
+    bounds the trunc + 1 coefficients `expand` makes and `hilbert` prints
+    (29 MB of JSON at w0, n = 7).  No verdict reads trunc: the sweep's
+    `hilbertOk` and the CLI's `oracleAgrees` are `HilbertSeries.equals`."""
+    if trunc < 1:
+        raise ValueError(f"trunc must be at least 1, not {trunc}")
     if trunc > TRUNC_CEILING:
         raise ValueError(f"trunc must be at most {TRUNC_CEILING}")
 

@@ -72,7 +72,7 @@ from .frobenius import (
     make_splitting_context,
 )
 from .grading_hilbert import (
-    check_exact_trunc,
+    check_trunc,
     hilbert_formula,
     hilbert_oracle,
     is_homogeneous,
@@ -164,8 +164,9 @@ class _WFacts:
 
     def generator(self, k: int, l: int, g: Polynomial) -> tuple:
         """(`generator_lead` of g = g_{k,l}, whether its initial term is
-        -z_{n+1-v(k), v^{-1}(v(l))}, g's weighted degree or None as
-        `is_homogeneous` gives it), kept per position (k, l)."""
+        -z_{n+1-v(k), v^{-1}(v(l)+1)}, that is -z_{w(k), w^{-1}(w(l)-1)},
+        g's weighted degree or None as `is_homogeneous` gives it), kept per
+        position (k, l)."""
         got = self._generators.get((k, l))
         if got is None:
             lead, v = generator_lead(g, self.order), self._v
@@ -283,8 +284,10 @@ def run_case(args):
     its `case_dict`.  ValueError first unless h and w hold ints (an equal
     float would find the ints' table); on a miss, next unless the options
     and w's size n pass as `iter_sweep` checks them for max_n = n; then, as
-    on a hit, unless h is an indecomposable Hessenberg function of size n."""
+    on a hit, unless h is an indecomposable Hessenberg function of size n.
+    A list h or w finds the tuple's case."""
     h_values, w_images, opts = args
+    h_values, w_images = tuple(h_values), tuple(w_images)
     check_integers("h", h_values)
     check_integers("w", w_images)
     n = len(w_images)
@@ -387,16 +390,16 @@ def check_size(name: str, n: int, primes: tuple = ()) -> None:
 def _check_args(name: str, n: int, opts: SweepOptions, jobs: int | None) -> None:
     """Raise ValueError unless a sweep up to size n may run under `opts`
     with `jobs` workers: n (called `name`), trunc, budget and jobs (None:
-    one per CPU) each an int (`check_integer`), trunc as
-    `check_exact_trunc` accepts it, n as `check_size` accepts it at the
-    options' primes, jobs at most MAX_JOBS, budget at least 0 and
-    oracle_nonfixed a bool.  Nothing here grows with n, so a refused n costs nothing."""
+    one per CPU) each an int (`check_integer`), trunc as `check_trunc`
+    accepts it, n as `check_size` accepts it at the options' primes, jobs
+    at most MAX_JOBS, budget at least 0 and oracle_nonfixed a bool.
+    Nothing here grows with n, so a refused n costs nothing."""
     for key, value in ((name, n), ("trunc", opts.trunc), ("budget", opts.budget),
                        ("jobs", 1 if jobs is None else jobs)):
         check_integer(key, value)
     if type(opts.oracle_nonfixed) is not bool:
         raise ValueError(f"oracle_nonfixed must be a bool, not {opts.oracle_nonfixed!r}")
-    check_exact_trunc(n, opts.trunc)
+    check_trunc(opts.trunc)
     check_size(name, n, opts.frobenius_primes)
     if jobs is not None and not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be between 1 and {MAX_JOBS}")
@@ -411,7 +414,7 @@ def iter_sweep(max_n: int, opts: SweepOptions, jobs: int | None = 1) -> tuple:
     lexicographic order, and (w, `_w_table` of w) per w as it arrives,
     longest first; what is unread is read before the next n.  `tail` holds
     the summary, tallied per table, and elapsedSeconds once the stream is
-    exhausted.  `hilbertOk` is exact: no accepted `trunc` changes a verdict.
+    exhausted.  The head echoes `trunc`, which no verdict reads (`check_trunc`).
     An error raised once `stream` has started is not one of the arguments."""
     _check_args("max_n", max_n, opts, jobs)
     primes = opts.frobenius_primes

@@ -286,7 +286,7 @@ def test_hilbert_verdict_is_the_same_at_every_accepted_truncation():
     for h, w in cases_up_to(5):
         if is_fixed_point(w, h):
             verdicts = {run_case((h.values, w.images, SweepOptions(trunc=trunc)))["hilbertOk"]
-                        for trunc in (30, max(1, w.n - 1))}
+                        for trunc in (30, max(1, w.n - 1), 1)}
             assert verdicts == {True}, (h, w)
 
 
@@ -497,11 +497,22 @@ def test_run_case_gives_the_case_of_the_sweep(options):
         assert run_case((tuple(case["h"]), tuple(case["w"]), opts)) == case
 
 
+@pytest.mark.parametrize("hit", [False, True])
+def test_run_case_takes_a_list_h_or_w_as_the_tuple(hit):
+    # on a miss, a list w must key the tuple's table, not raise TypeError
+    h, w, opts = (2, 3, 3), (2, 3, 1), SweepOptions()
+    if hit:
+        run_case((h, w, opts))
+    got = [run_case((list(h), w, opts)), run_case((h, list(w), opts))]
+    assert got == [run_case((h, w, opts))] * 2
+    assert list(sweep_mod._TABLES) == [(w, opts)]
+
+
 @pytest.mark.parametrize("opts, message", [
     (SweepOptions(frobenius_primes=(19,)),
      "^n must be between 1 and 4 for Frobenius checks at p = 19$"),
     (SweepOptions(), "^n must be between 1 and 7$"),
-    (SweepOptions(trunc=7), "^trunc must be at least 8 for n = 9$"),
+    (SweepOptions(trunc=0), "^trunc must be at least 1, not 0$"),
 ])
 def test_run_case_checks_its_arguments_before_any_work(opts, message):
     # as iter_sweep checks them for max_n = n, before `_h_facts(n)`, which

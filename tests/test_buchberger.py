@@ -1,8 +1,10 @@
-"""The packed `buchberger_check` against the `Polynomial` reference loop."""
+"""The packed `buchberger_check` against the `Polynomial` reference loop,
+and against standard representations of its S-pairs (tests/gb_certificates.py)."""
 
 import itertools
 from functools import lru_cache
 
+import gb_certificates
 import pytest
 from buchberger_reference import reference_buchberger_check
 from division_reference import heap_divide
@@ -168,6 +170,28 @@ class TestHypothesis:
             for check in (buchberger_check, reference_buchberger_check)
         }
         assert len(outcomes) == 1, outcomes
+
+
+class TestCertificates:
+    def test_every_fixed_ideal_up_to_n5_certifies(self):
+        # (fixed ideals distinct per w, nonzero S-pairs, failed pairs)
+        assert [gb_certificates.check_n(n) for n in range(1, 6)] == [
+            (1, 0, 0), (2, 0, 0), (7, 0, 0), (37, 7, 0), (263, 253, 0)]
+
+    def test_a_non_basis_fails_its_certificate(self):
+        # {x^2, xy + 1}: S = -y, which no lead divides
+        x, y = var(X), var(Y)
+        assert gb_certificates.certify([x**2, x * y + 1], ORDER) == (
+            1, [(0, 1, "remainder is not 0")])
+
+    @pytest.mark.parametrize("char", [0, 2, 3, 7])
+    @given(data=st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_the_check_passes_exactly_when_every_pair_certifies(self, char, data):
+        polys = data.draw(st.one_of(generator_sets(char), groebner_bases(char)))
+        certified = outcome(lambda p, o: not gb_certificates.certify(p, o)[1],
+                            polys, ORDER)
+        assert outcome(buchberger_check, polys, ORDER) == certified
 
 
 def divide_outcome(p, gens, bits):

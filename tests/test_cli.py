@@ -14,7 +14,7 @@ from frobenius_reference import is_prime
 
 from hesscells import HessenbergFunction, Monomial, Permutation, poly_from_json, zvar
 from hesscells.cli import main, main_script
-from hesscells.grading_hilbert import TRUNC_CEILING, check_exact_trunc
+from hesscells.grading_hilbert import TRUNC_CEILING, check_trunc
 from hesscells.sweep import SweepOptions, iter_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -287,6 +287,13 @@ class TestExitCodes:
         assert frobenius_mod.frobenius_ceiling(primes) == 4
         assert not hasattr(frobenius_mod, "FROBENIUS_DEFAULT_CEILING")
 
+    def test_frobenius_ceiling_of_no_prime_and_of_a_one_shot_iterator(self):
+        frobenius_mod = importlib.import_module("hesscells.frobenius")
+        with pytest.raises(ValueError, match="^a Frobenius ceiling needs at least one prime$"):
+            frobenius_mod.frobenius_ceiling(())
+        assert frobenius_mod.frobenius_ceiling(iter([2])) == 6
+        assert frobenius_mod.frobenius_ceiling(iter([2, 5])) == 5
+
     def test_frobenius_check_at_the_largest_prime(self, capsys):
         p = max(importlib.import_module("hesscells.frobenius").FROBENIUS_CEILINGS)
         argv = ["frobenius-check", "--n", "4", "--w", "4321", "--h", "2,3,4,4",
@@ -310,14 +317,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: n must be between 1 and 7\n"
         assert main(["fixed-points", "--n", "7", "--h", "2,3,4,5,6,7,7"]) == 0
 
-    def test_usage_error_on_sweep_trunc_below_n_minus_one(self, capsys):
-        assert main(["sweep", "--max-n", "4", "--trunc", "2"]) == 2
-        assert main(["sweep", "--max-n", "4", "--trunc", "3"]) == 0
+    def test_usage_error_on_sweep_trunc_below_one(self, capsys):
+        # no verdict reads trunc: 1 gives trunc 30's cases
+        assert main(["sweep", "--max-n", "4", "--trunc", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: trunc must be at least 1, not 0\n")
+        reports = [run_json(capsys, "sweep", "--max-n", "4", "--trunc", trunc)
+                   for trunc in ("1", "30")]
+        assert [code for code, _ in reports] == [0, 0]
+        assert reports[0][1]["options"]["trunc"] == 1
+        assert reports[0][1]["cases"] == reports[1][1]["cases"]
 
-    def test_usage_error_on_hilbert_trunc_below_n_minus_one(self, capsys):
+    def test_usage_error_on_hilbert_trunc_below_one(self, capsys):
         argv = ["hilbert", "--n", "4", "--w", "3421", "--h", "3,3,4,4"]
-        assert main(argv + ["--trunc", "1"]) == 2
-        assert main(argv + ["--trunc", "3"]) == 0
+        assert main(argv + ["--trunc", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: trunc must be at least 1, not 0\n")
+        assert main(argv + ["--trunc", "1"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "coefficients (to t^1): [1, 1]\noracle agrees: True\n")
 
     def test_usage_error_on_trunc_above_the_ceiling(self, capsys):
         for argv in (["hilbert", "--n", "4", "--w", "3421", "--h", "3,3,4,4"],
@@ -327,7 +343,7 @@ class TestExitCodes:
                 assert capsys.readouterr() == (
                     "", f"error: trunc must be at most {TRUNC_CEILING}\n")
         assert main(["sweep", "--max-n", "2", "--trunc", str(TRUNC_CEILING)]) == 0
-        check_exact_trunc(4, TRUNC_CEILING)
+        check_trunc(TRUNC_CEILING)
         with pytest.raises(ValueError, match="^trunc must be at most 1000000$"):
             iter_sweep(2, SweepOptions(trunc=TRUNC_CEILING + 1))
 

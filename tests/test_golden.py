@@ -75,6 +75,23 @@ def test_sweep_digest_hashes_the_masked_report():
     assert digest(4, 1) == (0, hashlib.sha256(report.encode()).hexdigest())
 
 
+def test_slow_lists_every_pin_and_runs_nothing(capsys, monkeypatch):
+    # tests/slow.py runs the digest pins outside the suite; --list only names them
+    import frobenius_digest
+    import slow
+    from sweep_digest import PINS
+
+    monkeypatch.setattr(slow, "run", None)  # a run would fail with TypeError
+    assert slow.main(["--list"]) == 0
+    names = capsys.readouterr().out.splitlines()
+    assert slow.main(["--list", "--full"]) == 0
+    full = capsys.readouterr().out.splitlines()
+    assert names == [name for name in full if "n=7" not in name and name != "line_trace"]
+    assert [f"sweep_digest n={n} jobs={jobs}" for n in PINS for jobs in (1, 2)] == full[:6]
+    assert {f"frobenius_digest n={n} p={p}" for n, p in frobenius_digest.PINS} <= set(names)
+    assert names[-1] == full[-1] == "perfbench suite (not gating)"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, fmt in CASES:

@@ -25,6 +25,7 @@ from hesscells import (
     z_universe,
     zvar,
 )
+from hesscells.grading_hilbert import TRUNC_CEILING
 from hilbert_reference import canonical as reference_canonical
 from hilbert_reference import same_series
 
@@ -189,6 +190,12 @@ class TestHilbertOracle:
         rep, wt = self.report_and_weights(W3421, H3344)
         with pytest.raises(ValueError):
             hilbert_oracle(rep, wt).expand(0)
+
+    def test_expansion_is_bounded_by_the_trunc_ceiling(self):
+        series = hilbert_formula(W3421, H3344)
+        with pytest.raises(ValueError, match=f"^trunc must be at most {TRUNC_CEILING}$"):
+            series.expand(TRUNC_CEILING + 1)
+        assert series.expand(1) == [1, 1]
 
     def test_formula_matches_oracle_n4_order20(self):
         for n in range(1, 5):
