@@ -24,11 +24,17 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
-def check_integers(name: str, values: tuple) -> None:
-    """`check_integer` of each value, the i-th called name(i)."""
+def check_integers(name: str, values) -> tuple:
+    """`values` as a tuple; ValueError unless it is iterable and each value,
+    the i-th called name(i), passes `check_integer`."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, not {values!r}") from None
     for i, value in enumerate(values, start=1):
         if type(value) is not int:  # the name is built only here
             check_integer(f"{name}({i})", value)
+    return values
 
 
 class Permutation:
@@ -46,8 +52,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
-        check_integers("w", images)
+        images = check_integers("w", images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
         self.images = images
@@ -149,8 +154,7 @@ class HessenbergFunction:
     __slots__ = ("values", "is_indecomposable")
 
     def __init__(self, values):
-        values = tuple(values)
-        check_integers("h", values)
+        values = check_integers("h", values)
         n = len(values)
         if n == 0:
             raise ValueError("empty Hessenberg function")

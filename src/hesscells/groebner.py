@@ -40,17 +40,20 @@ n = 7 and 11,125 at w0 for n = 8, and there its divisions still take
 0.90 (n = 7) and 0.92 (n = 8) of the heap's CPU time.
 
 `_divide` records each division step as (lead, quotient monomial,
-coefficient); `reduce` sorts the steps into its per-divisor quotients,
-and `buchberger_check` reads only whether the remainder is empty.  The
-check runs its whole S-pair loop on these codes: it encodes each
-generator once, takes the lcm of two leads as a field-wise maximum
-(`_Packing.lcm`), forms every S-polynomial as a code dict and divides it
-by the generators sorted by lead, smallest dividing lead first, so
-nothing is decoded.  It still forms and divides every pair from
-scratch and reads nothing of the generators' shape: Buchberger's
+coefficient); `reduce` sorts the steps into its per-divisor quotients, and
+`buchberger_check` reads only whether the remainder is empty.  The check's
+one S-pair loop, `_packed_check`, runs on these codes: it forms each
+S-polynomial as a code dict, the lcm of two leads a field-wise maximum
+(`_Packing.lcm`), and divides a fresh copy of it by the generators sorted
+by lead, smallest dividing lead first, so nothing is decoded.  S(g_i, g_j)
+depends on the two generators and the order alone, so the sweep encodes
+each generator and forms each S-polynomial once per w, for all the ideals
+of w (`sweep._WFacts.gb_check`), where `buchberger_check` makes them once
+per call; either way every pair is divided from scratch in each ideal.
+The check reads nothing of the generators' shape: Buchberger's
 coprime-lead criterion would pass every pair of the cell ideals unseen,
-since their initial terms are distinct variables, and the check would
-then only restate what `triangular_analysis` finds.
+since their initial terms are distinct variables, and the check would then
+only restate what `triangular_analysis` finds.
 """
 
 from __future__ import annotations
@@ -396,36 +399,43 @@ def buchberger_check(polys, order: MonomialOrder) -> bool:
     gens = [g for g in polys if not g.is_zero]
     if len(gens) < 2:
         return True
-    char = gens[0].char
-    return _at_width(gens, order, lambda packing: _packed_check(gens, packing, char))
+    return _at_width(gens, order, lambda packing: _packed_check(
+        gens, range(len(gens)), {}, packing, gens[0].char))
 
 
-def _packed_check(gens: list, packing: _Packing, char: int) -> bool:
-    """`buchberger_check` at one field width; raises _FieldOverflow."""
-    encoded = _encode_divisors(packing, gens, char)
+def _packed_check(gens: list, keys, memo: dict, packing: _Packing, char: int) -> bool:
+    """`buchberger_check` at one field width; raises _FieldOverflow.  `memo`
+    keeps each generator's code by its key in `keys` and S(g_i, g_j), i < j,
+    by (keys[i], keys[j]), made at this width on first use and copied by each
+    division: the sweep keeps one per w, `buchberger_check` a new one."""
+    for key, g in zip(keys, gens):
+        memo[key] = memo.get(key) or _encode_divisors(packing, [g], char)[0]
+    encoded = [memo[key] for key in keys]
     guard, lcm = packing.guard, packing.lcm
     divisors = None
     for i, (li, ci, tail_i) in enumerate(encoded):
-        for lj, cj, tail_j in encoded[i + 1 :]:
-            top = lcm(li, lj)
-            s = {}
-            for u, k, tail in ((top - li, cj, tail_i), (top - lj, -ci, tail_j)):
-                for t, c in tail:
-                    m = u + t
-                    if m & guard:  # cannot fire: exponents here reach 2x the top one, fields 4x
-                        raise _FieldOverflow
-                    v = s.get(m, 0) + k * c
-                    if char:
-                        v %= char
-                    if v:
-                        s[m] = v
-                    else:
-                        s.pop(m, None)
+        for j, (lj, cj, tail_j) in enumerate(encoded[i + 1 :], i + 1):
+            s = memo.get((keys[i], keys[j]))
+            if s is None:  # c_j (L / m_i) g_i - c_i (L / m_j) g_j, L = lcm(m_i, m_j)
+                top, s = lcm(li, lj), {}
+                for u, k, tail in ((top - li, cj, tail_i), (top - lj, -ci, tail_j)):
+                    for t, c in tail:
+                        m = u + t
+                        if m & guard:  # cannot fire: exponents reach 2x the top one, fields 4x
+                            raise _FieldOverflow
+                        v = s.get(m, 0) + k * c
+                        if char:
+                            v %= char
+                        if v:
+                            s[m] = v
+                        else:
+                            s.pop(m, None)
+                memo[keys[i], keys[j]] = s
             if not s:
                 continue
             if divisors is None:
                 divisors = sorted(_divisor_triples(encoded, char))
-            if _divide(s, divisors, guard, char)[1]:
+            if _divide(dict(s), divisors, guard, char)[1]:
                 return False
     return True
 
@@ -476,11 +486,11 @@ def generator_lead(g: Polynomial, order: MonomialOrder) -> tuple:
     return order.key(m), c, m, sign, var
 
 
-def triangular_report(pres, leads) -> TriangularReport:
-    """The per-ideal step of `triangular_analysis`: its report on pres
-    from `leads`, the `generator_lead` of each nonzero generator of pres
-    in their order."""
-    gens = [(lead, k, l, g) for lead, (k, l, g) in zip(leads, pres.nonzero_generators())]
+def triangular_report(gens, leads, ambient) -> TriangularReport:
+    """The per-ideal step of `triangular_analysis`: its report on the
+    nonzero generators `gens`, (k, l, g), from `leads`, the `generator_lead`
+    of each, with the free variables read off `ambient`."""
+    gens = [(lead, k, l, g) for lead, (k, l, g) in zip(leads, gens)]
     gens.sort(key=lambda info: info[0][0], reverse=True)
     initial_terms, unsigned, repeats, seen = [], [], [], set()
     for (_, c, m, sign, var), k, l, _ in gens:
@@ -495,7 +505,7 @@ def triangular_report(pres, leads) -> TriangularReport:
     return TriangularReport(
         ordered_generators=[(k, l, g) for _, k, l, g in gens],
         initial_terms=initial_terms,
-        free_variables=[v for v in pres.ambient_variables if v not in seen],
+        free_variables=[v for v in ambient if v not in seen],
         notes=unsigned + repeats,
     )
 
@@ -514,8 +524,9 @@ def triangular_analysis(pres, order: MonomialOrder) -> TriangularReport:
     `free_variables` and the ideal is prime of height `height`.  It is
     `triangular_report` over the `generator_lead` of each generator.
     """
-    return triangular_report(
-        pres, [generator_lead(g, order) for _, _, g in pres.nonzero_generators()])
+    gens = pres.nonzero_generators()
+    return triangular_report(gens, [generator_lead(g, order) for _, _, g in gens],
+                             pres.ambient_variables)
 
 
 # ----------------------------------------------------------------------

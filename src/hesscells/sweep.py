@@ -17,14 +17,16 @@ step, so at a non-fixed point `emptyCertified` repeats
 Each I_{w,h} selects the entries at `cells.ideal_positions(h)` of one
 matrix, so the sweep runs in two phases.  Phase A (`_w_table`, once per w)
 decides every case of w.  `_WFacts` holds what no h changes, taken once:
-ℓ(w), v, the weights, the index filter's degrees, masks of the matrix's
-nonzero, constant and filtered entries (one bit per position (k, l)), one
-splitting context per prime on one splitting base, and per generator
-position the initial term and weighted degree of g_{k,l}.  Per h, phase A
-builds one key, makes one dict probe and reads whether w fixes h off
-`_fixed_flags`; each check that reads the ideal runs once per distinct
-I_{w,h}.  `_run_battery` runs a fixed point's checks, Frobenius among
-them, and names each false verdict "{key} failed", in report order.
+ℓ(w), v, the weights, the matrix's nonzero entries and the index filter's
+degrees with their masks (one bit per position (k, l)), one splitting
+context per prime on one splitting base, and per generator its initial
+term, weighted degree and code and per pair their S-polynomial; a fixed
+ideal, its height and its Hilbert numerator are read off these.  Per h,
+phase A builds one key, makes one dict probe and reads whether w fixes h
+off `_fixed_flags`; each check that reads the ideal runs once per
+distinct I_{w,h}, where every S-pair is divided afresh.  `_run_battery`
+runs a fixed point's checks, Frobenius among them, and names each false
+verdict "{key} failed", in report order.
 Phase B reads each case's entry off w's table.
 A pool runs phase A only, so each ideal is checked once.  Phase A runs
 w-major, so the per-w caches under it (`cell_generators`, `order_n_w`,
@@ -72,15 +74,17 @@ from .frobenius import (
     make_splitting_context,
 )
 from .grading_hilbert import (
+    HilbertSeries,
     check_trunc,
-    hilbert_formula,
+    hilbert_formula,  # bound for perfbench's grading_hilbert.hilbert_formula span
     hilbert_oracle,
     is_homogeneous,
     weights_for,
 )
 from .groebner import (
     BudgetExceededError,
-    buchberger_check,
+    _at_width, _packed_check,  # for `_WFacts.gb_check`
+    buchberger_check,  # bound for perfbench's groebner.buchberger_check span
     generator_lead,
     order_n_w,
     reduced_gb_oracle,
@@ -118,20 +122,15 @@ _KEYS = {
 _TABLES = {}
 
 
-def _mask(n: int, positions) -> int:
-    """The integer with bit k * n + l set for each (k, l, ...) of `positions`."""
-    return sum(1 << (k * n + l) for k, l, *_ in positions)
-
-
 @lru_cache(maxsize=None)
 def _h_facts(n: int) -> dict:
     """h.values -> (i, h, positions, miscount) for each indecomposable h of
     size n, in enumeration order: i is h's place in a w's table, positions
-    is the `_mask` of h's `ideal_positions`, and miscount holds the failure
-    when their number is not h's partition size."""
+    has the bit k * n + l of each (k, l) of h's `ideal_positions`, and
+    miscount holds the failure when their number is not h's partition size."""
     facts = {}
     for i, h in enumerate(enumerate_hessenberg(n, indecomposable_only=True)):
-        positions = _mask(n, ideal_positions(h))
+        positions = sum(1 << (k * n + l) for k, l in ideal_positions(h))
         miscount = () if positions.bit_count() == h.lambda_size() else (
             "generator count differs from the partition size",)
         facts[h.values] = i, h, positions, miscount
@@ -140,74 +139,89 @@ def _h_facts(n: int) -> dict:
 
 class _WFacts:
     """Every fact of w that phase A reads, each taken once per w: the
-    order, ℓ(w), the weights, the index filter's degree v(k) - v(l) - 1 of
-    each position (k, l) below the diagonal that passes it, the `_mask`s of
-    the nonzero, constant and filtered entries below the diagonal of w's
-    matrix, one splitting context per prime of `primes`; and per generator
-    position, on first use, the facts of g_{k,l} (`generator`)."""
+    order, ℓ(w), the weights, keyed by the cell's variables in `z_universe`
+    order (the triangular report's ambient variables); by the bit k * n + l
+    of each position (k, l) below the diagonal, in reading order, the index
+    filter's degree v(k) - v(l) - 1 where it passes and (k, l, g_{k,l})
+    where g_{k,l} is nonzero, and the masks of the nonzero, constant and
+    filtered entries; one splitting context per prime of `primes`; and on
+    first use the facts of g_{k,l} (`generator`), its code and each pair's
+    S-polynomial (`gb_check`'s memo)."""
 
     def __init__(self, w: Permutation, primes: tuple = ()):
         n, rows = w.n, cell_generators(w).rows
         self.order, self.length, self.weights = order_n_w(w), w.length(), weights_for(w)
-        below = [(k, l) for k in range(2, n + 1) for l in range(1, k)]
-        self.degrees = {(k, l): d for k, l, d in index_filter(w, below)}
-        self.nonzero = self.constant = 0
-        for k, l in below:
-            if g := rows[k - 1][l - 1]:
-                self.nonzero |= 1 << (k * n + l)
-                self.constant |= g.is_constant << (k * n + l)
-        self.filtered = _mask(n, self.degrees)
+        below = [(k, l) for k in range(n, 1, -1) for l in range(1, k)]  # reading order
+        self.degrees = {1 << (k * n + l): d for k, l, d in index_filter(w, below)}
+        self.gens = {1 << (k * n + l): (k, l, g) for k, l in below if (g := rows[k - 1][l - 1])}
+        self.nonzero, self.filtered = sum(self.gens), sum(self.degrees)
+        self.constant = sum(bit for bit, (_, _, g) in self.gens.items() if g.is_constant)
         self.contexts = [make_splitting_context(w, p) for p in primes]
         v = v_of_w(w)
         self._v, self._v_inv = v.images, v.inverse().images  # _v[k - 1] = v(k)
         self._generators = {}
+        self._memos = {}  # a packing -> `_packed_check`'s memo at its width
 
     def generator(self, k: int, l: int, g: Polynomial) -> tuple:
         """(`generator_lead` of g = g_{k,l}, whether its initial term is
-        -z_{n+1-v(k), v^{-1}(v(l)+1)}, that is -z_{w(k), w^{-1}(w(l)-1)},
-        g's weighted degree or None as `is_homogeneous` gives it), kept per
-        position (k, l)."""
+        -z_{n+1-v(k), v^{-1}(v(l)+1)}, that is -z_{w(k), w^{-1}(w(l)-1)}
+        (never when v(l) = n, where no such z is), g's weighted degree or
+        None as `is_homogeneous` gives it), kept per position (k, l)."""
         got = self._generators.get((k, l))
         if got is None:
-            lead, v = generator_lead(g, self.order), self._v
-            formula = zvar(len(v) + 1 - v[k - 1], self._v_inv[v[l - 1]])
-            got = self._generators[k, l] = (lead, lead[3] == -1 and lead[4] == formula,
-                                            is_homogeneous(g, self.weights))
+            lead, v, vl = generator_lead(g, self.order), self._v, self._v[l - 1]
+            init = vl < len(v) and lead[3] == -1 and lead[4] == zvar(
+                len(v) + 1 - v[k - 1], self._v_inv[vl])
+            got = self._generators[k, l] = (lead, init, is_homogeneous(g, self.weights))
         return got
 
+    def gb_check(self, bits: list) -> bool:
+        """`buchberger_check` of the generators at `bits`, in reading order,
+        by its S-pair loop `_packed_check` on w's memo at the check's width:
+        each generator is encoded and each pair's S-polynomial formed once
+        per w and width, and every pair divided afresh per ideal.  After an
+        overflow `_at_width` checks the ideal again at double width, on the
+        memo of that width."""
+        polys = [self.gens[bit][2] for bit in bits]  # over the integers, as the matrix is
+        return len(bits) < 2 or _at_width(polys, self.order, lambda packing: _packed_check(
+            polys, bits, self._memos.setdefault(packing, {}), packing, 0))
 
-def _run_battery(pres, facts: _WFacts, constant: bool) -> tuple:
+
+def _run_battery(h, nonzero: int, filtered: int, facts: _WFacts, constant: bool) -> tuple:
     """The checks of a fixed point that read only the ideal: the values
     of Lambda through hilbertOk, then frobeniusOk if w's `facts` hold
     splitting contexts, and the failure messages in report order, a false
-    verdict failing as "{key} failed".  The per-generator facts come from
-    `facts`, and `constant` says whether a generator is a nonzero constant;
-    the triangular report and the other checks are taken per ideal."""
-    dim = facts.length - pres.height
+    verdict failing as "{key} failed".  I_{w,h} is read off `facts` and its
+    masks `nonzero` and `filtered`: its generators, its height (the bits of
+    `filtered`) and its Hilbert numerator (their degrees).  `constant` says
+    whether a generator is a nonzero constant."""
+    height = filtered.bit_count()
+    dim = facts.length - height
     failures = []
-    gens = pres.nonzero_generators()
+    bits = [bit for bit in facts.gens if nonzero & bit]
+    gens = [facts.gens[bit] for bit in bits]
     per_gen = [facts.generator(k, l, g) for k, l, g in gens]
-    rep = triangular_report(pres, [lead for lead, _, _ in per_gen])
-    if rep.height != pres.height:
+    rep = triangular_report(gens, [lead for lead, _, _ in per_gen], facts.weights)
+    if rep.height != height:
         failures.append("nonzero generator count disagrees with the index filter")
     if rep.is_triangular and rep.dimension != dim:
         failures.append("free variable count disagrees with length minus height")
 
     init_ok = all(init for _, init, _ in per_gen)
-    gb_ok = buchberger_check([g for _, _, g in gens], facts.order)
+    gb_ok = facts.gb_check(bits)
     degrees = facts.degrees
     # a generator outside the filter has no degree: it fails, whatever
     # is_homogeneous says (None for a generator that is not homogeneous)
-    hom_ok = all((k, l) in degrees and hom == degrees[k, l]
-                 for (k, l, _), (_, _, hom) in zip(gens, per_gen))
-    hilbert_ok = rep.is_triangular and hilbert_formula(pres.w, pres.h).equals(
-        hilbert_oracle(rep, facts.weights))  # exact: see HilbertSeries.equals
+    hom_ok = all(bit in degrees and hom == degrees[bit]
+                 for bit, (_, _, hom) in zip(bits, per_gen))
+    hilbert_ok = rep.is_triangular and HilbertSeries(  # exact: see HilbertSeries.equals
+        tuple(d for bit, d in degrees.items() if filtered & bit),
+        tuple(facts.weights.values())).equals(hilbert_oracle(rep, facts.weights))
     if constant:
         failures.append("constant generator at a fixed point")
-    values = (pres.height, dim, rep.is_triangular, init_ok, gb_ok, hom_ok, hilbert_ok)
+    values = (height, dim, rep.is_triangular, init_ok, gb_ok, hom_ok, hilbert_ok)
     if facts.contexts:
-        values += (all(compatibility_check(c, pres.h).all_compatible
-                       for c in facts.contexts),)
+        values += (all(compatibility_check(c, h).all_compatible for c in facts.contexts),)
     failures += [f"{key} failed" for key, ok in zip(_KEYS[True][3:], values[2:])
                  if not ok]
     return values, tuple(failures)
@@ -243,7 +257,7 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
         if place is None:
             has_constant = (constant & positions) != 0
             if fixed:
-                values, failures = _run_battery(build_ideal(w, h), facts, has_constant)
+                values, failures = _run_battery(h, *key[1:], facts, has_constant)
             else:
                 values = (has_constant,)
                 failures = () if has_constant else (
@@ -281,17 +295,15 @@ def case_dict(h_values: tuple, w_images: tuple, entry: tuple) -> dict:
 
 def run_case(args):
     """Look one (h, w) pair up in w's table, built here on a miss; returns
-    its `case_dict`.  ValueError first unless h and w hold ints (an equal
-    float would find the ints' table); on a miss, next unless the options
-    and w's size n pass as `iter_sweep` checks them for max_n = n; then, as
-    on a hit, unless h is an indecomposable Hessenberg function of size n.
-    A list h or w finds the tuple's case."""
+    its `case_dict`.  ValueError first unless h and w are sequences of ints
+    (an equal float would find the ints' table); on a miss, next unless the
+    options and w's size n pass as `iter_sweep` checks them for max_n = n;
+    then, as on a hit, unless h is an indecomposable Hessenberg function of
+    size n.  A list h or w finds the tuple's case."""
     h_values, w_images, opts = args
-    h_values, w_images = tuple(h_values), tuple(w_images)
-    check_integers("h", h_values)
-    check_integers("w", w_images)
+    h_values, w_images = check_integers("h", h_values), check_integers("w", w_images)
     n = len(w_images)
-    table = _TABLES.get((w_images, opts))
+    table = _TABLES.get((w_images, opts)) if isinstance(opts, SweepOptions) else None
     if table is None:
         _check_args("n", n, opts, 1)
     facts = _h_facts(n).get(h_values)
@@ -389,11 +401,13 @@ def check_size(name: str, n: int, primes: tuple = ()) -> None:
 
 def _check_args(name: str, n: int, opts: SweepOptions, jobs: int | None) -> None:
     """Raise ValueError unless a sweep up to size n may run under `opts`
-    with `jobs` workers: n (called `name`), trunc, budget and jobs (None:
-    one per CPU) each an int (`check_integer`), trunc as `check_trunc`
-    accepts it, n as `check_size` accepts it at the options' primes, jobs
-    at most MAX_JOBS, budget at least 0 and oracle_nonfixed a bool.
-    Nothing here grows with n, so a refused n costs nothing."""
+    with `jobs` workers: opts a SweepOptions, n (called `name`), trunc,
+    budget and jobs (None: one per CPU) each an int (`check_integer`), trunc
+    as `check_trunc` accepts it, n as `check_size` accepts it at the options'
+    primes, jobs at most MAX_JOBS, budget at least 0 and oracle_nonfixed a
+    bool.  Nothing here grows with n, so a refused n costs nothing."""
+    if not isinstance(opts, SweepOptions):
+        raise ValueError(f"options must be a SweepOptions, not {opts!r}")
     for key, value in ((name, n), ("trunc", opts.trunc), ("budget", opts.budget),
                        ("jobs", 1 if jobs is None else jobs)):
         check_integer(key, value)

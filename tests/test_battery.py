@@ -8,6 +8,7 @@ truncation order changes it and no series is expanded."""
 
 import importlib
 import io
+import itertools
 import random
 import re
 import sys
@@ -30,8 +31,10 @@ from hesscells import (
     cell_generators,
     enumerate_hessenberg,
 )
+from hesscells import MonomialOrder, groebner
 from hesscells.cli import _write_json_report
 from hesscells.combinat import is_fixed_point, v_of_w
+from hesscells.groebner import buchberger_check, s_polynomial
 from hesscells.sweep import SweepOptions, case_dict, case_rows, iter_sweep, run_case, sweep
 
 sweep_mod = importlib.import_module("hesscells.sweep")
@@ -65,14 +68,16 @@ def key_of(pres, trunc=30):
 
 
 def counting_buchberger(monkeypatch, result=None):
+    """Count the battery's Buchberger checks, `_WFacts.gb_check` on w's
+    codes, one per fixed ideal; with `result`, each gives it."""
     calls = []
-    check = sweep_mod.buchberger_check
+    check = sweep_mod._WFacts.gb_check
 
-    def counting(*args):
+    def counting(facts, bits):
         calls.append(1)
-        return check(*args) if result is None else result
+        return check(facts, bits) if result is None else result
 
-    monkeypatch.setattr(sweep_mod, "buchberger_check", counting)
+    monkeypatch.setattr(sweep_mod._WFacts, "gb_check", counting)
     return calls
 
 
@@ -96,7 +101,7 @@ def test_memo_hits_equal_fresh_runs_in_shuffled_order():
 
 def test_phase_b_matches_the_per_case_build(monkeypatch):
     # phase A with a stub battery: one entry per h, shared by the h of one ideal
-    monkeypatch.setattr(sweep_mod, "_run_battery", lambda pres, facts, constant: ((), ()))
+    monkeypatch.setattr(sweep_mod, "_run_battery", lambda *args: ((), ()))
     for n in range(1, 7):
         hs = list(enumerate_hessenberg(n, indecomposable_only=True))
         for w in all_permutations(n):
@@ -149,6 +154,78 @@ def test_phase_a_checks_each_ideal_once_in_any_order_of_w(monkeypatch):
         tables.append({w: sweep_mod._w_table(w, SweepOptions()) for w in ws})
         assert len(calls) == 310
     assert tables[0] == tables[1]
+
+
+def test_the_per_w_route_divides_what_buchberger_check_divides(monkeypatch):
+    # phase A encodes w's generators and forms their S-polynomials once per
+    # w; each fixed ideal must still hand `_divide` what `buchberger_check`
+    # on its own generators hands it, division for division
+    sink, divide = [], groebner._divide
+
+    def recording(rem, divisors, guard, char):
+        sink[-1].append((dict(rem), divisors, guard, char))
+        return divide(rem, divisors, guard, char)
+
+    checks, gb_check = [], sweep_mod._WFacts.gb_check
+
+    def spying(facts, bits):
+        checks.append((facts, bits))
+        sink.append([])
+        return gb_check(facts, bits)
+
+    monkeypatch.setattr(groebner, "_divide", recording)
+    monkeypatch.setattr(sweep_mod._WFacts, "gb_check", spying)
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            sweep_mod._w_table(w.images, SweepOptions())
+    assert len(checks) == 310
+    routes = sink[:]
+    for (facts, bits), divided in zip(checks, routes):
+        sink.append([])
+        assert buchberger_check([facts.gens[bit][2] for bit in bits], facts.order)
+        assert sink[-1] == divided
+    assert sum(map(len, routes)) == 260
+    # and each S-polynomial kept, keyed by its two generators' bits, is the
+    # one `Polynomial` arithmetic forms
+    kept, compared = 0, 0
+    for facts in {id(facts): facts for facts, _ in checks}.values():
+        for packing, memo in facts._memos.items():
+            kept += sum(type(key) is tuple for key in memo)
+            for (a, (_, _, f)), (b, (_, _, g)) in itertools.combinations(facts.gens.items(), 2):
+                if (a, b) in memo:
+                    assert memo[a, b] == packing.encode(s_polynomial(f, g, facts.order))
+                    compared += 1
+    assert compared == kept > 0
+
+
+def test_phase_a_restarts_at_double_width_on_an_overflow(monkeypatch):
+    # the narrowest width that holds the generators' exponents: the
+    # S-polynomials and their divisions outgrow it, and phase A checks the
+    # ideal again at double width, on w's memo of that width
+    expected = sweep(4, jobs=1)
+    widths, packing = [], MonomialOrder._packing
+
+    def spy(order, bits):
+        widths.append(bits)
+        return packing(order, bits)
+
+    monkeypatch.setattr(groebner, "_field_bits", lambda polys: max(
+        2, max(map(groebner._top_exponent, polys)).bit_length() + 1))
+    monkeypatch.setattr(MonomialOrder, "_packing", spy)
+    report = sweep(4, jobs=1)
+    assert Counter(widths) == {2: 5, 4: 4}
+    del expected["elapsedSeconds"], report["elapsedSeconds"]
+    assert report == expected
+
+
+def test_the_division_replay_records_phase_a():
+    # tests/division_ab.py patches `groebner._divide`: phase A must reach
+    # it through the module
+    import division_ab
+
+    ws = [w for n in range(1, 6) for w in all_permutations(n)]
+    assert len(division_ab.record([w for w in ws if w.n <= 4])) == 7
+    assert len(division_ab.record(ws)) == 260
 
 
 def test_a_pool_gives_the_serial_report():
@@ -265,10 +342,16 @@ def test_a_generator_outside_the_index_filter_fails_homogeneity(homogeneous, mon
     # the filter loses the first nonzero generator, which is also made
     # non-homogeneous: a degree lookup giving None would then pass it
     w, h = Permutation((3, 4, 2, 1)), HessenbergFunction((3, 3, 4, 4))
-    pres = build_ideal(w, h)
-    assert sweep_mod._run_battery(pres, sweep_mod._WFacts(w), False) == (
-        (2, 3, True, True, True, True, True), ())
-    (k0, l0, g0), *rest = pres.nonzero_generators()
+    positions = sweep_mod._h_facts(4)[h.values][2]
+
+    def battery():
+        # w's facts are taken once per w: take them afresh under the tampering
+        facts = sweep_mod._WFacts(w)
+        return sweep_mod._run_battery(h, facts.nonzero & positions,
+                                      facts.filtered & positions, facts, False)
+
+    assert battery() == ((2, 3, True, True, True, True, True), ())
+    (k0, l0, g0), *rest = build_ideal(w, h).nonzero_generators()
     assert rest
     index_filter, is_homogeneous = sweep_mod.index_filter, sweep_mod.is_homogeneous
     monkeypatch.setattr(sweep_mod, "index_filter", lambda w, positions: [
@@ -276,10 +359,13 @@ def test_a_generator_outside_the_index_filter_fails_homogeneity(homogeneous, mon
     if not homogeneous:
         monkeypatch.setattr(sweep_mod, "is_homogeneous", lambda g, wt:
                             None if g is g0 else is_homogeneous(g, wt))
-    # w's facts are taken once per w: take them afresh under the tampering
-    values, failures = sweep_mod._run_battery(pres, sweep_mod._WFacts(w), False)
-    assert values[5] is False
-    assert failures == ("homogeneousOk failed",)
+    # the battery reads the height and the Hilbert numerator off the same
+    # filter: one position less makes both disagree with the ideal
+    values, failures = battery()
+    assert values == (1, 4, True, True, True, False, False)
+    assert failures == ("nonzero generator count disagrees with the index filter",
+                        "free variable count disagrees with length minus height",
+                        "homogeneousOk failed", "hilbertOk failed")
 
 
 def test_hilbert_verdict_is_the_same_at_every_accepted_truncation():
@@ -325,7 +411,7 @@ def test_a_failed_splitting_is_named_last_among_the_failures(monkeypatch):
     # the report's order of keys, frobeniusOk last
     monkeypatch.setattr(sweep_mod, "compatibility_check",
                         lambda ctx, h: SimpleNamespace(all_compatible=ctx.p == 2))
-    monkeypatch.setattr(sweep_mod, "buchberger_check", lambda polys, order: False)
+    monkeypatch.setattr(sweep_mod._WFacts, "gb_check", lambda facts, bits: False)
     seen = 0
     for h, w in cases_up_to(4):
         case = run_case((h.values, w.images, SweepOptions(frobenius_primes=(2, 3))))
@@ -365,10 +451,9 @@ def test_each_non_fixed_case_gets_the_oracle_verdict_of_its_own_ideal(monkeypatc
     assert verdicts == {False, True}
 
 
-def drop_first_generator(monkeypatch, h, w):
-    """Zero the first nonzero generator of I_{w,h} in w's cell matrix, which
-    both the masks and build_ideal read."""
-    k, l, _ = build_ideal(w, h).nonzero_generators()[0]
+def zero_generator(monkeypatch, w, k, l):
+    """Zero g_{k,l} in w's cell matrix, which both the masks and the
+    battery read, and so does build_ideal."""
     clean = cells_mod.cell_generators
 
     def tampered(u):
@@ -381,11 +466,17 @@ def drop_first_generator(monkeypatch, h, w):
     monkeypatch.setattr(sweep_mod, "cell_generators", tampered)
 
 
+def drop_first_generator(monkeypatch, h, w):
+    """Zero the first nonzero generator of I_{w,h} in w's cell matrix."""
+    k, l, _ = build_ideal(w, h).nonzero_generators()[0]
+    zero_generator(monkeypatch, w, k, l)
+
+
 def add_zero_generator_passing_the_filter(monkeypatch, h, w):
-    """Add position (2, 1) to h's positions and a zero generator there to
-    its ideal: v(2) = 3 > v(1) + 1 = 2 at w = 312, and (2, 1) is not a
-    generator at h = 333."""
-    facts, build = sweep_mod._h_facts, sweep_mod.build_ideal
+    """Add position (2, 1) to h's positions, with a zero generator there
+    in w's cell matrix: v(2) = 3 > v(1) + 1 = 2 at w = 312, and (2, 1) is
+    not a generator at h = 333."""
+    facts = sweep_mod._h_facts
 
     def more_positions(n):
         out = dict(facts(n))
@@ -396,15 +487,8 @@ def add_zero_generator_passing_the_filter(monkeypatch, h, w):
                 else ("generator count differs from the partition size",)
         return out
 
-    def more_generators(u, g, kind="cell"):
-        pres = build(u, g, kind)
-        if g == h:
-            pres.generators.append((2, 1, Polynomial.zero()))
-            pres.height += 1
-        return pres
-
     monkeypatch.setattr(sweep_mod, "_h_facts", more_positions)
-    monkeypatch.setattr(sweep_mod, "build_ideal", more_generators)
+    zero_generator(monkeypatch, w, 2, 1)
 
 
 @pytest.mark.parametrize("h, w, tamper", [
@@ -444,8 +528,10 @@ def test_a_zeroed_generator_fails_exactly_the_ideals_that_hold_it(monkeypatch):
 
 def test_a_constant_entry_at_a_fixed_point_fails_the_case(monkeypatch):
     # g_{3,1} of the identity is 0, in the ideal of h = 233, which the
-    # identity fixes: a constant there in the matrix phase A reads its masks
-    # off is the one fault, since the battery reads the ideal's own matrix
+    # identity fixes: a constant there in the matrix phase A reads is the
+    # ideal's one generator, outside the index filter and no signed
+    # variable, so every check that reads the generators fails with it;
+    # one generator has no S-pair, so gbOk holds
     h, w = (2, 3, 3), (1, 2, 3)
     assert is_fixed_point(Permutation(w), HessenbergFunction(h))
     matrix = cell_generators(Permutation(w))
@@ -454,8 +540,11 @@ def test_a_constant_entry_at_a_fixed_point_fails_the_case(monkeypatch):
     rows[2][0] = Polynomial.one()
     monkeypatch.setattr(sweep_mod, "cell_generators", lambda u: PolyMatrix(rows))
     case = run_case((h, w, SweepOptions()))
-    assert case["failures"] == ["constant generator at a fixed point"]
-    assert case["fixedPoint"] and not case["ok"]
+    assert case["failures"] == [
+        "nonzero generator count disagrees with the index filter",
+        "constant generator at a fixed point", "triangularOk failed",
+        "initialTermsOk failed", "homogeneousOk failed", "hilbertOk failed"]
+    assert case["fixedPoint"] and not case["ok"] and case["gbOk"]
 
 
 def test_an_oracle_out_of_budget_fails_the_case(monkeypatch):
@@ -523,6 +612,25 @@ def test_run_case_checks_its_arguments_before_any_work(opts, message):
     assert sweep_mod._h_facts.cache_info().misses == misses
     with pytest.raises(ValueError, match="^budget must be at least 0, not -1$"):
         run_case(((2, 3, 3), (3, 2, 1), SweepOptions(budget=-1)))
+
+
+@pytest.mark.parametrize("h, w", [(5, (2, 1)), ((2, 2), 21), (None, (2, 1))])
+def test_run_case_refuses_an_h_or_w_that_is_not_a_sequence(h, w):
+    name, value = ("h", h) if w == (2, 1) else ("w", w)
+    message = f"^{name} must be a sequence of integers, not {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        run_case((h, w, SweepOptions()))
+    assert sweep_mod._TABLES == {}
+
+
+@pytest.mark.parametrize("opts", [None, {}, {"trunc": 30}, (SweepOptions(),)])
+def test_run_case_refuses_options_that_are_not_sweep_options(opts):
+    message = f"^options must be a SweepOptions, not {re.escape(repr(opts))}$"
+    with pytest.raises(ValueError, match=message):
+        run_case(((2, 2), (2, 1), opts))
+    with pytest.raises(ValueError, match=message):
+        iter_sweep(2, opts)
+    assert sweep_mod._TABLES == {}
 
 
 @pytest.mark.parametrize("h, w, message", [

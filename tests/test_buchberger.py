@@ -241,15 +241,16 @@ def test_packed_lcm_is_the_field_wise_maximum():
 
 class TestFieldOverflow:
     def record_widths(self, monkeypatch):
-        """Field widths the check runs at, in order."""
+        """Field widths the check runs at, in order: `_at_width` asks the
+        order for one packing per run."""
         widths = []
-        packed_check = groebner._packed_check
+        packing = MonomialOrder._packing
 
-        def spy(gens, packing, char):
-            widths.append(packing._low + 1)
-            return packed_check(gens, packing, char)
+        def spy(order, bits):
+            widths.append(bits)
+            return packing(order, bits)
 
-        monkeypatch.setattr(groebner, "_packed_check", spy)
+        monkeypatch.setattr(MonomialOrder, "_packing", spy)
         return widths
 
     def test_restart_finds_a_nonzero_remainder(self, monkeypatch):

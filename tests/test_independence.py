@@ -3,12 +3,13 @@ reaches.
 
 The sweep certifies the Groebner basis twice (`triangular_analysis`, run
 as its per-generator and per-ideal steps, against the from-scratch
-`buchberger_check`), the Hilbert series twice (`hilbert_formula` against
-`hilbert_oracle`), `dim` twice (ℓ(w) less the index filter's count,
-against the triangular report's free variables) and, at a non-fixed
-point, emptiness twice (`is_fixed_point`, through h_w, against the
-constant generator of the ideal built from w's matrix).  A change that
-joins two routes of one theorem fails here, and must say so.  Each route
+`buchberger_check`), the Hilbert series twice (`hilbert_formula`, whose
+numerator the sweep reads off w's index filter, against `hilbert_oracle`),
+`dim` twice (ℓ(w) less the index filter's count, against the triangular
+report's free variables) and, at a non-fixed point, emptiness twice
+(`is_fixed_point`, through h_w, against the constant generator of the
+ideal built from w's matrix).  A change that joins two routes of one
+theorem fails here, and must say so.  Each route
 runs on one small case under `sys.setprofile`, with every per-w cache and
 `ideal_positions` emptied first so that a value the other route cached
 hides nothing.  The src functions it reaches are keyed by (file, first
