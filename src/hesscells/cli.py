@@ -330,8 +330,7 @@ def _write_json_report(out, head: dict, stream, tail: dict) -> None:
 
 
 def cmd_sweep(args) -> int:
-    primes = tuple(int(p) for p in args.frobenius.split(",")) if args.frobenius else ()
-    opts = SweepOptions(primes, args.oracle_nonfixed, args.trunc, args.budget)
+    opts = SweepOptions(args.frobenius, args.oracle_nonfixed, args.trunc, args.budget)
     head, stream, tail = iter_sweep(args.max_n, opts, args.jobs)
     summary = tail["summary"]
     try:
@@ -345,6 +344,13 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:  # the arguments are checked: a broken invariant
         raise InternalError(exc) from exc
     return 0 if summary["ok"] else 1
+
+
+def prime_list(text: str) -> tuple:
+    """--frobenius: one integer or more, separated by commas."""
+    if "" in map(str.strip, text.split(",")):
+        raise argparse.ArgumentTypeError(f"must list primes separated by commas, not {text!r}")
+    return tuple(map(int, text.split(",")))
 
 
 def step_count(text: str) -> int:
@@ -426,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common, trunc, budget],
                        help="full verification sweep up to max-n")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--frobenius", default=None,
+    p.add_argument("--frobenius", type=prime_list, default=(),
                    help="comma separated primes, e.g. 2,3; "
                    + _ceilings_help("--max-n"))
     p.add_argument("--oracle-nonfixed", action="store_true",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cells import cell_degrees
 from .combinat import HessenbergFunction, Permutation, is_fixed_point, v_of_w
@@ -21,11 +20,8 @@ from .polyring import Polynomial, z_universe
 TRUNC_CEILING = 10**6
 
 
-@lru_cache(maxsize=1)
 def weights_for(w: Permutation) -> dict:
-    """Weights of the cell coordinates of w, keyed by variable.  The dict
-    is cached for the last w and shared by its callers, so it must not be
-    mutated.
+    """Weights of the cell coordinates of w, keyed by variable.
 
     Both defining formulas, w(j) - i from the torus action and
     (n + 1 - v(j)) - i from pulling back along the specialization map,

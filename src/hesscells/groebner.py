@@ -46,10 +46,10 @@ one S-pair loop, `_packed_check`, runs on these codes: it forms each
 S-polynomial as a code dict, the lcm of two leads a field-wise maximum
 (`_Packing.lcm`), and divides a fresh copy of it by the generators sorted
 by lead, smallest dividing lead first, so nothing is decoded.  S(g_i, g_j)
-depends on the two generators and the order alone, so the sweep encodes
-each generator and forms each S-polynomial once per w, for all the ideals
-of w (`sweep._WFacts.gb_check`), where `buchberger_check` makes them once
-per call; either way every pair is divided from scratch in each ideal.
+depends on the two generators and the order alone, so a caller may hand
+`buchberger_check` a memo that keeps the codes and S-polynomials across
+calls: the sweep keeps one per w, for all the ideals of w.  Either way
+every pair is divided from scratch in each call.
 The check reads nothing of the generators' shape: Buchberger's
 coprime-lead criterion would pass every pair of the cell ideals unseen,
 since their initial terms are distinct variables, and the check would then
@@ -366,7 +366,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     )
 
 
-def buchberger_check(polys, order: MonomialOrder) -> bool:
+def buchberger_check(polys, order: MonomialOrder, memo: dict | None = None) -> bool:
     """True iff every S-polynomial of every pair of the nonzero
     polynomials reduces to 0.
 
@@ -385,6 +385,10 @@ def buchberger_check(polys, order: MonomialOrder) -> bool:
     every rule for some pair.  The remainder's emptiness is all that is
     read, so nothing is decoded; a failing pair is divided to its full
     remainder, as `reduce` divides it.
+    A caller may keep a `memo` dict across calls.  Per packing it holds each
+    polynomial's code under id(g), stored with g so that no id is reused
+    while the memo lives, and S(g_i, g_j) under the pair of ids; every pair
+    is still divided afresh in every call.  Without it a fresh dict is used.
     Raises ValueError for mixed coefficient domains, a variable outside
     the order, or a division by a lead coefficient that is not a unit.
 
@@ -399,18 +403,19 @@ def buchberger_check(polys, order: MonomialOrder) -> bool:
     gens = [g for g in polys if not g.is_zero]
     if len(gens) < 2:
         return True
+    memo = {} if memo is None else memo
     return _at_width(gens, order, lambda packing: _packed_check(
-        gens, range(len(gens)), {}, packing, gens[0].char))
+        gens, memo.setdefault(packing, {}), packing, gens[0].char))
 
 
-def _packed_check(gens: list, keys, memo: dict, packing: _Packing, char: int) -> bool:
-    """`buchberger_check` at one field width; raises _FieldOverflow.  `memo`
-    keeps each generator's code by its key in `keys` and S(g_i, g_j), i < j,
-    by (keys[i], keys[j]), made at this width on first use and copied by each
-    division: the sweep keeps one per w, `buchberger_check` a new one."""
+def _packed_check(gens: list, memo: dict, packing: _Packing, char: int) -> bool:
+    """`buchberger_check` at one field width, on the memo of that width;
+    raises _FieldOverflow.  Each division copies its S-polynomial."""
+    keys = [id(g) for g in gens]
     for key, g in zip(keys, gens):
-        memo[key] = memo.get(key) or _encode_divisors(packing, [g], char)[0]
-    encoded = [memo[key] for key in keys]
+        if key not in memo or g.char != char:  # a mismatch raises, hit or miss
+            memo[key] = g, _encode_divisors(packing, [g], char)[0]
+    encoded = [memo[key][1] for key in keys]
     guard, lcm = packing.guard, packing.lcm
     divisors = None
     for i, (li, ci, tail_i) in enumerate(encoded):

@@ -19,15 +19,15 @@ matrix, so the sweep runs in two phases.  Phase A (`_w_table`, once per w)
 decides every case of w.  `_WFacts` holds what no h changes, taken once:
 ℓ(w), v, the weights, the matrix's nonzero entries and the index filter's
 degrees with their masks (one bit per position (k, l)), one splitting
-context per prime on one splitting base, and per generator its initial
-term, weighted degree and code and per pair their S-polynomial; a fixed
-ideal, its height and its Hilbert numerator are read off these.  Per h,
-phase A builds one key, makes one dict probe and reads whether w fixes h
-off `_fixed_flags`; each check that reads the ideal runs once per
-distinct I_{w,h}, where every S-pair is divided afresh.  `_run_battery`
-runs a fixed point's checks, Frobenius among them, and names each false
-verdict "{key} failed", in report order.
-Phase B reads each case's entry off w's table.
+context per prime on one splitting base, per generator its initial term
+and weighted degree, and the memo of `buchberger_check` that keeps w's
+codes and S-polynomials; a fixed ideal, its height and its Hilbert
+numerator are read off these.  Per h, phase A builds one key, makes one
+dict probe and reads whether w fixes h off `_fixed_flags`; each check
+that reads the ideal runs once per distinct I_{w,h}, where every S-pair
+is divided afresh.  `_run_battery` runs a fixed point's checks,
+Frobenius among them, and names each false verdict "{key} failed", in
+report order.  Phase B reads each case's entry off w's table.
 A pool runs phase A only, so each ideal is checked once.  Phase A runs
 w-major, so the per-w caches under it (`cell_generators`, `order_n_w`,
 ...) hold only the w it checks.
@@ -83,8 +83,7 @@ from .grading_hilbert import (
 )
 from .groebner import (
     BudgetExceededError,
-    _at_width, _packed_check,  # for `_WFacts.gb_check`
-    buchberger_check,  # bound for perfbench's groebner.buchberger_check span
+    buchberger_check,
     generator_lead,
     order_n_w,
     reduced_gb_oracle,
@@ -106,8 +105,11 @@ class SweepOptions:
     budget: int = 100_000
 
     def __post_init__(self):
-        # a tuple, so that the options can key `_TABLES`
-        object.__setattr__(self, "frobenius_primes", tuple(self.frobenius_primes))
+        try:  # a tuple, so that the options can key `_TABLES`; each prime is checked later
+            object.__setattr__(self, "frobenius_primes", tuple(self.frobenius_primes))
+        except TypeError:
+            raise ValueError("frobenius_primes must be a sequence of integers, "
+                             f"not {self.frobenius_primes!r}") from None
 
 
 # Case keys from fixedPoint on, in report order, by fixedPoint.  An entry
@@ -144,9 +146,9 @@ class _WFacts:
     of each position (k, l) below the diagonal, in reading order, the index
     filter's degree v(k) - v(l) - 1 where it passes and (k, l, g_{k,l})
     where g_{k,l} is nonzero, and the masks of the nonzero, constant and
-    filtered entries; one splitting context per prime of `primes`; and on
-    first use the facts of g_{k,l} (`generator`), its code and each pair's
-    S-polynomial (`gb_check`'s memo)."""
+    filtered entries; one splitting context per prime of `primes`; on first
+    use the facts of g_{k,l} (`generator`); and `gb_memo`, the memo that
+    `buchberger_check` keeps w's codes and S-polynomials in."""
 
     def __init__(self, w: Permutation, primes: tuple = ()):
         n, rows = w.n, cell_generators(w).rows
@@ -159,48 +161,37 @@ class _WFacts:
         self.contexts = [make_splitting_context(w, p) for p in primes]
         v = v_of_w(w)
         self._v, self._v_inv = v.images, v.inverse().images  # _v[k - 1] = v(k)
-        self._generators = {}
-        self._memos = {}  # a packing -> `_packed_check`'s memo at its width
+        self._generators, self.gb_memo = {}, {}
 
-    def generator(self, k: int, l: int, g: Polynomial) -> tuple:
-        """(`generator_lead` of g = g_{k,l}, whether its initial term is
+    def generator(self, bit: int) -> tuple:
+        """(`generator_lead` of g, whether its initial term is
         -z_{n+1-v(k), v^{-1}(v(l)+1)}, that is -z_{w(k), w^{-1}(w(l)-1)}
         (never when v(l) = n, where no such z is), g's weighted degree or
-        None as `is_homogeneous` gives it), kept per position (k, l)."""
-        got = self._generators.get((k, l))
+        None as `is_homogeneous` gives it) of (k, l, g) = gens[bit], by bit."""
+        got = self._generators.get(bit)
         if got is None:
+            k, l, g = self.gens[bit]
             lead, v, vl = generator_lead(g, self.order), self._v, self._v[l - 1]
             init = vl < len(v) and lead[3] == -1 and lead[4] == zvar(
                 len(v) + 1 - v[k - 1], self._v_inv[vl])
-            got = self._generators[k, l] = (lead, init, is_homogeneous(g, self.weights))
+            got = self._generators[bit] = (lead, init, is_homogeneous(g, self.weights))
         return got
 
-    def gb_check(self, bits: list) -> bool:
-        """`buchberger_check` of the generators at `bits`, in reading order,
-        by its S-pair loop `_packed_check` on w's memo at the check's width:
-        each generator is encoded and each pair's S-polynomial formed once
-        per w and width, and every pair divided afresh per ideal.  After an
-        overflow `_at_width` checks the ideal again at double width, on the
-        memo of that width."""
-        polys = [self.gens[bit][2] for bit in bits]  # over the integers, as the matrix is
-        return len(bits) < 2 or _at_width(polys, self.order, lambda packing: _packed_check(
-            polys, bits, self._memos.setdefault(packing, {}), packing, 0))
 
-
-def _run_battery(h, nonzero: int, filtered: int, facts: _WFacts, constant: bool) -> tuple:
+def _run_battery(h, nonzero: int, filtered: int, facts: _WFacts) -> tuple:
     """The checks of a fixed point that read only the ideal: the values
     of Lambda through hilbertOk, then frobeniusOk if w's `facts` hold
     splitting contexts, and the failure messages in report order, a false
     verdict failing as "{key} failed".  I_{w,h} is read off `facts` and its
     masks `nonzero` and `filtered`: its generators, its height (the bits of
-    `filtered`) and its Hilbert numerator (their degrees).  `constant` says
-    whether a generator is a nonzero constant."""
+    `filtered`), its Hilbert numerator (their degrees) and whether a
+    generator is a nonzero constant (the bits of `facts.constant`)."""
     height = filtered.bit_count()
     dim = facts.length - height
     failures = []
     bits = [bit for bit in facts.gens if nonzero & bit]
     gens = [facts.gens[bit] for bit in bits]
-    per_gen = [facts.generator(k, l, g) for k, l, g in gens]
+    per_gen = [facts.generator(bit) for bit in bits]
     rep = triangular_report(gens, [lead for lead, _, _ in per_gen], facts.weights)
     if rep.height != height:
         failures.append("nonzero generator count disagrees with the index filter")
@@ -208,7 +199,7 @@ def _run_battery(h, nonzero: int, filtered: int, facts: _WFacts, constant: bool)
         failures.append("free variable count disagrees with length minus height")
 
     init_ok = all(init for _, init, _ in per_gen)
-    gb_ok = facts.gb_check(bits)
+    gb_ok = buchberger_check([g for _, _, g in gens], facts.order, facts.gb_memo)
     degrees = facts.degrees
     # a generator outside the filter has no degree: it fails, whatever
     # is_homogeneous says (None for a generator that is not homogeneous)
@@ -217,7 +208,7 @@ def _run_battery(h, nonzero: int, filtered: int, facts: _WFacts, constant: bool)
     hilbert_ok = rep.is_triangular and HilbertSeries(  # exact: see HilbertSeries.equals
         tuple(d for bit, d in degrees.items() if filtered & bit),
         tuple(facts.weights.values())).equals(hilbert_oracle(rep, facts.weights))
-    if constant:
+    if facts.constant & nonzero:
         failures.append("constant generator at a fixed point")
     values = (height, dim, rep.is_triangular, init_ok, gb_ok, hom_ok, hilbert_ok)
     if facts.contexts:
@@ -255,10 +246,10 @@ def _w_table(w_images: tuple, opts: SweepOptions) -> tuple:
             key = miscount, (nonzero & positions) if oracle else (constant & positions) != 0
         place = places.get(key)
         if place is None:
-            has_constant = (constant & positions) != 0
             if fixed:
-                values, failures = _run_battery(h, *key[1:], facts, has_constant)
+                values, failures = _run_battery(h, *key[1:], facts)
             else:
+                has_constant = (constant & positions) != 0
                 values = (has_constant,)
                 failures = () if has_constant else (
                     "no constant generator at a non-fixed point",)

@@ -68,16 +68,16 @@ def key_of(pres, trunc=30):
 
 
 def counting_buchberger(monkeypatch, result=None):
-    """Count the battery's Buchberger checks, `_WFacts.gb_check` on w's
-    codes, one per fixed ideal; with `result`, each gives it."""
+    """Count the battery's Buchberger checks, `buchberger_check` on w's
+    memo, one per fixed ideal; with `result`, each gives it."""
     calls = []
-    check = sweep_mod._WFacts.gb_check
+    check = sweep_mod.buchberger_check
 
-    def counting(facts, bits):
+    def counting(polys, order, memo=None):
         calls.append(1)
-        return check(facts, bits) if result is None else result
+        return check(polys, order, memo) if result is None else result
 
-    monkeypatch.setattr(sweep_mod._WFacts, "gb_check", counting)
+    monkeypatch.setattr(sweep_mod, "buchberger_check", counting)
     return calls
 
 
@@ -157,45 +157,53 @@ def test_phase_a_checks_each_ideal_once_in_any_order_of_w(monkeypatch):
 
 
 def test_the_per_w_route_divides_what_buchberger_check_divides(monkeypatch):
-    # phase A encodes w's generators and forms their S-polynomials once per
-    # w; each fixed ideal must still hand `_divide` what `buchberger_check`
-    # on its own generators hands it, division for division
+    # phase A hands `buchberger_check` w's memo, so w's generators are
+    # encoded and their S-polynomials formed once per w; each fixed ideal
+    # must still hand `_divide` what a memo-less call on its own generators
+    # hands it, division for division
     sink, divide = [], groebner._divide
 
     def recording(rem, divisors, guard, char):
         sink[-1].append((dict(rem), divisors, guard, char))
         return divide(rem, divisors, guard, char)
 
-    checks, gb_check = [], sweep_mod._WFacts.gb_check
+    checks, check = [], sweep_mod.buchberger_check
 
-    def spying(facts, bits):
-        checks.append((facts, bits))
+    def spying(polys, order, memo=None):
+        checks.append((polys, order, memo))
         sink.append([])
-        return gb_check(facts, bits)
+        return check(polys, order, memo)
 
     monkeypatch.setattr(groebner, "_divide", recording)
-    monkeypatch.setattr(sweep_mod._WFacts, "gb_check", spying)
+    monkeypatch.setattr(sweep_mod, "buchberger_check", spying)
     for n in range(1, 6):
         for w in all_permutations(n):
             sweep_mod._w_table(w.images, SweepOptions())
     assert len(checks) == 310
+    assert all(memo is not None for _, _, memo in checks)
     routes = sink[:]
-    for (facts, bits), divided in zip(checks, routes):
+    for (polys, order, _), divided in zip(checks, routes):
         sink.append([])
-        assert buchberger_check([facts.gens[bit][2] for bit in bits], facts.order)
+        assert buchberger_check(polys, order)
         assert sink[-1] == divided
     assert sum(map(len, routes)) == 260
-    # and each S-polynomial kept, keyed by its two generators' bits, is the
-    # one `Polynomial` arithmetic forms
-    kept, compared = 0, 0
-    for facts in {id(facts): facts for facts, _ in checks}.values():
-        for packing, memo in facts._memos.items():
-            kept += sum(type(key) is tuple for key in memo)
-            for (a, (_, _, f)), (b, (_, _, g)) in itertools.combinations(facts.gens.items(), 2):
-                if (a, b) in memo:
-                    assert memo[a, b] == packing.encode(s_polynomial(f, g, facts.order))
-                    compared += 1
-    assert compared == kept > 0
+    # and per w and packing, each code is kept under id(g) with g, and each
+    # S-polynomial, keyed by its two generators' ids, is the one
+    # `Polynomial` arithmetic forms
+    memos = {}
+    for polys, order, memo in checks:
+        memos.setdefault(id(memo), (memo, order, {}))[2].update((id(g), g) for g in polys)
+    pairs = 0
+    for memo, order, gens in memos.values():
+        for packing, kept in memo.items():
+            for key, value in kept.items():
+                if type(key) is int:
+                    assert value == (gens[key], groebner._encode_divisors(packing, [gens[key]], 0)[0])
+                else:
+                    f, g = map(gens.get, key)
+                    assert value == packing.encode(s_polynomial(f, g, order))
+                    pairs += 1
+    assert len(memos) == 153 and pairs > 0
 
 
 def test_phase_a_restarts_at_double_width_on_an_overflow(monkeypatch):
@@ -348,7 +356,7 @@ def test_a_generator_outside_the_index_filter_fails_homogeneity(homogeneous, mon
         # w's facts are taken once per w: take them afresh under the tampering
         facts = sweep_mod._WFacts(w)
         return sweep_mod._run_battery(h, facts.nonzero & positions,
-                                      facts.filtered & positions, facts, False)
+                                      facts.filtered & positions, facts)
 
     assert battery() == ((2, 3, True, True, True, True, True), ())
     (k0, l0, g0), *rest = build_ideal(w, h).nonzero_generators()
@@ -411,7 +419,7 @@ def test_a_failed_splitting_is_named_last_among_the_failures(monkeypatch):
     # the report's order of keys, frobeniusOk last
     monkeypatch.setattr(sweep_mod, "compatibility_check",
                         lambda ctx, h: SimpleNamespace(all_compatible=ctx.p == 2))
-    monkeypatch.setattr(sweep_mod._WFacts, "gb_check", lambda facts, bits: False)
+    monkeypatch.setattr(sweep_mod, "buchberger_check", lambda polys, order, memo: False)
     seen = 0
     for h, w in cases_up_to(4):
         case = run_case((h.values, w.images, SweepOptions(frobenius_primes=(2, 3))))
@@ -673,7 +681,7 @@ def test_per_w_caches_hold_only_the_w_being_checked():
     # patch route is not run)
     sweep(5, frobenius_primes=(2, 3), jobs=1)
     misses = {cached.__name__: cached.cache_info().misses for cached in per_w_caches()}
-    assert len(misses) == 8
+    assert len(misses) == 7
     assert {name: m for name, m in misses.items() if m not in (0, 153)} == {}
 
 

@@ -2,6 +2,7 @@
 and against standard representations of its S-pairs (tests/gb_certificates.py)."""
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 import gb_certificates
@@ -341,10 +342,87 @@ def test_a_too_narrow_width_gives_the_default_width_results(monkeypatch):
         assert any(w[1:2] == [2 * w[0]] for w in ran)
 
 
+def divisions(monkeypatch, call):
+    """(call()'s outcome, the inputs it hands `groebner._divide`)."""
+    seen, divide = [], groebner._divide
+
+    def recording(rem, divisors, guard, char):
+        seen.append((dict(rem), list(divisors), guard, char))
+        return divide(rem, divisors, guard, char)
+
+    monkeypatch.setattr(groebner, "_divide", recording)
+    try:
+        return call(), seen
+    finally:
+        monkeypatch.setattr(groebner, "_divide", divide)
+
+
+@st.composite
+def memo_runs(draw):
+    """A pool of polynomials, and calls that each check a few of them, in
+    some order, under one of two lex orders, some at the narrowest width."""
+    char = draw(st.sampled_from((0, 3)))
+    pool = draw(generator_sets(char)) + draw(groebner_bases(char))
+    calls = draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(range(len(pool))), min_size=2, max_size=5, unique=True),
+        st.sampled_from((ORDER, MonomialOrder((Z, X, Y)))),
+        st.booleans(),
+    ), min_size=1, max_size=8))
+    return pool, calls
+
+
+class TestMemo:
+    """A memo kept across `buchberger_check` calls holds codes and
+    S-polynomials only: every call gives the verdict, and divides what, a
+    memo-less call gives and divides."""
+
+    @given(memo_runs())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_a_shared_memo_changes_no_call(self, run):
+        pool, calls = run
+        memo = {}
+        for picks, order, narrow in calls:
+            polys = [pool[i] for i in picks]
+            with pytest.MonkeyPatch.context() as mp:
+                if narrow:  # most divisions overflow it and restart
+                    mp.setattr(groebner, "_field_bits", narrowest_bits)
+                fresh = divisions(mp, lambda: outcome(buchberger_check, polys, order))
+                shared = divisions(mp, lambda: outcome(
+                    lambda p, o: buchberger_check(p, o, memo), polys, order))
+            assert shared == fresh
+
+    def test_fresh_polynomials_on_one_memo_match_memo_less_calls(self):
+        # each round builds its polynomials afresh and drops them; CPython
+        # would hand their ids out again, and a memo that did not keep each
+        # polynomial would answer for a new one with a dead one's code
+        memo, x, y, z = {}, var(X), var(Y), var(Z)
+        verdicts, ids = Counter(), []
+        for k in range(240):
+            a = k % 7 + 1
+            if k % 2:  # leads x, y^a, z: pairwise coprime, a basis
+                gens = [x - y * z, y**a - z**2, z + 1]
+            else:  # S(x^2, xy + a) = -a x, which no lead divides
+                gens = [x**2, x * y + a]
+            got = buchberger_check(gens, ORDER, memo)
+            assert got == buchberger_check(gens, ORDER), k
+            verdicts[got] += 1
+            ids += map(id, gens)
+        assert verdicts == {True: 120, False: 120}
+        assert len(set(ids)) == len(ids)  # the memo keeps every one alive
+
+
 class TestInvalidInput:
     def test_mixed_coefficient_domains(self):
         with pytest.raises(ValueError, match="domain"):
             buchberger_check([var(X), var(Y, 3)], ORDER)
+
+    def test_mixed_coefficient_domains_on_a_shared_memo(self):
+        # x's code is in the memo from a call over the integers; a call
+        # over F_3 that meets it again must refuse it as a memo-less call does
+        memo, x = {}, var(X)
+        assert buchberger_check([x, var(Y)], ORDER, memo)
+        with pytest.raises(ValueError, match="domain"):
+            buchberger_check([var(Y, 3), x], ORDER, memo)
 
     def test_variable_outside_the_order(self):
         with pytest.raises(ValueError, match="not in the order"):

@@ -205,6 +205,18 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("primes", ["", ",2", "2,", "2,,3"])
+    def test_usage_error_on_an_empty_frobenius_item(self, capsys, primes):
+        # "" once ran no Frobenius check and exited 0, and ",2" failed with
+        # int()'s message, which names no flag
+        argv = ["sweep", "--max-n", "3", "--frobenius", primes, "--format", "json",
+                "--jobs", "1"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: argument --frobenius: must list primes separated "
+                            f"by commas, not {primes!r}\n")
+
     def test_usage_error_on_sweep_ceiling(self, capsys):
         assert main(["sweep", "--max-n", "8"]) == 2
         assert capsys.readouterr().err == "error: max_n must be between 1 and 7\n"

@@ -82,12 +82,8 @@ class TestWeights:
         # in the package, not a usage error
         grading_hilbert = importlib.import_module("hesscells.grading_hilbert")
         monkeypatch.setattr(grading_hilbert, "v_of_w", lambda w: w)
-        weights_for.cache_clear()
-        try:
-            with pytest.raises(InternalError, match="weight formulas at z_1_1"):
-                weights_for(W3421)
-        finally:
-            weights_for.cache_clear()
+        with pytest.raises(InternalError, match="weight formulas at z_1_1"):
+            weights_for(W3421)
 
 
 class TestIsHomogeneous:

@@ -7,6 +7,7 @@ from per_w_caches import per_w_cache_decorators
 
 import hesscells
 import hesscells.cells
+import hesscells.cli
 import hesscells.combinat
 import hesscells.frobenius
 import hesscells.groebner
@@ -73,6 +74,33 @@ def test_perfbench_bindings_resolve():
     assert callable(importlib.import_module("hesscells.sweep")._case_args)
 
 
+def test_the_sweep_leaves_these_span_bindings_uncalled(monkeypatch, capsys):
+    # a span times only the calls made through the binding it wraps, so a
+    # binding no sweep calls reads 0 calls; a change that silences a span,
+    # or makes one speak again, changes this pin (ROADMAP item 1)
+    calls = {}
+
+    def counting(fn, binding):
+        def span(*args, **kwargs):
+            calls[binding] += 1
+            return fn(*args, **kwargs)
+        return span
+
+    for metric, modules in _perfbench_literal("SPANS"):
+        name = metric.rsplit(".", 1)[1]
+        for module in modules:
+            binding, mod = f"{module}.{name}", importlib.import_module(f"hesscells.{module}")
+            calls[binding] = 0
+            monkeypatch.setattr(mod, name, counting(getattr(mod, name), binding))
+    assert hesscells.cli.main(["sweep", "--max-n", "4", "--frobenius", "2", "--format", "json",
+                               "--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert {binding for binding, count in calls.items() if not count} == {
+        "cli.sweep", "frobenius.fixed_points", "frobenius.reduce", "groebner.reduce",
+        "groebner.s_polynomial", "sweep.fixed_points", "sweep.hilbert_formula",
+        "sweep.run_case", "sweep.triangular_analysis"}
+
+
 def test_every_imported_name_is_used():
     # a name bound only for a perfbench span is the one exemption; the
     # package's __all__ counts as a use
@@ -111,5 +139,5 @@ def test_per_w_caches_hold_one_w():
         if not (len(maxsize) == 1 and isinstance(maxsize[0], ast.Constant)
                 and maxsize[0].value == 1):
             unbounded.append(f"{stem}.{name}")
-    assert len(per_w) == 8, [f"{stem}.{name}" for stem, name, _ in per_w]
+    assert len(per_w) == 7, [f"{stem}.{name}" for stem, name, _ in per_w]
     assert unbounded == []

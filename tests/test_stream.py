@@ -465,10 +465,14 @@ class TestBadJobsAndInternalErrors:
          "p must be an integer, not 2.0"),
         (lambda: make_splitting_context(Permutation(FIXED[1]), 3.0),
          "p must be an integer, not 3.0"),
-    ], ids=range(13))
+        (lambda: SweepOptions(5), "frobenius_primes must be a sequence of integers, not 5"),
+        (lambda: sweep(2, frobenius_primes=None),
+         "frobenius_primes must be a sequence of integers, not None"),
+    ], ids=range(15))
     def test_non_integer_refused_before_any_work(self, monkeypatch, probe, message):
         # a float or bool size, jobs, trunc, budget or prime once reached
-        # `range`, or matched a listed prime and failed deep in a context
+        # `range`, or matched a listed prime and failed deep in a context;
+        # a prime list that is not iterable raised TypeError
         def refuse(*args, **kwargs):
             raise AssertionError("work started")
 
